@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,11 +41,24 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep) {
 bool ParseDouble(std::string_view s, double* out) {
   s = Trim(s);
   if (s.empty()) return false;
+  // from_chars parses in place and rounds exactly as strtod does, but its
+  // syntax and range rules differ (no "+1" or hex; subnormals accepted). A
+  // whole-view parse to a normal number or zero is the region where both
+  // agree; everything else takes the strtod path, which defines the
+  // accept set.
+  double v = 0.0;
+  const char* const last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec == std::errc() && end == last && (std::isnormal(v) || v == 0.0)) {
+    *out = v;
+    return true;
+  }
   std::string buf(s);
   errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+  char* strtod_end = nullptr;
+  v = std::strtod(buf.c_str(), &strtod_end);
+  if (errno != 0 || strtod_end != buf.c_str() + buf.size() ||
+      !std::isfinite(v)) {
     return false;
   }
   *out = v;

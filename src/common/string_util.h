@@ -19,7 +19,9 @@ std::string_view Trim(std::string_view s);
 /// Joins items with `sep`.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);
 
-/// True if `s` parses fully as a finite double; stores it in *out.
+/// True if `s`, surrounding whitespace aside, parses fully (strtod syntax)
+/// as a finite double that neither overflows nor underflows to a
+/// subnormal or zero; stores it in *out. *out is untouched on failure.
 bool ParseDouble(std::string_view s, double* out);
 
 /// True if `s` parses fully as a long; stores it in *out.

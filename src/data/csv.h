@@ -6,6 +6,7 @@
 #define TARGAD_DATA_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -33,11 +34,32 @@ struct RawTable {
 [[nodiscard]] Result<RawTable> ParseCsv(const std::string& text, char delim = ',',
                           bool has_header = true);
 
-/// Splits ONE logical CSV record into fields, honouring quoted fields with
-/// embedded delimiters and doubled quotes. `line` must hold the complete
-/// record (no embedded newlines); the serving stream driver uses this to
-/// parse rows one line at a time without buffering the whole input.
-std::vector<std::string> SplitCsvRecord(const std::string& line,
+/// Reads ONE logical CSV record field by field, honouring quoted fields with
+/// embedded delimiters and doubled quotes. The record must be complete (no
+/// embedded newlines) and outlive the reader. Every record, even an empty
+/// one, has at least one field.
+class CsvRecordReader {
+ public:
+  explicit CsvRecordReader(std::string_view record, char delim = ',')
+      : rest_(record), delim_(delim) {}
+
+  /// True once every field has been read.
+  bool done() const { return done_; }
+  /// Upper bound on the fields left: one more than the delimiters left.
+  size_t MaxFields() const;
+  /// Replaces *field with the next field, unquoted. Requires !done().
+  void Next(std::string* field);
+
+ private:
+  std::string_view rest_;
+  char delim_;
+  bool done_ = false;
+};
+
+/// Splits ONE logical CSV record into fields (see CsvRecordReader); the
+/// serving stream driver uses this to parse rows one line at a time
+/// without buffering the whole input.
+std::vector<std::string> SplitCsvRecord(std::string_view line,
                                         char delim = ',');
 
 /// Interprets every cell of `table` as a double.

@@ -5,8 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <cstring>
-#include <fstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -132,12 +134,31 @@ std::string ArtifactWriter::Serialize() const {
 }
 
 Status ArtifactWriter::WriteFile(const std::string& path) const {
+  // Servers map artifacts MAP_PRIVATE, and a private mapping still shows
+  // later writes to (and faults on truncation of) pages it has not copied.
+  // So the file is never rewritten in place: the bytes go to a sibling temp
+  // file that is synced and then renamed over `path`, which leaves any
+  // mapped inode intact.
+  static std::atomic<uint64_t> temp_counter{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                           std::to_string(temp_counter.fetch_add(1));
+  const int fd =
+      ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::IOError("artifact: cannot open for write: ", temp);
   const std::string buf = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("artifact: cannot open for write: ", path);
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  out.flush();
-  if (!out) return Status::IOError("artifact: short write: ", path);
+  size_t written = 0;
+  while (written < buf.size()) {
+    const ssize_t n = ::write(fd, buf.data() + written, buf.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<size_t>(n);
+  }
+  const bool synced = written == buf.size() && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
+  if (!synced || !closed || ::rename(temp.c_str(), path.c_str()) != 0) {
+    ::unlink(temp.c_str());
+    return Status::IOError("artifact: write failed: ", path);
+  }
   return Status::OK();
 }
 

@@ -66,7 +66,8 @@ class ArtifactWriter {
   void AddTensor(size_t rows, size_t cols, const void* data);
 
   /// Serializes header + meta + section table + aligned payloads + footer
-  /// checksum to `path` (atomically overwriting is the caller's concern).
+  /// checksum to `path`, atomically: a synced sibling temp file is renamed
+  /// over it, so scorers still mapping the old file keep their bytes.
   [[nodiscard]] Status WriteFile(const std::string& path) const;
 
   /// In-memory serialization — the byte-exact file contents. Exposed for

@@ -284,7 +284,9 @@ void BatchScorer::ScoreGroup(const std::string& model,
   data::RawTable table;
   table.column_names = columns;
   table.rows.reserve(scorable.size());
-  for (Pending* request : scorable) table.rows.push_back(request->cells);
+  for (Pending* request : scorable) {
+    table.rows.push_back(std::move(request->cells));
+  }
 
   if (metrics_ != nullptr) metrics_->RecordBatch(scorable.size());
   Result<std::vector<double>> scores = snapshot->Score(table);
@@ -305,19 +307,21 @@ void BatchScorer::ScoreGroup(const std::string& model,
   }
   // The vectorized call failed (e.g. one non-numeric cell poisons the whole
   // encoder transform). Re-score row by row so only the offending rows
-  // fail; per-row results are bit-identical to the batched ones.
-  for (Pending* request : scorable) {
-    data::RawTable row_table;
-    row_table.column_names = columns;
-    row_table.rows.push_back(request->cells);
+  // fail; per-row results are bit-identical to the batched ones. The cells
+  // now live in the batch table, so each row moves out of it in turn.
+  data::RawTable row_table;
+  row_table.column_names = std::move(table.column_names);
+  row_table.rows.resize(1);
+  for (size_t i = 0; i < scorable.size(); ++i) {
+    row_table.rows[0] = std::move(table.rows[i]);
     Result<std::vector<double>> row_score = snapshot->Score(row_table);
     if (row_score.ok() && row_score->size() == 1) {
-      fulfill(request, (*row_score)[0]);
+      fulfill(scorable[i], (*row_score)[0]);
     } else {
-      fulfill(request, row_score.ok()
-                           ? Status::Internal("batch scorer: score count "
-                                              "mismatch")
-                           : row_score.status());
+      fulfill(scorable[i], row_score.ok()
+                               ? Status::Internal("batch scorer: score count "
+                                                  "mismatch")
+                               : row_score.status());
     }
   }
   record_model();

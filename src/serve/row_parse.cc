@@ -16,20 +16,25 @@ constexpr size_t kModelPrefixLen = sizeof(kModelPrefix) - 1;
 
 }  // namespace
 
-DataRecord SplitDataRecord(const std::string& line, int label_col) {
-  std::vector<std::string> fields = data::SplitCsvRecord(line);
+DataRecord SplitDataRecord(std::string_view line, int label_col) {
+  data::CsvRecordReader reader(line);
   DataRecord record;
-  size_t first = 0;
-  if (!fields.empty() && fields[0].rfind(kModelPrefix, 0) == 0) {
-    record.model = fields[0].substr(kModelPrefixLen);
+  record.cells.reserve(reader.MaxFields());
+  // The first field decides routing, so it lands in `model` and moves to
+  // the cells when it turns out to be data.
+  reader.Next(&record.model);
+  int j = 0;  // Index of the next data field in header terms.
+  if (record.model.compare(0, kModelPrefixLen, kModelPrefix) == 0) {
+    record.model.erase(0, kModelPrefixLen);
     record.routed = true;
-    first = 1;
+  } else {
+    if (label_col != 0) record.cells.push_back(std::move(record.model));
+    record.model.clear();
+    j = 1;
   }
-  record.cells.reserve(fields.size() - first);
-  for (size_t j = first; j < fields.size(); ++j) {
-    if (static_cast<int>(j - first) != label_col) {
-      record.cells.push_back(std::move(fields[j]));
-    }
+  std::string label;
+  for (; !reader.done(); ++j) {
+    reader.Next(j == label_col ? &label : &record.cells.emplace_back());
   }
   return record;
 }

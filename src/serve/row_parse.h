@@ -12,6 +12,7 @@
 #define TARGAD_SERVE_ROW_PARSE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -35,7 +36,7 @@ struct DataRecord {
 /// a DataRecord. `label_col` is the label column's index in the HEADER
 /// (i.e. not counting the routing cell), or -1 when the input carries no
 /// label column.
-DataRecord SplitDataRecord(const std::string& line, int label_col);
+DataRecord SplitDataRecord(std::string_view line, int label_col);
 
 /// Validates a CSV header against a scorer's training schema: the header
 /// must carry exactly the scorer's feature columns, in order, with the

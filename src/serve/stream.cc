@@ -15,11 +15,10 @@ namespace serve {
 
 namespace {
 
-/// One submitted row awaiting its score. Keeps the cells so an admission
-/// rejection can be retried.
+/// One submitted row awaiting its score. Its cells moved into the scorer;
+/// the raw line stays so a rare admission rejection can re-split it.
 struct InFlight {
-  std::string model;
-  std::vector<std::string> cells;
+  std::string line;
   std::future<Result<double>> future;
 };
 
@@ -51,6 +50,12 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
 
   StreamStats stats;
 
+  auto submit = [&](DataRecord record) {
+    return scorer->Submit(record.routed ? std::move(record.model)
+                                        : BatchScorer::kDefaultModel,
+                          std::move(record.cells));
+  };
+
   // Resolves the oldest in-flight row: writes its score (or error cell),
   // retrying admission rejections with a short backoff.
   auto resolve = [&](InFlight* entry) -> Status {
@@ -65,7 +70,7 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
           attempt < options.admission_retries) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(options.retry_delay_us));
-        entry->future = scorer->Submit(entry->model, entry->cells);
+        entry->future = submit(SplitDataRecord(entry->line, label_col));
         continue;
       }
       if (options.keep_going) {
@@ -94,18 +99,13 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
     ++stats.rows_in;
 
     DataRecord record = SplitDataRecord(line, label_col);
-    InFlight entry;
-    entry.model =
-        record.routed ? std::move(record.model) : BatchScorer::kDefaultModel;
     if (record.routed) ++stats.rows_routed;
-    entry.cells = std::move(record.cells);
 
     if (window.size() >= window_rows) {
       TARGAD_RETURN_NOT_OK(resolve(&window.front()));
       window.pop_front();
     }
-    entry.future = scorer->Submit(entry.model, entry.cells);
-    window.push_back(std::move(entry));
+    window.push_back(InFlight{line, submit(std::move(record))});
   }
   // A signal can interrupt a blocked read (EINTR fails the stream); treat a
   // pending stop request as a drain, not an I/O error.

@@ -267,6 +267,53 @@ TEST(ArtifactTest, MappedScorerSurvivesFileUnlink) {
   EXPECT_EQ(before, after);
 }
 
+// Republishing over a live artifact must not touch the inode a running
+// scorer maps: an in-place rewrite would change its weights under it (same
+// size) or fault it (shorter file).
+TEST(ArtifactTest, RewriteOverMappedArtifactKeepsOldScorerIntact) {
+  TempDir dir;
+  auto old_frozen = TrainPipeline(26).Freeze(Dtype::kFloat32).ValueOrDie();
+  auto new_frozen = TrainPipeline(27).Freeze(Dtype::kFloat32).ValueOrDie();
+  const fs::path path = dir.path() / "live.tgz1";
+  ASSERT_TRUE(old_frozen.SaveArtifact(path.string()).ok());
+  auto served = core::FrozenScorer::LoadArtifact(path.string()).ValueOrDie();
+
+  const data::RawTable rows = MakeScoringRows(28, 32);
+  const std::vector<double> old_scores = old_frozen.Score(rows).ValueOrDie();
+  const std::vector<double> new_scores = new_frozen.Score(rows).ValueOrDie();
+  ASSERT_NE(old_scores, new_scores);
+
+  ASSERT_TRUE(new_frozen.SaveArtifact(path.string()).ok());
+  EXPECT_EQ(served.Score(rows).ValueOrDie(), old_scores);
+  auto reloaded = core::FrozenScorer::LoadArtifact(path.string());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->Score(rows).ValueOrDie(), new_scores);
+
+  // The publish leaves no temp file behind.
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename(), "live.tgz1");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+}
+
+TEST(ArtifactTest, WriteFileFailureLeavesNoTempFile) {
+  TempDir dir;
+  const std::vector<float> a = {1, 2, 3, 4, 5, 6};
+  const std::vector<float> b = {1, 2, 3, 4};
+  // A directory in the way makes the final rename fail.
+  const fs::path path = dir.path() / "blocked.tgz1";
+  fs::create_directories(path / "child");
+  EXPECT_FALSE(SmallWriter(a, b).WriteFile(path.string()).ok());
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename(), "blocked.tgz1");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+}
+
 TEST(ArtifactTest, LoadArtifactRejectsTamperedScorerFile) {
   TempDir dir;
   auto pipeline = TrainPipeline(25);

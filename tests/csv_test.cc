@@ -54,6 +54,24 @@ TEST(ParseCsvTest, AlternativeDelimiter) {
   EXPECT_EQ(table.rows[0][1], "2");
 }
 
+// Goldens for the record splitter's corner cases, pinned from the original
+// character-at-a-time implementation: a quote toggles quoting wherever it
+// appears, and an unterminated quote runs to the end of the record.
+TEST(SplitCsvRecordTest, CornerCaseGoldens) {
+  using Fields = std::vector<std::string>;
+  EXPECT_EQ(SplitCsvRecord("a\"b,c\"d"), (Fields{"ab,cd"}));
+  EXPECT_EQ(SplitCsvRecord("x,\"ab,c"), (Fields{"x", "ab,c"}));
+  EXPECT_EQ(SplitCsvRecord("\"a\"\"b\",c"), (Fields{"a\"b", "c"}));
+  EXPECT_EQ(SplitCsvRecord("a\"\"b"), (Fields{"ab"}));
+  EXPECT_EQ(SplitCsvRecord("\"\"\""), (Fields{"\""}));
+  EXPECT_EQ(SplitCsvRecord("\"\",\"\""), (Fields{"", ""}));
+  EXPECT_EQ(SplitCsvRecord("a,b,"), (Fields{"a", "b", ""}));
+  EXPECT_EQ(SplitCsvRecord(",,"), (Fields{"", "", ""}));
+  EXPECT_EQ(SplitCsvRecord(""), (Fields{""}));
+  EXPECT_EQ(SplitCsvRecord(" a , b "), (Fields{" a ", " b "}));
+  EXPECT_EQ(SplitCsvRecord("a;\"b;c\";d", ';'), (Fields{"a", "b;c", "d"}));
+}
+
 TEST(TableToMatrixTest, ConvertsNumericCells) {
   auto table = ParseCsv("a,b\n1.5,-2\n0,3e2\n").ValueOrDie();
   auto m = TableToMatrix(table).ValueOrDie();

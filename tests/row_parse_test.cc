@@ -57,6 +57,32 @@ TEST(SplitDataRecord, LabelColumnDropped) {
   EXPECT_EQ(routed.cells, (std::vector<std::string>{"b"}));
 }
 
+// Routing cell and label column together, including a quoted routing cell
+// (the prefix is matched after unquoting) and quoted cells around the label.
+TEST(SplitDataRecord, RoutedWithLabelGoldens) {
+  DataRecord rec = SplitDataRecord("model=m,1,lbl,2", 1);
+  EXPECT_TRUE(rec.routed);
+  EXPECT_EQ(rec.model, "m");
+  EXPECT_EQ(rec.cells, (std::vector<std::string>{"1", "2"}));
+
+  DataRecord quoted = SplitDataRecord("\"model=q\",\"a,b\",\"x\"\"y\",c", 2);
+  EXPECT_TRUE(quoted.routed);
+  EXPECT_EQ(quoted.model, "q");
+  EXPECT_EQ(quoted.cells, (std::vector<std::string>{"a,b", "x\"y"}));
+
+  // Only a leading cell routes; "model=" later in the record is data.
+  DataRecord later = SplitDataRecord("1,model=z,lbl", 2);
+  EXPECT_FALSE(later.routed);
+  EXPECT_EQ(later.cells, (std::vector<std::string>{"1", "model=z"}));
+
+  // A routing cell alone leaves no data cells; a label at index 0 of an
+  // otherwise empty record leaves none either.
+  DataRecord bare = SplitDataRecord("model=m", -1);
+  EXPECT_TRUE(bare.routed);
+  EXPECT_TRUE(bare.cells.empty());
+  EXPECT_TRUE(SplitDataRecord("", 0).cells.empty());
+}
+
 // SplitDataRecord's contract is "no trailing newline": both front-ends
 // strip line terminators before calling (FrameDecoder::ReadLine eats the
 // \r of a CRLF, the stream driver's getline path likewise). A \r that DOES
