@@ -31,14 +31,28 @@ bool CpuHasAvx2Fma() {
 
 struct DispatchState {
   Backend backend = Backend::kScalar;
-  const internal::FloatKernels* f32 = nullptr;  // Null in scalar mode.
+  // Both null in scalar mode.
+  const internal::FloatKernels* f32 = nullptr;
+  const internal::DoubleKernels* f64 = nullptr;
   TilingConfig tiling;
 };
 
+bool Avx2Compiled() {
+  return internal::Avx2FloatKernels() != nullptr &&
+         internal::Avx2DoubleKernels() != nullptr;
+}
+
+// Points both dtype tables at `backend`'s kernels.
+void UseBackend(Backend backend, DispatchState* state) {
+  const bool avx2 = backend == Backend::kAvx2;
+  state->backend = backend;
+  state->f32 = avx2 ? internal::Avx2FloatKernels() : nullptr;
+  state->f64 = avx2 ? internal::Avx2DoubleKernels() : nullptr;
+}
+
 DispatchState MakeState() {
   DispatchState state;
-  const internal::FloatKernels* avx2 = internal::Avx2FloatKernels();
-  const bool avx2_usable = avx2 != nullptr && CpuHasAvx2Fma();
+  const bool avx2_usable = Avx2Compiled() && CpuHasAvx2Fma();
   const std::string choice = GetEnvString("TARGAD_KERNEL_BACKEND", "auto");
   if (choice == "scalar") {
     state.backend = Backend::kScalar;
@@ -46,8 +60,8 @@ DispatchState MakeState() {
     if (choice == "avx2" && !avx2_usable) {
       TARGAD_LOG(Warning)
           << "TARGAD_KERNEL_BACKEND=avx2 requested but AVX2/FMA is "
-          << (avx2 == nullptr ? "not compiled into this build"
-                              : "not supported by this CPU")
+          << (Avx2Compiled() ? "not supported by this CPU"
+                             : "not compiled into this build")
           << "; using the scalar backend";
     }
     state.backend = avx2_usable ? Backend::kAvx2 : Backend::kScalar;
@@ -56,7 +70,7 @@ DispatchState MakeState() {
                          << "' (scalar|avx2); using auto selection";
     state.backend = avx2_usable ? Backend::kAvx2 : Backend::kScalar;
   }
-  if (state.backend == Backend::kAvx2) state.f32 = avx2;
+  UseBackend(state.backend, &state);
 
   const int threads = GetEnvInt("TARGAD_KERNEL_THREADS", 0);
   state.tiling.threads =
@@ -138,28 +152,9 @@ void ParallelRows(size_t rows, size_t flops,
 
 // ---- Scalar baselines -----------------------------------------------------
 // These reproduce the pre-kernel-layer MatrixT loops exactly: same loop
-// order, same zero-skips, same expression shapes. They are the double
-// backend unconditionally (bit-determinism) and the float fallback.
-
-// C = A * B, rows [r0, r1). i-k-j order streams both operands row-major;
-// the zero-skip keeps ReLU-sparse activations cheap and matches the old
-// MatrixT::MatMul bit behaviour.
-// targad-lint: allow(raw-dense-loop) — this file IS the kernel layer.
-template <typename T>
-void GemmNnRange(size_t r0, size_t r1, size_t n, size_t k, const T* a,
-                 const T* b, T* c) {
-  for (size_t i = r0; i < r1; ++i) {
-    const T* a_row = a + i * k;
-    T* c_row = c + i * n;
-    std::fill(c_row, c_row + n, T(0));
-    for (size_t kk = 0; kk < k; ++kk) {
-      const T av = a_row[kk];
-      if (av == T(0)) continue;
-      const T* b_row = b + kk * n;
-      for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
-    }
-  }
-}
+// order, same zero-skips, same expression shapes. They are the scalar
+// backend, the fallback for every primitive without an AVX2 kernel, and
+// the reference the AVX2 double kernels must match bit for bit.
 
 // C(m x n) = A^T * B with A stored k x m and B stored k x n (k is the
 // shared dimension), rows [r0, r1) of C. The historical full-matrix form
@@ -248,6 +243,9 @@ void ApplyActivationRow(Act act, T leaky_slope, size_t n, T* row) {
   }
 }
 
+// Y = act(X * W + bias), rows [r0, r1); also Gemm NN (bias null, kNone).
+// i-k-j order streams both operands row-major; the zero-skip keeps
+// ReLU-sparse activations cheap and matches the old MatrixT::MatMul bits.
 template <typename T>
 void AffineRange(size_t r0, size_t r1, size_t n, size_t k, const T* x,
                  const T* w, const T* bias, Act act, T leaky_slope, T* y) {
@@ -327,12 +325,10 @@ const char* BackendName() { return BackendName(ActiveBackend()); }
 const TilingConfig& Tiling() { return State().tiling; }
 
 bool SetBackendForTest(Backend backend) {
-  const internal::FloatKernels* avx2 = internal::Avx2FloatKernels();
-  if (backend == Backend::kAvx2 && (avx2 == nullptr || !CpuHasAvx2Fma())) {
+  if (backend == Backend::kAvx2 && !(Avx2Compiled() && CpuHasAvx2Fma())) {
     return false;
   }
-  State().backend = backend;
-  State().f32 = backend == Backend::kAvx2 ? avx2 : nullptr;
+  UseBackend(backend, &State());
   return true;
 }
 
@@ -342,26 +338,31 @@ template <typename T>
 TARGAD_HOT_PATH void Gemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
           const T* a, const T* b, T* c) {
   if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
-    const internal::FloatKernels* f = FloatTable<T>();
+    FusedAffineActivation(m, n, k, a, b, static_cast<const T*>(nullptr),
+                          Act::kNone, T(0), c);
+    return;
+  }
+  const internal::DoubleKernels* d = State().f64;
+  if (trans_a == Trans::kYes && trans_b == Trans::kNo) {
     ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
-      if (f != nullptr && f->gemm_nn != nullptr) {
-        if constexpr (std::is_same_v<T, float>) {
-          f->gemm_nn(r1 - r0, n, k, a + r0 * k, b, c + r0 * n);
+      if constexpr (std::is_same_v<T, double>) {
+        if (d != nullptr) {
+          d->gemm_ta(r1 - r0, n, k, m, a + r0, b, c + r0 * n);
           return;
         }
       }
-      GemmNnRange(r0, r1, n, k, a, b, c);
-    });
-    return;
-  }
-  if (trans_a == Trans::kYes && trans_b == Trans::kNo) {
-    ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
       GemmTaRange(r0, r1, n, k, m, a, b, c);
     });
     return;
   }
   if (trans_a == Trans::kNo && trans_b == Trans::kYes) {
     ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
+      if constexpr (std::is_same_v<T, double>) {
+        if (d != nullptr) {
+          d->gemm_tb(r1 - r0, n, k, a + r0 * k, b, c + r0 * n);
+          return;
+        }
+      }
       GemmTbRange(r0, r1, n, k, a, b, c);
     });
     return;
@@ -374,11 +375,18 @@ TARGAD_HOT_PATH void FusedAffineActivation(size_t m, size_t n, size_t k, const T
                            const T* w, const T* bias, Act act, T leaky_slope,
                            T* y) {
   const internal::FloatKernels* f = FloatTable<T>();
+  const internal::DoubleKernels* d = State().f64;
   ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
-    if (f != nullptr && f->affine != nullptr) {
-      if constexpr (std::is_same_v<T, float>) {
+    if constexpr (std::is_same_v<T, float>) {
+      if (f != nullptr && f->affine != nullptr) {
         f->affine(r1 - r0, n, k, x + r0 * k, w, bias, act, leaky_slope,
                   y + r0 * n);
+        return;
+      }
+    } else {
+      if (d != nullptr) {
+        d->affine(r1 - r0, n, k, x + r0 * k, w, bias, y + r0 * n);
+        ApplyActivationRow(act, leaky_slope, (r1 - r0) * n, y + r0 * n);
         return;
       }
     }

@@ -4,20 +4,29 @@
 // primitives declared here instead of hand-rolling its own nested loops
 // (targad-lint's raw-dense-loop rule enforces this outside this directory).
 //
-// Backends. Each primitive has a scalar baseline plus, for float, an
-// AVX2/FMA implementation compiled in a separate translation unit with
-// target-specific flags (kernels_avx2.cc). The backend is selected ONCE, on
-// first kernel use: TARGAD_KERNEL_BACKEND=scalar|avx2 overrides the default
-// of "AVX2 when the CPU supports it". BackendName() reports the selection
-// (the serve benchmark records it in serve_throughput.json).
+// Backends. Each primitive has a scalar baseline. The AVX2 backend adds
+// vector kernels compiled in separate translation units with target-specific
+// flags: the float serving kernels (kernels_avx2.cc, AVX2/FMA) and the three
+// double GEMM shapes of training — Gemm NN via the fused affine, transposed-A
+// and transposed-B (kernels_avx2_double.cc, AVX2 without FMA). The backend is
+// selected ONCE, on first kernel use, for both dtypes:
+// TARGAD_KERNEL_BACKEND=scalar|avx2 overrides the default of "AVX2 when the
+// CPU supports it". BackendName() reports the selection (the serve
+// benchmark records it in serve_throughput.json).
 //
-// Determinism contract. double kernels ALWAYS run the scalar baseline,
-// whose per-element accumulation order and expression shapes reproduce the
-// pre-kernel-layer loops exactly — the double training path is bit-identical
-// regardless of backend (tests/training_bitexact_test.cc pins this against
-// golden bit patterns). The AVX2 backend applies to float only: FMA
-// contraction and vector lane order change low-order float bits, which the
-// serving calibration bounds (<1e-4 score drift) absorb.
+// Determinism contract. double results are bit-identical on every backend,
+// at every thread count and on every machine. The scalar baseline's
+// per-element accumulation order and expression shapes reproduce the
+// pre-kernel-layer loops exactly, and each lane of an AVX2 double kernel
+// computes one output element with the same separately rounded multiplies
+// and adds in the same order, the zero-skip included
+// (tests/training_bitexact_test.cc pins golden bit patterns;
+// tests/kernels_test.cc compares the backends bit for bit). The build
+// compiles src/ with -ffp-contract=off so no compiler fuses a double
+// multiply and add into an FMA, on x86-64 with -march flags or on aarch64.
+// Only the float AVX2 kernels may round differently: FMA and vector lane
+// order change low-order float bits, which the serving calibration bounds
+// (<1e-4 score drift) absorb.
 //
 // Thread tiling. Calls whose flop count crosses Tiling().min_flops fan
 // their output rows across a lazily created common::ThreadPool. Row tiling

@@ -1,9 +1,11 @@
 // AVX2/FMA float kernels. This translation unit is compiled with
-// -mavx2 -mfma (see src/CMakeLists.txt); it deliberately includes only the
-// kernel headers so no inline function from a common header gets compiled
-// with AVX2 codegen here and then comdat-folded into a caller that runs on
-// a non-AVX2 CPU. When the build does not enable AVX2 the #if below compiles
-// this file down to a null table and the dispatcher stays scalar.
+// -mavx2 -mfma -ffp-contract=fast (see src/CMakeLists.txt; the rest of src/
+// is compiled with contraction off, which would change the float bits of
+// the scalar tails here). It deliberately includes only the kernel headers
+// so no inline function from a common header gets compiled with AVX2
+// codegen here and then comdat-folded into a caller that runs on a non-AVX2
+// CPU. When the build does not enable AVX2 the #if below compiles this file
+// down to a null table and the dispatcher stays scalar.
 
 #include "nn/kernels/kernels_internal.h"
 
@@ -155,11 +157,6 @@ void Affine(size_t m, size_t n, size_t k, const float* x, const float* w,
   }
 }
 
-void GemmNn(size_t m, size_t n, size_t k, const float* a, const float* b,
-            float* c) {
-  Affine(m, n, k, a, b, /*bias=*/nullptr, Act::kNone, 0.0f, c);
-}
-
 void Axpy(size_t n, float alpha, const float* x, float* y) {
   const __m256 av = _mm256_set1_ps(alpha);
   size_t i = 0;
@@ -224,7 +221,7 @@ void SquaredDistances(size_t n, size_t d, size_t k, const float* x,
   }
 }
 
-constexpr FloatKernels kAvx2Table = {GemmNn, Affine, Axpy, Scale, Dot,
+constexpr FloatKernels kAvx2Table = {Affine, Axpy, Scale, Dot,
                                      SquaredDistances};
 
 }  // namespace

@@ -6,8 +6,14 @@
 
 #include "nn/kernels/kernels.h"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -484,24 +490,134 @@ TEST_P(KernelsSweepTest, MseLossGradMatchesReferenceLoop) {
   }
 }
 
-// Double must take the scalar path on EVERY backend — that is the training
-// bit-determinism contract.
-TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
-  Rng rng(61);
-  const size_t m = 9, n = 21, k = 13;
-  const auto a = FillRandom<double>(m * k, &rng, 0.3);
-  const auto b = FillRandom<double>(k * n, &rng);
-  std::vector<double> c(m * n);
-  Gemm<double>(Trans::kNo, Trans::kNo, m, n, k, a.data(), b.data(), c.data());
+// Operands for the double bit-identity sweep, laid out for one Gemm form:
+// A is op(A) = m x k (stored k x m when transposed), B is op(B) = k x n
+// (stored n x k when transposed). The values are the ones that expose a lane
+// computing out of order, a skip done wrong or a fused multiply-add:
+//   - 30% of A is +0 or -0;
+//   - one shared index whose A column is all zeros while B holds +inf, -inf
+//     and NaN under it in three of every five columns (a skip that
+//     multiplies anyway turns those columns NaN; the transposed-B form has
+//     no skip, so the other two columns keep its sums finite);
+//   - 5% subnormals in both operands, and one NaN in A.
+// Every NaN is the one the FPU itself returns for 0 * inf: IEEE 754 leaves
+// open which payload an operation on two different NaNs returns, and the
+// compiler may commute + and *, so only inputs with a single NaN bit
+// pattern have bits the contract can promise.
+struct HostileOperands {
+  std::vector<double> a, b, bias;
+};
 
-  TilingConfig save = Tiling();
+HostileOperands MakeHostileOperands(Trans ta, Trans tb, const Shape& s,
+                                    Rng* rng) {
+  volatile double zero = 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = zero * inf;
+  auto value = [&] {
+    const double v = rng->Normal(0.0, 1.0);
+    return rng->Bernoulli(0.05) ? v * 1e-310 : v;
+  };
+  HostileOperands ops;
+  ops.a.resize(s.m * s.k);
+  ops.b.resize(s.k * s.n);
+  ops.bias.resize(s.n);
+  for (double& v : ops.b) v = value();
+  for (double& v : ops.bias) v = value();
+  auto a_at = [&](size_t i, size_t kk) -> double& {
+    return ta == Trans::kNo ? ops.a[i * s.k + kk] : ops.a[kk * s.m + i];
+  };
+  auto b_at = [&](size_t kk, size_t j) -> double& {
+    return tb == Trans::kNo ? ops.b[kk * s.n + j] : ops.b[j * s.k + kk];
+  };
+  for (size_t i = 0; i < s.m; ++i) {
+    for (size_t kk = 0; kk < s.k; ++kk) {
+      a_at(i, kk) = rng->Bernoulli(0.3) ? (rng->Bernoulli(0.5) ? 0.0 : -0.0)
+                                        : value();
+    }
+  }
+  if (s.k == 0) return ops;
+  const size_t dead = s.k / 2;
+  const double specials[] = {inf, -inf, nan};
+  for (size_t i = 0; i < s.m; ++i) a_at(i, dead) = i % 2 == 0 ? 0.0 : -0.0;
+  for (size_t j = 0; j < s.n; ++j) {
+    if (j % 5 < 3) b_at(dead, j) = specials[j % 5];
+  }
+  if (s.m > 0 && s.k > 1) a_at(s.m - 1, (dead + 1) % s.k) = nan;
+  return ops;
+}
+
+// Runs `kernel` (which writes `count` doubles) on the scalar backend with
+// one thread, then on `backend` untiled and with forced 4-thread tiling, and
+// requires the same bits each time.
+template <typename Kernel>
+void ExpectScalarBits(Backend backend, size_t count, const Kernel& kernel) {
+  std::vector<double> want(count, -1.0);
   ASSERT_TRUE(SetBackendForTest(Backend::kScalar));
-  SetTilingForTest(TilingConfig{});  // Single-threaded.
-  std::vector<double> c_scalar(m * n);
-  Gemm<double>(Trans::kNo, Trans::kNo, m, n, k, a.data(), b.data(),
-               c_scalar.data());
-  SetTilingForTest(save);
-  EXPECT_EQ(c, c_scalar);
+  SetTilingForTest(TilingConfig{});
+  kernel(want.data());
+  ASSERT_TRUE(SetBackendForTest(backend));
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TilingConfig tiling;
+    tiling.threads = threads;
+    tiling.min_flops = 1;
+    tiling.min_rows_per_tile = 1;
+    SetTilingForTest(tiling);
+    std::vector<double> got(count, -1.0);
+    kernel(got.data());
+    for (size_t i = 0; i < count; ++i) {
+      if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0) {
+        ADD_FAILURE() << "threads=" << threads << " index " << i << ": "
+                      << std::bit_cast<uint64_t>(want[i]) << " vs "
+                      << std::bit_cast<uint64_t>(got[i]);
+        break;
+      }
+    }
+  }
+}
+
+// The double bit-identity contract: every backend, at every thread count,
+// returns the scalar baseline's exact bits for every Gemm form and the fused
+// affine, on the kShapes sweep plus shapes that leave m % 4, n % 8, n % 4
+// and k % 4 tails.
+TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
+  const Shape kTailShapes[] = {{5, 12, 5},  {6, 13, 6},   {7, 14, 7},
+                               {9, 15, 9},  {10, 23, 10}, {4, 3, 4},
+                               {2, 6, 13},  {11, 41, 30}};
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(kTailShapes), std::end(kTailShapes));
+  const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
+                       Act::kTanh};
+  const std::pair<Trans, Trans> kForms[] = {{Trans::kNo, Trans::kNo},
+                                            {Trans::kYes, Trans::kNo},
+                                            {Trans::kNo, Trans::kYes}};
+  Rng rng(61);
+  for (const Shape& s : shapes) {
+    for (const auto& [ta, tb] : kForms) {
+      const HostileOperands ops = MakeHostileOperands(ta, tb, s, &rng);
+      SCOPED_TRACE(::testing::Message()
+                   << "Gemm m=" << s.m << " n=" << s.n << " k=" << s.k
+                   << " ta=" << (ta == Trans::kYes)
+                   << " tb=" << (tb == Trans::kYes));
+      ExpectScalarBits(GetParam(), s.m * s.n, [&](double* c) {
+        Gemm<double>(ta, tb, s.m, s.n, s.k, ops.a.data(), ops.b.data(), c);
+      });
+    }
+    const HostileOperands ops =
+        MakeHostileOperands(Trans::kNo, Trans::kNo, s, &rng);
+    for (Act act : kActs) {
+      for (bool with_bias : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "affine m=" << s.m << " n=" << s.n << " k=" << s.k
+                     << " act=" << static_cast<int>(act)
+                     << " bias=" << with_bias);
+        ExpectScalarBits(GetParam(), s.m * s.n, [&](double* y) {
+          FusedAffineActivation<double>(
+              s.m, s.n, s.k, ops.a.data(), ops.b.data(),
+              with_bias ? ops.bias.data() : nullptr, act, 0.01, y);
+        });
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KernelsSweepTest,

@@ -1,9 +1,9 @@
 // Pins the double training path to golden bit patterns captured from the
 // code BEFORE the kernel-layer refactor. Every value is compared through
 // std::bit_cast<uint64_t> — not within a tolerance — so any change to
-// accumulation order, expression shape, or dispatch policy on the double
-// path (which must always take the scalar kernels) fails here, on any
-// backend and with thread tiling active.
+// accumulation order, expression shape, or multiply-add fusion on the
+// double path (whose AVX2 kernels must round exactly as the scalar ones)
+// fails here, on any backend and with thread tiling active.
 
 #include <bit>
 #include <cstdint>
@@ -132,7 +132,8 @@ TEST(TrainingBitExactTest, FullPipelineTrainingMatchesSeedBits) {
 // exactly one thread and reductions keep a fixed order, so the SAME golden
 // bits must come out at every thread count, with tiling thresholds forced
 // to zero so even these small probes actually fan out, on every backend
-// available in the build (double always takes the scalar kernels).
+// available in the build: the scalar loops and the AVX2 double GEMMs, whose
+// lanes each compute one element in the scalar order, unfused.
 struct SweepParam {
   nn::kernels::Backend backend;
   size_t threads;

@@ -14,8 +14,10 @@ lower is better) the same way.
 
 Likewise a "train" object (the bench_train_throughput record), or a fresh
 train_throughput.json passed via --run-train, yields a training-throughput
-table: rows/sec and epoch time per kernel thread count, plus the
-cross-thread bit-exactness flag.
+table: rows/sec and epoch time per (kernel backend, thread count) cell, plus
+the bit-exactness flag. Records written before the bench swept backends
+carry no per-row "backend"; their rows are keyed by the record's
+"kernel_backend".
 
 Only the standard library is used; CI pipes the output into a PR comment.
 
@@ -163,12 +165,16 @@ def render_train(baseline, candidate, candidate_label, run_train):
     if cand_train is None:
         return []
 
-    def by_threads(record):
-        rows = record.get("results", [])
-        return {int(r["threads"]): r for r in rows if "threads" in r}
+    def by_cell(record):
+        default_backend = record.get("kernel_backend", "?")
+        return {
+            (r.get("backend", default_backend), int(r["threads"])): r
+            for r in record.get("results", [])
+            if "threads" in r
+        }
 
-    base_rows = by_threads(base_train) if base_train is not None else {}
-    cand_rows = by_threads(cand_train)
+    base_rows = by_cell(base_train) if base_train is not None else {}
+    cand_rows = by_cell(cand_train)
     base_label = (
         f"{entry_label(baseline)} (baseline)"
         if base_train is not None
@@ -177,22 +183,23 @@ def render_train(baseline, candidate, candidate_label, run_train):
     lines = [
         "### Training throughput — minibatch autoencoder epochs",
         "",
-        f"| threads | {base_label} rows/sec | {candidate_label} rows/sec "
-        "| delta | epoch_ms | speedup |",
-        "|---:|---:|---:|---:|---:|---:|",
+        f"| backend | threads | {base_label} rows/sec "
+        f"| {candidate_label} rows/sec | delta | epoch_ms | speedup |",
+        "|---|---:|---:|---:|---:|---:|---:|",
     ]
-    for threads in sorted(cand_rows):
-        cand = cand_rows[threads]
-        base_rps = float(base_rows.get(threads, {}).get("rows_per_sec", 0.0))
+    for (backend, threads), cand in cand_rows.items():
+        base = base_rows.get((backend, threads), {})
+        base_rps = float(base.get("rows_per_sec", 0.0))
         cand_rps = float(cand.get("rows_per_sec", 0.0))
         base_text = format_rows(base_rps) if base_rps > 0.0 else "n/a"
         lines.append(
-            f"| {threads} | {base_text} | {format_rows(cand_rps)} "
+            f"| {backend} | {threads} | {base_text} | {format_rows(cand_rps)} "
             f"| {format_delta(base_rps, cand_rps)} "
             f"| {float(cand.get('epoch_ms', 0.0)):,.1f} "
             f"| {float(cand.get('speedup', 1.0)):.2f}x |"
         )
-    bitexact = cand_train.get("bitexact_across_threads")
+    bitexact = cand_train.get("bitexact_across_cells",
+                              cand_train.get("bitexact_across_threads"))
     lines += [
         "",
         f"_Arch {cand_train.get('arch', '?')}, batch "
@@ -200,9 +207,9 @@ def render_train(baseline, candidate, candidate_label, run_train):
         f"{cand_train.get('rows', '?')} rows x "
         f"{cand_train.get('epochs', '?')} epochs; final parameters "
         + (
-            "bit-identical across all thread counts._"
+            "bit-identical across every cell._"
             if bitexact
-            else "**DRIFTED** across thread counts._"
+            else "**DRIFTED** between cells._"
         ),
         "",
     ]
