@@ -58,14 +58,14 @@ data::RawTable MakeTrainingTable(uint64_t seed, size_t normals) {
   return table;
 }
 
-std::vector<std::vector<std::string>> MakeRequestRows(uint64_t seed, size_t n) {
+std::vector<std::string> MakeRequestRows(uint64_t seed, size_t n) {
   Rng rng(seed);
-  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const char* channel = i % 3 == 0 ? "web" : (i % 3 == 1 ? "pos" : "app");
-    rows.push_back({FormatDouble(rng.Normal(50.0, 30.0), 6),
-                    FormatDouble(rng.Normal(0.5, 0.2), 6), channel});
+    rows.push_back(FormatDouble(rng.Normal(50.0, 30.0), 6) + "," +
+                   FormatDouble(rng.Normal(0.5, 0.2), 6) + "," + channel);
   }
   return rows;
 }
@@ -80,7 +80,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const std::shared_ptr<const core::RowScorer>& scorer_snapshot,
-                   const std::vector<std::vector<std::string>>& rows,
+                   const std::vector<std::string>& rows,
                    const char* dtype, size_t workers, size_t batch) {
   serve::BatchScorerOptions options;
   options.max_batch_size = batch;

@@ -9,6 +9,7 @@
 #define TARGAD_COMMON_STATUS_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace targad {
@@ -121,6 +122,7 @@ class [[nodiscard]] Status {
     return out;
   }
   static void AppendOne(std::string* out, const std::string& s) { *out += s; }
+  static void AppendOne(std::string* out, std::string_view s) { *out += s; }
   static void AppendOne(std::string* out, const char* s) { *out += s; }
   static void AppendOne(std::string* out, char c) { *out += c; }
   template <typename T>

@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -38,7 +40,54 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep) {
   return out;
 }
 
+namespace {
+
+// Powers of ten up to 1e22, the largest one a double holds exactly.
+constexpr double kExactPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                  1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
+                                  1e18, 1e19, 1e20, 1e21, 1e22};
+constexpr uint64_t kMaxExactInt = uint64_t{1} << 53;
+
+// Clinger's fast path: the whole of `s` is [-]digits[.digits] whose digits
+// form an integer significand w <= 2^53, with f <= 22 fraction digits.
+// Then w and 10^f are both exact doubles, so the one division rounds the
+// exact value w / 10^f correctly: the bits from_chars and strtod give.
+// Checking w as it grows keeps it far from overflow, which also bounds the
+// significant digits at 16 (leading zeros are free).
+bool ParsePlainDecimal(std::string_view s, double* out) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const bool negative = p != end && *p == '-';
+  if (negative) ++p;
+  const char* const begin = p;
+  const char* dot = nullptr;
+  uint64_t w = 0;
+  for (; p != end; ++p) {
+    const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (digit < 10) {
+      w = w * 10 + digit;
+      if (w > kMaxExactInt) return false;
+    } else if (*p == '.' && dot == nullptr) {
+      dot = p;
+    } else {
+      return false;
+    }
+  }
+  const ptrdiff_t frac = dot == nullptr ? 0 : end - dot - 1;
+  if (p == begin || dot == begin || (dot != nullptr && frac == 0) ||
+      frac > 22) {
+    return false;
+  }
+  const double v = static_cast<double>(w) / kExactPow10[frac];
+  *out = negative ? -v : v;
+  return true;
+}
+
+}  // namespace
+
 bool ParseDouble(std::string_view s, double* out) {
+  if (ParsePlainDecimal(s, out)) return true;
   s = Trim(s);
   if (s.empty()) return false;
   // from_chars parses in place and rounds exactly as strtod does, but its

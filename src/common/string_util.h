@@ -22,6 +22,8 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep);
 /// True if `s`, surrounding whitespace aside, parses fully (strtod syntax)
 /// as a finite double that neither overflows nor underflows to a
 /// subnormal or zero; stores it in *out. *out is untouched on failure.
+/// Plain decimals ([-]digits[.digits] whose digits form an integer of at
+/// most 2^53, with at most 22 after the point) take an exact fast path.
 bool ParseDouble(std::string_view s, double* out);
 
 /// True if `s` parses fully as a long; stores it in *out.

@@ -104,6 +104,27 @@ TARGAD_HOT_PATH Result<std::vector<double>> FrozenScorer::ScoreTyped(
                                    " encoded columns, fitted on ",
                                    model.mins.size());
   }
+  return ScoreEncoded(model, &x);
+}
+
+// Not TARGAD_HOT_PATH: besides the per-row statuses, the record walk
+// unescapes quoted fields into a scratch string, and an inconsistent schema
+// falls back to the table path. The tail it shares with Score is hot.
+template <typename T>
+std::vector<Result<double>> FrozenScorer::ScoreRecordsTyped(
+    const Typed<T>& model, const std::vector<Record>& records) const {
+  if (!EncodesRecordsExactly(*this, spec_.encoder, model.mins.size())) {
+    return RowScorer::ScoreRecords(records);
+  }
+  nn::MatrixT<T> x;
+  std::vector<Status> status = EncodeRecords(spec_.encoder, records, &x);
+  return RecordResults(std::move(status), ScoreEncoded(model, &x));
+}
+
+template <typename T>
+TARGAD_HOT_PATH std::vector<double> FrozenScorer::ScoreEncoded(
+    const Typed<T>& model, nn::MatrixT<T>* encoded) const {
+  nn::MatrixT<T>& x = *encoded;
   // Min-max normalization in the plan dtype — same expression shape as
   // MinMaxNormalizer::Transform, so the double plan is bit-identical.
   for (size_t i = 0; i < x.rows(); ++i) {
@@ -161,6 +182,13 @@ Result<std::vector<double>> FrozenScorer::Score(
   }
   return std::visit(
       [&](const auto& model) { return ScoreTyped(model, features); }, model_);
+}
+
+std::vector<Result<double>> FrozenScorer::ScoreRecords(
+    const std::vector<Record>& records) const {
+  return std::visit(
+      [&](const auto& model) { return ScoreRecordsTyped(model, records); },
+      model_);
 }
 
 }  // namespace core

@@ -58,6 +58,11 @@ class FrozenScorer : public RowScorer {
   [[nodiscard]] Result<std::vector<double>> Score(
       const data::RawTable& table) const override;
 
+  /// Encodes each record straight into its feature row, then runs the
+  /// same normalize/infer/softmax tail as Score.
+  [[nodiscard]] std::vector<Result<double>> ScoreRecords(
+      const std::vector<Record>& records) const override;
+
   const std::vector<std::string>& feature_columns() const override {
     return spec_.feature_columns;
   }
@@ -105,6 +110,16 @@ class FrozenScorer : public RowScorer {
   template <typename T>
   [[nodiscard]] Result<std::vector<double>> ScoreTyped(const Typed<T>& model,
                                          const data::RawTable& features) const;
+
+  template <typename T>
+  [[nodiscard]] std::vector<Result<double>> ScoreRecordsTyped(
+      const Typed<T>& model, const std::vector<Record>& records) const;
+
+  /// The tail Score and ScoreRecords share: normalizes the encoded rows in
+  /// place, infers, and returns S^tar per row.
+  template <typename T>
+  [[nodiscard]] std::vector<double> ScoreEncoded(const Typed<T>& model,
+                                                 nn::MatrixT<T>* encoded) const;
 
   /// LoadArtifact's dtype-typed half: views over the mapped sections plus
   /// copies of the small normalizer vectors. `step_meta` is the

@@ -8,18 +8,29 @@
 #define TARGAD_CORE_SCORER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "data/csv.h"
+#include "data/preprocess.h"
+#include "nn/matrix.h"
 
 namespace targad {
 namespace core {
 
-/// Immutable, thread-safe row scoring: implementations must allow Score to
-/// be called concurrently on one shared instance.
+/// Immutable, thread-safe row scoring: implementations must allow Score and
+/// ScoreRecords to be called concurrently on one shared instance.
 class RowScorer {
  public:
+  /// One data record for ScoreRecords: CSV text whose fields are a row's
+  /// cells in feature_columns() order, plus a label field at index
+  /// `label_col` (-1: none), which is dropped unread.
+  struct Record {
+    std::string_view text;
+    int label_col = -1;
+  };
+
   virtual ~RowScorer() = default;
 
   /// Scores a table carrying the training feature columns (the label
@@ -27,12 +38,51 @@ class RowScorer {
   [[nodiscard]] virtual Result<std::vector<double>> Score(
       const data::RawTable& table) const = 0;
 
+  /// Scores a batch of records: one result per record, in order, and a
+  /// record fails alone. A record whose cell count is not
+  /// feature_columns().size() fails with RecordArityError, whatever its
+  /// cells hold. The default splits every record, scores the rest as one
+  /// Score table and, when that call fails, one row at a time, so a
+  /// decorator that overrides only Score keeps working. An override must
+  /// return exactly what the default would.
+  [[nodiscard]] virtual std::vector<Result<double>> ScoreRecords(
+      const std::vector<Record>& records) const;
+
   /// Feature columns a scoring table must carry, in training order.
   virtual const std::vector<std::string>& feature_columns() const = 0;
 
   /// Name of the (optional, ignored at scoring time) label column.
   virtual const std::string& label_column() const = 0;
 };
+
+/// The error of a record with `cells` cells for a model that expects
+/// `expected`.
+[[nodiscard]] Status RecordArityError(size_t cells, size_t expected);
+
+/// The cells of `record`, label field dropped.
+std::vector<std::string> SplitRecordCells(const RowScorer::Record& record);
+
+/// True when a scorer with `scorer`'s schema, this encoder, and
+/// `normalized_dim` normalizer columns can encode records one pass with
+/// EncodeRecords and report exactly what the default ScoreRecords reports.
+/// A schema the table path would reject as a whole is left to the default.
+bool EncodesRecordsExactly(const RowScorer& scorer,
+                           const data::OneHotEncoder& encoder,
+                           size_t normalized_dim);
+
+/// Encodes each record into one row of *x (records x output_dim()) and
+/// returns each row's status: RecordArityError when the record does not
+/// carry encoder.num_columns() cells, else the first non-numeric cell's
+/// error, else OK. A failed row holds a partial encoding. Instantiated for
+/// float and double.
+template <typename T>
+[[nodiscard]] std::vector<Status> EncodeRecords(
+    const data::OneHotEncoder& encoder,
+    const std::vector<RowScorer::Record>& records, nn::MatrixT<T>* x);
+
+/// Each record's score where its status is OK, else its status.
+std::vector<Result<double>> RecordResults(std::vector<Status> status,
+                                          const std::vector<double>& scores);
 
 }  // namespace core
 }  // namespace targad

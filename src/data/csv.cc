@@ -23,18 +23,19 @@ size_t CsvRecordReader::MaxFields() const {
   return fields;
 }
 
-void CsvRecordReader::Next(std::string* field) {
+std::string_view CsvRecordReader::NextQuoted(size_t quote,
+                                            std::string* scratch) {
   // Copies the literal runs between quotes and the closing delimiter. A
   // quote toggles quoting wherever it appears; inside quotes a doubled quote
   // is one literal quote, so its second half starts the next run.
-  field->clear();
+  scratch->clear();
   bool in_quotes = false;
   size_t run = 0;
-  size_t i = 0;
+  size_t i = quote;
   for (; i < rest_.size(); ++i) {
     const char c = rest_[i];
     if (c == '"') {
-      field->append(rest_.data() + run, i - run);
+      scratch->append(rest_.data() + run, i - run);
       if (in_quotes && i + 1 < rest_.size() && rest_[i + 1] == '"') {
         run = ++i;
       } else {
@@ -42,21 +43,23 @@ void CsvRecordReader::Next(std::string* field) {
         run = i + 1;
       }
     } else if (c == delim_ && !in_quotes) {
-      field->append(rest_.data() + run, i - run);
+      scratch->append(rest_.data() + run, i - run);
       rest_.remove_prefix(i + 1);
-      return;
+      return *scratch;
     }
   }
-  field->append(rest_.data() + run, i - run);
+  scratch->append(rest_.data() + run, i - run);
   rest_ = {};
   done_ = true;
+  return *scratch;
 }
 
 std::vector<std::string> SplitCsvRecord(std::string_view line, char delim) {
   CsvRecordReader reader(line, delim);
   std::vector<std::string> fields;
   fields.reserve(reader.MaxFields());
-  while (!reader.done()) reader.Next(&fields.emplace_back());
+  std::string scratch;
+  while (!reader.done()) fields.emplace_back(reader.Next(&scratch));
   return fields;
 }
 

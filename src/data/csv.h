@@ -45,12 +45,32 @@ class CsvRecordReader {
 
   /// True once every field has been read.
   bool done() const { return done_; }
+  /// The text not read yet: the fields after the last one read.
+  std::string_view rest() const { return rest_; }
   /// Upper bound on the fields left: one more than the delimiters left.
   size_t MaxFields() const;
-  /// Replaces *field with the next field, unquoted. Requires !done().
-  void Next(std::string* field);
+  /// The next field, unquoted. A field without a quote is a view into the
+  /// record; a quoted one is unescaped into *scratch, which the caller
+  /// owns and may reuse, and viewed there. Requires !done(). Inline: the
+  /// scoring path calls it once per cell.
+  [[nodiscard]] std::string_view Next(std::string* scratch) {
+    size_t i = 0;
+    while (i < rest_.size() && rest_[i] != delim_ && rest_[i] != '"') ++i;
+    if (i < rest_.size() && rest_[i] == '"') return NextQuoted(i, scratch);
+    const std::string_view field = rest_.substr(0, i);
+    if (i == rest_.size()) {
+      rest_ = {};
+      done_ = true;
+    } else {
+      rest_.remove_prefix(i + 1);
+    }
+    return field;
+  }
 
  private:
+  /// Next for a field whose first quote is at rest_[quote].
+  std::string_view NextQuoted(size_t quote, std::string* scratch);
+
   std::string_view rest_;
   char delim_;
   bool done_ = false;

@@ -72,10 +72,8 @@ Status OneHotEncoder::Fit(const RawTable& table) {
           spec.ordered_categories.push_back(cell);
         }
       }
-      output_dim_ += spec.ordered_categories.size();
-    } else {
-      output_dim_ += 1;
     }
+    output_dim_ += spec.width();
     columns_.push_back(std::move(spec));
   }
   return Status::OK();
@@ -83,6 +81,27 @@ Status OneHotEncoder::Fit(const RawTable& table) {
 
 Result<nn::Matrix> OneHotEncoder::Transform(const RawTable& table) const {
   return TransformT<double>(table);
+}
+
+template <typename T>
+bool OneHotEncoder::EncodeCell(const ColumnSpec& spec, std::string_view cell,
+                               T* out) {
+  if (spec.is_categorical) {
+    const auto it = spec.categories.find(cell);
+    if (it != spec.categories.end()) out[it->second] = T(1);
+    return true;
+  }
+  double v = 0.0;
+  if (!ParseDouble(cell, &v)) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
+Status OneHotEncoder::NonNumericCell(const ColumnSpec& spec,
+                                     std::string_view cell, size_t row) {
+  return Status::InvalidArgument("numeric column '", spec.name,
+                                 "' has non-numeric cell '", cell, "' at row ",
+                                 row);
 }
 
 template <typename T>
@@ -94,36 +113,47 @@ Result<nn::MatrixT<T>> OneHotEncoder::TransformT(const RawTable& table) const {
   }
   nn::MatrixT<T> out(table.num_rows(), output_dim_);
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    size_t col_out = 0;
+    T* row = out.RowPtr(i);
     for (size_t j = 0; j < columns_.size(); ++j) {
       const ColumnSpec& spec = columns_[j];
-      const std::string& cell = table.rows[i][j];
-      if (spec.is_categorical) {
-        auto it = spec.categories.find(cell);
-        if (it != spec.categories.end()) {
-          out.At(i, col_out + it->second) = T(1);
-        }
-        // Unseen categories encode as all-zeros.
-        col_out += spec.ordered_categories.size();
-      } else {
-        double v = 0.0;
-        if (!ParseDouble(cell, &v)) {
-          return Status::InvalidArgument("numeric column '", spec.name,
-                                         "' has non-numeric cell '", cell,
-                                         "' at row ", i);
-        }
-        out.At(i, col_out) = static_cast<T>(v);
-        col_out += 1;
+      if (!EncodeCell(spec, table.rows[i][j], row)) {
+        return NonNumericCell(spec, table.rows[i][j], i);
       }
+      row += spec.width();
     }
   }
   return out;
+}
+
+template <typename T>
+size_t OneHotEncoder::EncodeRecord(std::string_view record, int label_col,
+                                   T* row, Status* error,
+                                   std::string* scratch) const {
+  CsvRecordReader reader(record);
+  size_t cells = 0;
+  for (int j = 0; !reader.done(); ++j) {
+    const std::string_view cell = reader.Next(scratch);
+    if (j == label_col) continue;
+    if (cells < columns_.size() && error->ok()) {
+      const ColumnSpec& spec = columns_[cells];
+      if (!EncodeCell(spec, cell, row)) *error = NonNumericCell(spec, cell, 0);
+      row += spec.width();
+    }
+    ++cells;
+  }
+  return cells;
 }
 
 template Result<nn::MatrixT<double>> OneHotEncoder::TransformT<double>(
     const RawTable& table) const;
 template Result<nn::MatrixT<float>> OneHotEncoder::TransformT<float>(
     const RawTable& table) const;
+template size_t OneHotEncoder::EncodeRecord<double>(std::string_view, int,
+                                                    double*, Status*,
+                                                    std::string*) const;
+template size_t OneHotEncoder::EncodeRecord<float>(std::string_view, int,
+                                                   float*, Status*,
+                                                   std::string*) const;
 
 Result<nn::Matrix> OneHotEncoder::FitTransform(const RawTable& table) {
   TARGAD_RETURN_NOT_OK(Fit(table));
@@ -238,7 +268,7 @@ Result<OneHotEncoder> OneHotEncoder::Load(std::istream& in) {
       spec.categories[cat] = spec.ordered_categories.size();
       spec.ordered_categories.push_back(cat);
     }
-    enc.output_dim_ += spec.is_categorical ? spec.ordered_categories.size() : 1;
+    enc.output_dim_ += spec.width();
     enc.columns_.push_back(std::move(spec));
   }
   return enc;

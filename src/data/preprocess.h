@@ -5,10 +5,12 @@
 #ifndef TARGAD_DATA_PREPROCESS_H_
 #define TARGAD_DATA_PREPROCESS_H_
 
+#include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -64,8 +66,22 @@ class OneHotEncoder {
 
   [[nodiscard]] Result<nn::Matrix> FitTransform(const RawTable& table);
 
+  /// Encodes one CSV record straight into `row`, which holds output_dim()
+  /// zeros: every field but the one at `label_col` (-1: none) is a cell, in
+  /// column order, encoded as TransformT encodes it. Returns the record's
+  /// cell count; only the first num_columns() cells are encoded, so the
+  /// caller rejects any other count. The first non-numeric cell in a
+  /// numeric column stops the encoding and sets *error to TransformT's
+  /// message for that cell in a one-row table. `scratch` holds a quoted
+  /// field while it is encoded.
+  template <typename T>
+  size_t EncodeRecord(std::string_view record, int label_col, T* row,
+                      Status* error, std::string* scratch) const;
+
   bool fitted() const { return !columns_.empty(); }
   size_t output_dim() const { return output_dim_; }
+  /// Input columns the encoder was fitted on.
+  size_t num_columns() const { return columns_.size(); }
 
   /// Output feature names ("amount", "proto=tcp", "proto=udp", ...).
   std::vector<std::string> FeatureNames() const;
@@ -80,9 +96,29 @@ class OneHotEncoder {
     std::string name;
     bool is_categorical = false;
     /// Category -> one-hot slot, insertion ordered by first appearance.
-    std::map<std::string, size_t> categories;
+    /// Transparent, so a string_view cell looks a category up uncopied.
+    std::map<std::string, size_t, std::less<>> categories;
     std::vector<std::string> ordered_categories;
+
+    /// Output columns this input column encodes into.
+    size_t width() const {
+      return is_categorical ? ordered_categories.size() : 1;
+    }
   };
+
+  /// Encodes one cell of `spec`'s column into `out`, the column's first
+  /// output slot, which holds zeros: a numeric cell goes through
+  /// ParseDouble then static_cast<T>; a categorical cell sets its
+  /// category's slot to 1, and an unseen one leaves every slot zero. False
+  /// for a non-numeric cell in a numeric column. TransformT and
+  /// EncodeRecord both encode through it.
+  template <typename T>
+  static bool EncodeCell(const ColumnSpec& spec, std::string_view cell, T* out);
+
+  /// TransformT's error for a non-numeric `cell` of `spec` in row `row`.
+  static Status NonNumericCell(const ColumnSpec& spec, std::string_view cell,
+                               size_t row);
+
   std::vector<ColumnSpec> columns_;
   size_t output_dim_ = 0;
 };

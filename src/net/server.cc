@@ -419,10 +419,13 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
 
   // Score stage. The row may carry a model=<name> routing cell (shared
   // dialect with the stdio path); it overrides the SCORE <model> token.
-  serve::DataRecord record =
-      serve::SplitDataRecord(request.cells_csv, /*label_col=*/-1);
+  // The scoring worker splits the rest of the record.
+  serve::RoutedRecord peeled =
+      serve::PeelRoute(request.cells_csv, /*label_col=*/-1);
   std::string model =
-      record.routed ? std::move(record.model) : std::move(request.model);
+      peeled.routed ? std::move(peeled.model) : std::move(request.model);
+  std::string record = peeled.routed ? std::string(peeled.record.text)
+                                     : std::move(request.cells_csv);
 
   const uint64_t seq = s->BeginRequest();
   metrics_->RecordRowIn();
@@ -434,7 +437,7 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
   // synchronously inside Submit and re-locks the session.
   std::shared_ptr<Session> session = s;
   scorer_->Submit(
-      std::move(model), std::move(record.cells),
+      std::move(model), std::move(record), peeled.record.label_col,
       [this, session, seq, submitted_at](Result<double> result) {
         std::string reply;
         if (result.ok()) {

@@ -6,10 +6,10 @@
 //   ingest   poll thread: accept(), nonblocking read() into each session's
 //            FrameDecoder, gated per connection at max_inflight_rows
 //   parse    poll thread: FrameDecoder lines -> ParseRequest ->
-//            serve::SplitDataRecord (shared with the stdio path)
+//            serve::PeelRoute (shared with the stdio path)
 //   score    BatchScorer workers: bounded admission (a full queue becomes
 //            "ERR overloaded" — the load-shedding path), micro-batching,
-//            model routing, hot-swap-safe snapshots
+//            model routing, hot-swap-safe snapshots, record splitting
 //   respond  completion callbacks park replies on their Session and nudge
 //            the poll thread through a wake pipe; the poll thread flushes
 //            the contiguous completed prefix, so replies stay in request

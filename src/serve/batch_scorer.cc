@@ -54,26 +54,28 @@ BatchScorer::BatchScorer(std::shared_ptr<const core::TargAdPipeline> pipeline,
 
 BatchScorer::~BatchScorer() { Shutdown(); }
 
-std::future<Result<double>> BatchScorer::Submit(
-    std::vector<std::string> cells) {
-  return Submit(kDefaultModel, std::move(cells));
+std::future<Result<double>> BatchScorer::Submit(std::string record) {
+  return Submit(kDefaultModel, std::move(record));
 }
 
-std::future<Result<double>> BatchScorer::Submit(
-    std::string model, std::vector<std::string> cells) {
+std::future<Result<double>> BatchScorer::Submit(std::string model,
+                                                std::string record,
+                                                int label_col) {
   Pending request;
   request.model = std::move(model);
-  request.cells = std::move(cells);
+  request.record = std::move(record);
+  request.label_col = label_col;
   std::future<Result<double>> future = request.promise.get_future();
   SubmitPending(std::move(request));
   return future;
 }
 
-void BatchScorer::Submit(std::string model, std::vector<std::string> cells,
+void BatchScorer::Submit(std::string model, std::string record, int label_col,
                          RowCallback done) {
   Pending request;
   request.model = std::move(model);
-  request.cells = std::move(cells);
+  request.record = std::move(record);
+  request.label_col = label_col;
   request.callback = std::move(done);
   SubmitPending(std::move(request));
 }
@@ -260,69 +262,18 @@ void BatchScorer::ScoreGroup(const std::string& model,
     return;
   }
 
-  // Rows with the wrong arity fail individually up front — the vectorized
-  // table requires every row to carry the training feature columns.
-  const std::vector<std::string>& columns = snapshot->feature_columns();
-  std::vector<Pending*> scorable;
-  scorable.reserve(rows->size());
-  for (Pending* request : *rows) {
-    if (request->cells.size() != columns.size()) {
-      fulfill(request,
-              Status::InvalidArgument("batch scorer: row has ",
-                                      request->cells.size(),
-                                      " cells, model expects ",
-                                      columns.size()));
-    } else {
-      scorable.push_back(request);
-    }
+  std::vector<core::RowScorer::Record> records;
+  records.reserve(rows->size());
+  for (const Pending* request : *rows) {
+    records.push_back({request->record, request->label_col});
   }
-  if (scorable.empty()) {
-    record_model();
-    return;
-  }
-
-  data::RawTable table;
-  table.column_names = columns;
-  table.rows.reserve(scorable.size());
-  for (Pending* request : scorable) {
-    table.rows.push_back(std::move(request->cells));
-  }
-
-  if (metrics_ != nullptr) metrics_->RecordBatch(scorable.size());
-  Result<std::vector<double>> scores = snapshot->Score(table);
-  if (scores.ok() && scores->size() == scorable.size()) {
-    for (size_t i = 0; i < scorable.size(); ++i) {
-      fulfill(scorable[i], (*scores)[i]);
-    }
-    record_model();
-    return;
-  }
-  if (scorable.size() == 1) {
-    fulfill(scorable[0], scores.ok()
-                             ? Status::Internal("batch scorer: score count "
-                                                "mismatch")
-                             : scores.status());
-    record_model();
-    return;
-  }
-  // The vectorized call failed (e.g. one non-numeric cell poisons the whole
-  // encoder transform). Re-score row by row so only the offending rows
-  // fail; per-row results are bit-identical to the batched ones. The cells
-  // now live in the batch table, so each row moves out of it in turn.
-  data::RawTable row_table;
-  row_table.column_names = std::move(table.column_names);
-  row_table.rows.resize(1);
-  for (size_t i = 0; i < scorable.size(); ++i) {
-    row_table.rows[0] = std::move(table.rows[i]);
-    Result<std::vector<double>> row_score = snapshot->Score(row_table);
-    if (row_score.ok() && row_score->size() == 1) {
-      fulfill(scorable[i], (*row_score)[0]);
-    } else {
-      fulfill(scorable[i], row_score.ok()
-                               ? Status::Internal("batch scorer: score count "
-                                                  "mismatch")
-                               : row_score.status());
-    }
+  if (metrics_ != nullptr) metrics_->RecordBatch(rows->size());
+  std::vector<Result<double>> results = snapshot->ScoreRecords(records);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    fulfill((*rows)[i],
+            results.size() == rows->size()
+                ? std::move(results[i])
+                : Status::Internal("batch scorer: score count mismatch"));
   }
   record_model();
 }

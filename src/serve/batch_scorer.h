@@ -1,14 +1,15 @@
 // BatchScorer: the micro-batching engine of the scoring service. Callers
-// submit single feature rows and get a std::future<Result<double>> back;
+// submit single CSV records and get a std::future<Result<double>> back;
 // background workers (on a dedicated targad::ThreadPool) coalesce queued
 // requests up to max_batch_size / max_queue_delay_us and run ONE vectorized
-// RowScorer::Score call per batch group, so per-request overhead is
-// amortized while tail latency stays bounded by the coalescing delay.
+// RowScorer::ScoreRecords call per batch group, so per-request overhead is
+// amortized while tail latency stays bounded by the coalescing delay. The
+// worker, not the submitting front-end, splits and encodes each record.
 //
-// Rows are routed by model name: Submit(model, cells) tags the row, the
-// plain Submit(cells) overload targets kDefaultModel. Workers group each
+// Rows are routed by model name: Submit(model, record) tags the row, the
+// plain Submit(record) overload targets kDefaultModel. Workers group each
 // micro-batch by model and fetch one snapshot per group, so a batch mixing
-// models still runs one vectorized Score call per model.
+// models still runs one vectorized call per model.
 //
 // Guarantees:
 //  - Scores are bit-identical to a serial RowScorer::Score of the same
@@ -111,24 +112,25 @@ class BatchScorer {
   /// must not re-enter Submit recursively on the rejection path.
   using RowCallback = std::function<void(Result<double>)>;
 
-  /// Submits one feature row (cells in the model's feature_columns()
-  /// order) routed to `model`. The future resolves to the row's S^tar
+  /// Submits one CSV record routed to `model`: its fields are the row's
+  /// cells in the model's feature_columns() order, plus a label field at
+  /// index `label_col` (-1: none) that is dropped (see
+  /// core::RowScorer::Record). The future resolves to the row's S^tar
   /// score, or to a failing Status: ResourceExhausted when the admission
   /// queue is full, FailedPrecondition after Shutdown or when no default
   /// model is available, NotFound for an unknown model name,
   /// InvalidArgument for a malformed row.
-  std::future<Result<double>> Submit(std::string model,
-                                     std::vector<std::string> cells)
-      TARGAD_EXCLUDES(mu_);
+  std::future<Result<double>> Submit(std::string model, std::string record,
+                                     int label_col = -1) TARGAD_EXCLUDES(mu_);
 
-  /// Submit(kDefaultModel, cells).
-  std::future<Result<double>> Submit(std::vector<std::string> cells);
+  /// Submit(kDefaultModel, record).
+  std::future<Result<double>> Submit(std::string record);
 
   /// Callback flavour of Submit, for event-driven front-ends (the TCP
   /// responder stage): instead of parking a thread on a future, `done` is
   /// invoked with the row's result. Same admission/ordering semantics as
   /// the future overload; rejections invoke `done` before returning.
-  void Submit(std::string model, std::vector<std::string> cells,
+  void Submit(std::string model, std::string record, int label_col,
               RowCallback done) TARGAD_EXCLUDES(mu_);
 
   /// Blocks until every admitted request has been fulfilled.
@@ -142,7 +144,8 @@ class BatchScorer {
  private:
   struct Pending {
     std::string model;
-    std::vector<std::string> cells;
+    std::string record;
+    int label_col = -1;
     /// Exactly one of the two delivery channels is armed: the promise for
     /// the future overloads, `callback` for the callback overload.
     std::promise<Result<double>> promise;

@@ -16,27 +16,27 @@ constexpr size_t kModelPrefixLen = sizeof(kModelPrefix) - 1;
 
 }  // namespace
 
-DataRecord SplitDataRecord(std::string_view line, int label_col) {
+RoutedRecord PeelRoute(std::string_view line, int label_col) {
+  RoutedRecord peeled;
+  peeled.record = {line, label_col};
   data::CsvRecordReader reader(line);
-  DataRecord record;
-  record.cells.reserve(reader.MaxFields());
-  // The first field decides routing, so it lands in `model` and moves to
-  // the cells when it turns out to be data.
-  reader.Next(&record.model);
-  int j = 0;  // Index of the next data field in header terms.
-  if (record.model.compare(0, kModelPrefixLen, kModelPrefix) == 0) {
-    record.model.erase(0, kModelPrefixLen);
-    record.routed = true;
-  } else {
-    if (label_col != 0) record.cells.push_back(std::move(record.model));
-    record.model.clear();
-    j = 1;
-  }
-  std::string label;
-  for (; !reader.done(); ++j) {
-    reader.Next(j == label_col ? &label : &record.cells.emplace_back());
-  }
-  return record;
+  std::string scratch;
+  const std::string_view first = reader.Next(&scratch);
+  if (!first.starts_with(kModelPrefix)) return peeled;
+  peeled.model = first.substr(kModelPrefixLen);
+  peeled.routed = true;
+  // A routing cell with nothing after it leaves no fields, which CSV text
+  // cannot spell: it becomes the empty record whose one field is the label.
+  peeled.record = reader.done() ? core::RowScorer::Record{"", 0}
+                                : core::RowScorer::Record{reader.rest(),
+                                                          label_col};
+  return peeled;
+}
+
+DataRecord SplitDataRecord(std::string_view line, int label_col) {
+  RoutedRecord peeled = PeelRoute(line, label_col);
+  return DataRecord{std::move(peeled.model), peeled.routed,
+                    core::SplitRecordCells(peeled.record)};
 }
 
 Result<int> MatchSchemaHeader(const std::vector<std::string>& header,

@@ -4,9 +4,10 @@
 //
 //   [model=<name>,]cell,cell,...        (label column optional, dropped)
 //
-// and must agree byte-for-byte on how a record is split, how the optional
-// leading routing cell is stripped, and how the label column is dropped.
-// This header is the single implementation, so the two paths cannot drift.
+// and must agree byte-for-byte on how the optional leading routing cell is
+// stripped. Both peel it with PeelRoute and hand the rest of the record to
+// the BatchScorer, whose scoring worker splits it (RowScorer::ScoreRecords),
+// so the two paths cannot drift.
 
 #ifndef TARGAD_SERVE_ROW_PARSE_H_
 #define TARGAD_SERVE_ROW_PARSE_H_
@@ -32,10 +33,23 @@ struct DataRecord {
   std::vector<std::string> cells;
 };
 
-/// Splits one CSV record (no trailing newline; quoted fields supported) into
-/// a DataRecord. `label_col` is the label column's index in the HEADER
-/// (i.e. not counting the routing cell), or -1 when the input carries no
-/// label column.
+/// One data record with its optional leading routing cell peeled off.
+struct RoutedRecord {
+  /// Model named by a leading "model=<name>" cell; empty when absent.
+  std::string model;
+  /// True when the record carried a routing cell.
+  bool routed = false;
+  /// The fields after the routing cell, viewing the peeled line.
+  core::RowScorer::Record record;
+};
+
+/// Peels the optional routing cell off one CSV record (no trailing
+/// newline; quoted fields supported). `label_col` is the label column's
+/// index in the HEADER (i.e. not counting the routing cell), or -1 when
+/// the input carries no label column.
+RoutedRecord PeelRoute(std::string_view line, int label_col);
+
+/// PeelRoute, then the record split into its cells.
 DataRecord SplitDataRecord(std::string_view line, int label_col);
 
 /// Validates a CSV header against a scorer's training schema: the header

@@ -15,8 +15,8 @@ namespace serve {
 
 namespace {
 
-/// One submitted row awaiting its score. Its cells moved into the scorer;
-/// the raw line stays so a rare admission rejection can re-split it.
+/// One submitted row awaiting its score. The raw line stays so a rare
+/// admission rejection can submit it again.
 struct InFlight {
   std::string line;
   std::future<Result<double>> future;
@@ -50,10 +50,10 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
 
   StreamStats stats;
 
-  auto submit = [&](DataRecord record) {
-    return scorer->Submit(record.routed ? std::move(record.model)
-                                        : BatchScorer::kDefaultModel,
-                          std::move(record.cells));
+  auto submit = [&](const RoutedRecord& peeled) {
+    return scorer->Submit(
+        peeled.routed ? peeled.model : BatchScorer::kDefaultModel,
+        std::string(peeled.record.text), peeled.record.label_col);
   };
 
   // Resolves the oldest in-flight row: writes its score (or error cell),
@@ -70,7 +70,7 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
           attempt < options.admission_retries) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(options.retry_delay_us));
-        entry->future = submit(SplitDataRecord(entry->line, label_col));
+        entry->future = submit(PeelRoute(entry->line, label_col));
         continue;
       }
       if (options.keep_going) {
@@ -98,14 +98,14 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
     if (Trim(line).empty()) continue;
     ++stats.rows_in;
 
-    DataRecord record = SplitDataRecord(line, label_col);
-    if (record.routed) ++stats.rows_routed;
+    const RoutedRecord peeled = PeelRoute(line, label_col);
+    if (peeled.routed) ++stats.rows_routed;
 
     if (window.size() >= window_rows) {
       TARGAD_RETURN_NOT_OK(resolve(&window.front()));
       window.pop_front();
     }
-    window.push_back(InFlight{line, submit(std::move(record))});
+    window.push_back(InFlight{line, submit(peeled)});
   }
   // A signal can interrupt a blocked read (EINTR fails the stream); treat a
   // pending stop request as a drain, not an I/O error.

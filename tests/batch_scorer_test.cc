@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 
@@ -49,10 +50,12 @@ std::shared_ptr<const core::TargAdPipeline> TrainPipeline(uint64_t seed) {
       std::move(pipeline).ValueOrDie());
 }
 
-// Feature rows (no label column) plus the pipeline's serial scores.
+// Feature rows (no label column), the same rows as CSV records, plus the
+// pipeline's serial scores.
 struct ScoringFixture {
   std::shared_ptr<const core::TargAdPipeline> pipeline;
   std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> records;
   std::vector<double> serial_scores;
 };
 
@@ -67,6 +70,7 @@ ScoringFixture MakeFixture(uint64_t seed, size_t n_rows) {
     fx.rows.push_back({std::to_string(rng.Normal(50.0, 30.0)),
                        std::to_string(rng.Normal(0.5, 0.2)), channel});
     table.rows.push_back(fx.rows.back());
+    fx.records.push_back(Join(fx.rows.back(), ","));
   }
   fx.serial_scores = fx.pipeline->Score(table).ValueOrDie();
   return fx;
@@ -78,7 +82,9 @@ TEST(BatchScorerTest, SingleThreadMatchesSerialBitExact) {
   options.max_batch_size = 16;
   BatchScorer scorer(fx.pipeline, options);
   std::vector<std::future<Result<double>>> futures;
-  for (const auto& row : fx.rows) futures.push_back(scorer.Submit(row));
+  for (const auto& record : fx.records) {
+    futures.push_back(scorer.Submit(record));
+  }
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<double> result = futures[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -105,7 +111,7 @@ TEST(BatchScorerTest, ConcurrentSubmittersMatchSerialBitExact) {
     submitters.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t i = t; i < fx.rows.size(); i += kThreads) {
-          Result<double> result = scorer.Submit(fx.rows[i]).get();
+          Result<double> result = scorer.Submit(fx.records[i]).get();
           if (!result.ok()) {
             failures.fetch_add(1);
           } else if (*result != fx.serial_scores[i]) {
@@ -158,7 +164,7 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
     submitters.emplace_back([&] {
       while (!stop.load()) {
         for (size_t i = 0; i < fx_a.rows.size() && !stop.load(); ++i) {
-          Result<double> result = scorer.Submit(fx_a.rows[i]).get();
+          Result<double> result = scorer.Submit(fx_a.records[i]).get();
           if (!result.ok()) {
             failures.fetch_add(1);
           } else if (*result != fx_a.serial_scores[i] &&
@@ -196,7 +202,7 @@ TEST(BatchScorerTest, OverloadRejectsWithResourceExhausted) {
   std::vector<std::future<Result<double>>> futures;
   bool saw_rejection = false;
   for (int i = 0; i < 64; ++i) {
-    std::future<Result<double>> future = scorer.Submit(fx.rows[i % 8]);
+    std::future<Result<double>> future = scorer.Submit(fx.records[i % 8]);
     // Rejections resolve immediately; admitted rows stay pending.
     if (future.wait_for(std::chrono::seconds(0)) ==
         std::future_status::ready) {
@@ -227,10 +233,10 @@ TEST(BatchScorerTest, MalformedRowFailsAloneInItsBatch) {
   BatchScorer scorer(fx.pipeline, options);
 
   std::vector<std::future<Result<double>>> futures;
-  futures.push_back(scorer.Submit(fx.rows[0]));
-  futures.push_back(scorer.Submit({"not-a-number", "0.5", "web"}));
-  futures.push_back(scorer.Submit({"1.0"}));  // Wrong arity.
-  futures.push_back(scorer.Submit(fx.rows[1]));
+  futures.push_back(scorer.Submit(fx.records[0]));
+  futures.push_back(scorer.Submit("not-a-number,0.5,web"));
+  futures.push_back(scorer.Submit("1.0"));  // Wrong arity.
+  futures.push_back(scorer.Submit(fx.records[1]));
 
   Result<double> good0 = futures[0].get();
   ASSERT_TRUE(good0.ok()) << good0.status().ToString();
@@ -253,7 +259,7 @@ TEST(BatchScorerTest, NoModelFailsWithFailedPrecondition) {
   BatchScorerOptions options;
   BatchScorer scorer(
       [] { return std::shared_ptr<const core::TargAdPipeline>(); }, options);
-  Result<double> result = scorer.Submit({"1", "2", "web"}).get();
+  Result<double> result = scorer.Submit("1,2,web").get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -286,9 +292,9 @@ TEST(BatchScorerTest, RoutesRowsToNamedModels) {
       options, &metrics);
 
   std::vector<std::future<Result<double>>> default_futures, routed_futures;
-  for (const auto& row : fx_a.rows) {
-    default_futures.push_back(scorer.Submit(row));
-    routed_futures.push_back(scorer.Submit("candidate", row));
+  for (const auto& record : fx_a.records) {
+    default_futures.push_back(scorer.Submit(record));
+    routed_futures.push_back(scorer.Submit("candidate", record));
   }
   for (size_t i = 0; i < fx_a.rows.size(); ++i) {
     Result<double> from_default = default_futures[i].get();
@@ -327,9 +333,9 @@ TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
       }),
       options, &metrics);
 
-  std::future<Result<double>> good = scorer.Submit(fx.rows[0]);
-  std::future<Result<double>> missing = scorer.Submit("no-such", fx.rows[1]);
-  std::future<Result<double>> good2 = scorer.Submit(fx.rows[2]);
+  std::future<Result<double>> good = scorer.Submit(fx.records[0]);
+  std::future<Result<double>> missing = scorer.Submit("no-such", fx.records[1]);
+  std::future<Result<double>> good2 = scorer.Submit(fx.records[2]);
 
   Result<double> bad = missing.get();
   ASSERT_FALSE(bad.ok());
@@ -363,7 +369,9 @@ TEST(BatchScorerTest, Float32SnapshotsServeWithinTolerance) {
               -> std::shared_ptr<const core::RowScorer> { return frozen; }),
       options);
   std::vector<std::future<Result<double>>> futures;
-  for (const auto& row : fx.rows) futures.push_back(scorer.Submit(row));
+  for (const auto& record : fx.records) {
+    futures.push_back(scorer.Submit(record));
+  }
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<double> result = futures[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -375,7 +383,7 @@ TEST(BatchScorerTest, SubmitAfterShutdownFails) {
   ScoringFixture fx = MakeFixture(51, 4);
   BatchScorer scorer(fx.pipeline, BatchScorerOptions{});
   scorer.Shutdown();
-  Result<double> result = scorer.Submit(fx.rows[0]).get();
+  Result<double> result = scorer.Submit(fx.records[0]).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -241,6 +241,26 @@ esac
 "$CLI" train --train data_train.csv --model x --scale 0.5 >/dev/null 2>&1 \
   && fail "flag from wrong subcommand accepted"
 
+# Numeric flag values are validated before the command runs: a value that
+# does not parse, a negative size and a port above 65535 each exit 1 with
+# an error naming the flag and its value.
+expect_bad_value() {  # <flag> <value>: serve must reject it.
+  err=$("$CLI" serve --model m.model "$1" "$2" </dev/null 2>&1 >/dev/null)
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "serve $1 $2 exited $rc, want 1"
+  case "$err" in
+    *"'$2'"*"$1"*) ;;
+    *) fail "serve $1 $2: error does not name the flag and value: $err" ;;
+  esac
+}
+expect_bad_value --workers abc
+expect_bad_value --workers -1
+expect_bad_value --batch -5
+expect_bad_value --queue -1
+expect_bad_value --max-line -1
+expect_bad_value --tcp 70000
+expect_bad_value --workers 99999999999
+
 # Failure paths must exit non-zero with a clean message.
 "$CLI" bogus-subcommand >/dev/null 2>&1 && fail "bogus subcommand accepted"
 "$CLI" train --train missing.csv --model x >/dev/null 2>&1 \

@@ -91,10 +91,10 @@ TEST(ScoreCsvStreamTest, AdmissionRejectionsRetryInInputOrder) {
   // A second producer parks the only worker in the gated provider with one
   // row, then fills the two-row queue behind it.
   std::vector<std::future<Result<double>>> fillers;
-  fillers.push_back(scorer.Submit({"100", "0"}));
+  fillers.push_back(scorer.Submit("100,0"));
   gate.WaitUntilEntered();
-  fillers.push_back(scorer.Submit({"101", "0"}));
-  fillers.push_back(scorer.Submit({"102", "0"}));
+  fillers.push_back(scorer.Submit("101,0"));
+  fillers.push_back(scorer.Submit("102,0"));
   ASSERT_EQ(metrics.Snapshot().requests_rejected, 0u);
 
   std::istringstream in("f0,label,f1\n1.5,a,0\n-2,b,0\n3.25,c,0\n4,d,0\n");

@@ -112,6 +112,38 @@ TEST(ParseDoubleTest, EdgeInputContract) {
       {"2.2250738585072014e-308", true, 2.2250738585072014e-308},  // DBL_MIN.
       {"1.7976931348623157e308", true, 1.7976931348623157e308},    // DBL_MAX.
       {"0e-999", true, 0.0},
+      // The plain-decimal fast path at its edges. 19 and 20 significant
+      // digits exceed its 2^53 significand bound and take the old path.
+      {"1234567890123456789", true, 1234567890123456789.0},
+      {"12345678901234567890", true, 12345678901234567890.0},
+      {"0.1234567890123456789", true, 0.1234567890123456789},
+      {"9007199254740992", true, 9007199254740992.0},  // 2^53: fast.
+      {"9007199254740993", true, 9007199254740992.0},  // 2^53+1: rounds.
+      {"-9007199254740993", true, -9007199254740992.0},
+      {"9007199254740992.5", true, 9007199254740992.0},
+      {"900719925474099.3", true, 900719925474099.3},
+      {"0.0000000000000000000001", true, 1e-22},   // 22 fraction digits.
+      {"0.00000000000000000000001", true, 1e-23},  // 23: old path.
+      {"1.0000000000000000000001", true, 1.0},
+      {"-0.000000", true, -0.0},  // The sign bit survives.
+      {"-0", true, -0.0},
+      {"007.50", true, 7.5},  // Leading zeros.
+      {"-000", true, -0.0},
+      {"0000000000000000000000000000001.5", true, 1.5},
+      {"-.5", true, -0.5},
+      {"-5.", true, -5.0},
+      {".", false, 0.0},
+      {"-.", false, 0.0},
+      {"1.2.3", false, 0.0},
+      {"1-2", false, 0.0},
+      {"--1", false, 0.0},
+      {" 0.565434", true, 0.565434},  // Padded: the old path trims.
+      {"0.565434\t", true, 0.565434},
+      {"\r-0.25\r", true, -0.25},
+      {"0.565434", true, 0.565434},
+      {"+0.5", true, 0.5},
+      {"0.1", true, 0.1},
+      {"123456.789", true, 123456.789},
   };
   for (const Case& c : cases) {
     double v = 12345.0;
@@ -123,6 +155,9 @@ TEST(ParseDoubleTest, EdgeInputContract) {
     }
     double ref = 0.0;
     EXPECT_EQ(StrtodReference(c.input, &ref), c.ok) << "'" << c.input << "'";
+    if (c.ok) {
+      EXPECT_EQ(Bits(v), Bits(ref)) << "'" << c.input << "'";
+    }
   }
 }
 
@@ -155,6 +190,43 @@ TEST(ParseDoubleTest, MatchesStrtodOnRandomDoubles) {
     }
   }
   EXPECT_GT(accepted, 80000u);  // Most of the sweep exercises the fast path.
+}
+
+// Seeded sweep over the fast path's domain: fixed-point printouts with
+// N = 0..22 fraction digits of random doubles across magnitudes, plus
+// short random digit strings. Every one must match the reference bits and
+// verdict.
+TEST(ParseDoubleTest, MatchesStrtodOnFixedPointFormats) {
+  Rng rng(20241017);
+  char buf[512];
+  size_t accepted = 0;
+  auto check = [&](const char* text) {
+    double expected = 0.0, actual = 0.0;
+    const bool expected_ok = StrtodReference(text, &expected);
+    EXPECT_EQ(ParseDouble(text, &actual), expected_ok) << text;
+    if (expected_ok) {
+      EXPECT_EQ(Bits(actual), Bits(expected)) << text;
+      ++accepted;
+    }
+  };
+  for (int i = 0; i < 8000; ++i) {
+    const double x = std::pow(10.0, rng.Uniform(-12.0, 17.0)) *
+                     (rng.Bernoulli(0.5) ? -1.0 : 1.0);
+    for (int n = 0; n <= 22; ++n) {
+      std::snprintf(buf, sizeof(buf), "%.*f", n, x);
+      check(buf);
+    }
+    // 1 to 17 random digits with the point anywhere (or nowhere).
+    const int digits = 1 + static_cast<int>(rng.Uniform(0.0, 17.0));
+    const int point = static_cast<int>(rng.Uniform(0.0, digits + 1.0));
+    std::string text = rng.Bernoulli(0.5) ? "-" : "";
+    for (int d = 0; d < digits; ++d) {
+      if (d == point && d > 0) text += '.';
+      text += static_cast<char>('0' + static_cast<int>(rng.Uniform(0.0, 10.0)));
+    }
+    check(text.c_str());
+  }
+  EXPECT_EQ(accepted, 8000u * 24u);
 }
 
 TEST(ParseIntTest, ParsesValidIntegers) {

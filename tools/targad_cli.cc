@@ -62,11 +62,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -115,6 +117,9 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  // The numeric getters return `fallback` for an absent flag. main() has
+  // checked every present numeric flag (CheckNumericFlags), so the parses
+  // below succeed.
   double GetDouble(const std::string& key, double fallback) const {
     double v = fallback;
     auto it = values_.find(key);
@@ -179,6 +184,48 @@ const std::map<std::string, std::vector<std::string>>& CommandFlags() {
                  "warm"}},
   };
   return kFlags;
+}
+
+// Integer flags and the range each accepts. Sizes (counts and byte
+// limits) are never negative; a port fits in 16 bits; everything else must
+// fit in an int.
+const std::map<std::string, std::pair<int, int>>& IntFlagRanges() {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  static const std::map<std::string, std::pair<int, int>> kRanges = {
+      {"seed", {kMin, kMax}},         {"k", {kMin, kMax}},
+      {"epochs", {kMin, kMax}},       {"delay-us", {kMin, kMax}},
+      {"refresh-ms", {kMin, kMax}},   {"idle-ms", {kMin, kMax}},
+      {"drain-grace-ms", {kMin, kMax}}, {"warm", {kMin, kMax}},
+      {"batch", {0, kMax}},           {"workers", {0, kMax}},
+      {"queue", {0, kMax}},           {"max-conns", {0, kMax}},
+      {"max-line", {0, kMax}},        {"max-inflight", {0, kMax}},
+      {"tcp", {0, 65535}},
+  };
+  return kRanges;
+}
+
+// Every numeric flag present must parse and lie in its range; a bad one
+// fails the command before it runs. Returns the error, or "" when all pass.
+std::string CheckNumericFlags(const Flags& flags) {
+  for (const auto& [name, range] : IntFlagRanges()) {
+    if (!flags.Has(name)) continue;
+    const std::string value = flags.Get(name);
+    long v = 0;  // NOLINT(runtime/int)
+    if (!ParseInt(value, &v) || v < range.first || v > range.second) {
+      return "invalid value '" + value + "' for --" + name +
+             " (expected an integer in [" + std::to_string(range.first) +
+             ", " + std::to_string(range.second) + "])";
+    }
+  }
+  for (const char* name : {"scale", "alpha"}) {  // Any finite number.
+    double v = 0.0;
+    if (flags.Has(name) && !ParseDouble(flags.Get(name), &v)) {
+      return "invalid value '" + flags.Get(name) + "' for --" + name +
+             " (expected a number)";
+    }
+  }
+  return "";
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -637,6 +684,8 @@ int main(int argc, char** argv) {
     return Fail("unknown flag " + unknown.front() + " for '" + command +
                 "' (valid:" + valid + ")");
   }
+  const std::string bad_value = CheckNumericFlags(flags);
+  if (!bad_value.empty()) return Fail(bad_value);
 
   if (command == "generate") return CmdGenerate(flags);
   if (command == "train") return CmdTrain(flags);
