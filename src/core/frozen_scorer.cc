@@ -39,6 +39,35 @@ data::RawTable DropColumn(const data::RawTable& table, int drop) {
   return out;
 }
 
+// True when `spec`'s records can be encoded in one pass (EncodeRecords) and
+// report exactly what the default ScoreRecords reports. Each condition is
+// one the table path checks for the whole table; a failing one fails every
+// well-formed row there, with its own message, so such a schema is left to
+// the default.
+bool EncodesRecordsExactly(const FrozenScorer::Spec& spec,
+                           size_t normalized_dim) {
+  const std::vector<std::string>& columns = spec.feature_columns;
+  return spec.encoder.fitted() && spec.encoder.num_columns() == columns.size() &&
+         spec.encoder.output_dim() == normalized_dim &&
+         std::find(columns.begin(), columns.end(), spec.label_column) ==
+             columns.end();
+}
+
+// Each record's score where its status is OK, else its status.
+std::vector<Result<double>> RecordResults(std::vector<Status> status,
+                                          const std::vector<double>& scores) {
+  std::vector<Result<double>> results;
+  results.reserve(status.size());
+  for (size_t i = 0; i < status.size(); ++i) {
+    if (status[i].ok()) {
+      results.emplace_back(scores[i]);
+    } else {
+      results.emplace_back(std::move(status[i]));
+    }
+  }
+  return results;
+}
+
 template <typename T>
 std::vector<T> CastVector(const std::vector<double>& v) {
   std::vector<T> out(v.size());
@@ -113,7 +142,7 @@ TARGAD_HOT_PATH Result<std::vector<double>> FrozenScorer::ScoreTyped(
 template <typename T>
 std::vector<Result<double>> FrozenScorer::ScoreRecordsTyped(
     const Typed<T>& model, const std::vector<Record>& records) const {
-  if (!EncodesRecordsExactly(*this, spec_.encoder, model.mins.size())) {
+  if (!EncodesRecordsExactly(spec_, model.mins.size())) {
     return RowScorer::ScoreRecords(records);
   }
   nn::MatrixT<T> x;

@@ -128,19 +128,6 @@ Result<std::vector<double>> TargAdPipeline::Score(
   return model_->Score(x);
 }
 
-std::vector<Result<double>> TargAdPipeline::ScoreRecords(
-    const std::vector<Record>& records) const {
-  if (model_ == nullptr || !model_->fitted() || !normalizer_.fitted() ||
-      !EncodesRecordsExactly(*this, encoder_, normalizer_.mins().size())) {
-    return RowScorer::ScoreRecords(records);
-  }
-  nn::Matrix encoded;
-  std::vector<Status> status = EncodeRecords(encoder_, records, &encoded);
-  Result<nn::Matrix> x = normalizer_.Transform(encoded);
-  if (!x.ok()) return RowScorer::ScoreRecords(records);
-  return RecordResults(std::move(status), model_->Score(*x));
-}
-
 Result<std::vector<double>> TargAdPipeline::ScoreCsv(
     const std::string& path) const {
   TARGAD_ASSIGN_OR_RETURN(data::RawTable table, data::ReadCsv(path));

@@ -53,11 +53,6 @@ class TargAdPipeline : public RowScorer {
   /// immutable pipeline snapshot across concurrent scorers.
   [[nodiscard]] Result<std::vector<double>> Score(const data::RawTable& table) const override;
 
-  /// Encodes each record straight into its feature row, then normalizes
-  /// and scores the rows as Score does.
-  [[nodiscard]] std::vector<Result<double>> ScoreRecords(
-      const std::vector<Record>& records) const override;
-
   /// Convenience: ReadCsv + Score.
   [[nodiscard]] Result<std::vector<double>> ScoreCsv(const std::string& path) const;
 

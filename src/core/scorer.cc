@@ -1,6 +1,5 @@
 #include "core/scorer.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace targad {
@@ -31,6 +30,12 @@ std::vector<Result<double>> RowScorer::ScoreRecords(
     for (size_t r = 0; r < scorable.size(); ++r) {
       results[scorable[r]] = (*scores)[r];
     }
+    return results;
+  }
+  if (scorable.size() == 1) {
+    results[scorable[0]] =
+        scores.ok() ? Status::Internal("batch scorer: score count mismatch")
+                    : scores.status();
     return results;
   }
   // The vectorized call failed (e.g. one non-numeric cell poisons the whole
@@ -72,18 +77,6 @@ std::vector<std::string> SplitRecordCells(const RowScorer::Record& record) {
   return cells;
 }
 
-bool EncodesRecordsExactly(const RowScorer& scorer,
-                           const data::OneHotEncoder& encoder,
-                           size_t normalized_dim) {
-  // Each condition is one the table path checks for the whole table; a
-  // failing one fails every well-formed row there, with its own message.
-  const std::vector<std::string>& columns = scorer.feature_columns();
-  return encoder.fitted() && encoder.num_columns() == columns.size() &&
-         encoder.output_dim() == normalized_dim &&
-         std::find(columns.begin(), columns.end(), scorer.label_column()) ==
-             columns.end();
-}
-
 template <typename T>
 std::vector<Status> EncodeRecords(const data::OneHotEncoder& encoder,
                                   const std::vector<RowScorer::Record>& records,
@@ -108,20 +101,6 @@ template std::vector<Status> EncodeRecords<float>(
 template std::vector<Status> EncodeRecords<double>(
     const data::OneHotEncoder&, const std::vector<RowScorer::Record>&,
     nn::MatrixT<double>*);
-
-std::vector<Result<double>> RecordResults(std::vector<Status> status,
-                                          const std::vector<double>& scores) {
-  std::vector<Result<double>> results;
-  results.reserve(status.size());
-  for (size_t i = 0; i < status.size(); ++i) {
-    if (status[i].ok()) {
-      results.emplace_back(scores[i]);
-    } else {
-      results.emplace_back(std::move(status[i]));
-    }
-  }
-  return results;
-}
 
 }  // namespace core
 }  // namespace targad

@@ -62,14 +62,6 @@ class RowScorer {
 /// The cells of `record`, label field dropped.
 std::vector<std::string> SplitRecordCells(const RowScorer::Record& record);
 
-/// True when a scorer with `scorer`'s schema, this encoder, and
-/// `normalized_dim` normalizer columns can encode records one pass with
-/// EncodeRecords and report exactly what the default ScoreRecords reports.
-/// A schema the table path would reject as a whole is left to the default.
-bool EncodesRecordsExactly(const RowScorer& scorer,
-                           const data::OneHotEncoder& encoder,
-                           size_t normalized_dim);
-
 /// Encodes each record into one row of *x (records x output_dim()) and
 /// returns each row's status: RecordArityError when the record does not
 /// carry encoder.num_columns() cells, else the first non-numeric cell's
@@ -79,10 +71,6 @@ template <typename T>
 [[nodiscard]] std::vector<Status> EncodeRecords(
     const data::OneHotEncoder& encoder,
     const std::vector<RowScorer::Record>& records, nn::MatrixT<T>* x);
-
-/// Each record's score where its status is OK, else its status.
-std::vector<Result<double>> RecordResults(std::vector<Status> status,
-                                          const std::vector<double>& scores);
 
 }  // namespace core
 }  // namespace targad

@@ -1,7 +1,8 @@
 // The record scoring path: serve::PeelRoute, then core::EncodeRecords
 // walking each record once with data::CsvRecordReader and encoding every
 // field straight into its feature row. Its oracle is the split path it
-// replaced: serve::SplitDataRecord, the arity check, then a one-row
+// replaced: a verbatim copy of the string-per-field splitter and
+// SplitDataRecord that came before it, the arity check, then a one-row
 // OneHotEncoder::TransformT<T>.
 //
 //  - Goldens: a hand-written table of hostile records whose encoded row
@@ -10,10 +11,12 @@
 //  - A seeded mutation fuzzer with a fixed budget: delimiters, quotes,
 //    doubled quotes, CR, whitespace, non-numeric tokens, unseen categories,
 //    model= prefixes and arity shifts, checked against the oracle one
-//    record at a time and in batches.
-//  - Scorer level: FrozenScorer and TargAdPipeline overrides of
-//    ScoreRecords against the default RowScorer::ScoreRecords, reached
-//    through a decorator that overrides only Score.
+//    record at a time and in batches. The same records also pin
+//    data::SplitCsvRecord and serve::SplitDataRecord, which now run on the
+//    new reader, to the copied splitter.
+//  - Scorer level: the FrozenScorer override of ScoreRecords against the
+//    default RowScorer::ScoreRecords, reached through a decorator that
+//    overrides only Score.
 
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +24,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +32,7 @@
 #include "common/rng.h"
 #include "core/frozen_scorer.h"
 #include "core/pipeline.h"
+#include "data/csv.h"
 #include "data/preprocess.h"
 #include "serve/row_parse.h"
 
@@ -89,11 +94,88 @@ std::string Describe(const Outcome& o) {
          o.status.ToString() + " [" + o.bits + "]";
 }
 
+// A verbatim copy of the CSV record splitter the record path replaced: it
+// copies every field into a string. The reference every split below is
+// checked against.
+class ReferenceRecordReader {
+ public:
+  explicit ReferenceRecordReader(std::string_view record) : rest_(record) {}
+
+  bool done() const { return done_; }
+
+  void Next(std::string* field) {
+    // Copies the literal runs between quotes and the closing delimiter. A
+    // quote toggles quoting wherever it appears; inside quotes a doubled
+    // quote is one literal quote, so its second half starts the next run.
+    field->clear();
+    bool in_quotes = false;
+    size_t run = 0;
+    size_t i = 0;
+    for (; i < rest_.size(); ++i) {
+      const char c = rest_[i];
+      if (c == '"') {
+        field->append(rest_.data() + run, i - run);
+        if (in_quotes && i + 1 < rest_.size() && rest_[i + 1] == '"') {
+          run = ++i;
+        } else {
+          in_quotes = !in_quotes;
+          run = i + 1;
+        }
+      } else if (c == delim_ && !in_quotes) {
+        field->append(rest_.data() + run, i - run);
+        rest_.remove_prefix(i + 1);
+        return;
+      }
+    }
+    field->append(rest_.data() + run, i - run);
+    rest_ = {};
+    done_ = true;
+  }
+
+ private:
+  std::string_view rest_;
+  char delim_ = ',';
+  bool done_ = false;
+};
+
+std::vector<std::string> ReferenceSplitCsvRecord(std::string_view line) {
+  ReferenceRecordReader reader(line);
+  std::vector<std::string> fields;
+  while (!reader.done()) reader.Next(&fields.emplace_back());
+  return fields;
+}
+
+// A verbatim copy of the SplitDataRecord the record path replaced.
+serve::DataRecord ReferenceSplitDataRecord(std::string_view line,
+                                           int label_col) {
+  constexpr const char kModelPrefix[] = "model=";
+  constexpr size_t kModelPrefixLen = sizeof(kModelPrefix) - 1;
+  ReferenceRecordReader reader(line);
+  serve::DataRecord record;
+  // The first field decides routing, so it lands in `model` and moves to
+  // the cells when it turns out to be data.
+  reader.Next(&record.model);
+  int j = 0;  // Index of the next data field in header terms.
+  if (record.model.compare(0, kModelPrefixLen, kModelPrefix) == 0) {
+    record.model.erase(0, kModelPrefixLen);
+    record.routed = true;
+  } else {
+    if (label_col != 0) record.cells.push_back(std::move(record.model));
+    record.model.clear();
+    j = 1;
+  }
+  std::string label;
+  for (; !reader.done(); ++j) {
+    reader.Next(j == label_col ? &label : &record.cells.emplace_back());
+  }
+  return record;
+}
+
 // The oracle: the split path.
 template <typename T>
 Outcome SplitPath(const data::OneHotEncoder& encoder, const std::string& line,
                   int label_col) {
-  serve::DataRecord record = serve::SplitDataRecord(line, label_col);
+  serve::DataRecord record = ReferenceSplitDataRecord(line, label_col);
   Outcome out{record.routed, record.model, Status::OK(), ""};
   if (record.cells.size() != kColumns) {
     out.status = core::RecordArityError(record.cells.size(), kColumns);
@@ -629,6 +711,15 @@ TEST(RecordPathFuzz, MatchesSplitPathOnSeededMutations) {
     ASSERT_TRUE(Same(got_d, oracle_d))
         << "line '" << line << "' label " << label_col << "\n  record: "
         << Describe(got_d) << "\n  split:  " << Describe(oracle_d);
+    // The splitters built on the new reader keep the old output.
+    const serve::DataRecord split = serve::SplitDataRecord(line, label_col);
+    const serve::DataRecord want = ReferenceSplitDataRecord(line, label_col);
+    ASSERT_EQ(split.routed, want.routed) << "line '" << line << "'";
+    ASSERT_EQ(split.model, want.model) << "line '" << line << "'";
+    ASSERT_EQ(split.cells, want.cells)
+        << "line '" << line << "' label " << label_col;
+    ASSERT_EQ(data::SplitCsvRecord(line), ReferenceSplitCsvRecord(line))
+        << "line '" << line << "'";
     ok_rows += oracle_d.status.ok();
     arity_errors += oracle_d.status.message().find("cells, model expects") !=
                     std::string::npos;
@@ -758,7 +849,7 @@ TEST(RecordPathScorers, OverridesMatchDefaultRecordPath) {
   Result<core::FrozenScorer> f32 = pipeline->Freeze(nn::Dtype::kFloat32);
   Result<core::FrozenScorer> f64 = pipeline->Freeze(nn::Dtype::kFloat64);
   ASSERT_TRUE(f32.ok() && f64.ok());
-  const core::RowScorer* scorers[] = {&*pipeline, &*f32, &*f64};
+  const core::RowScorer* scorers[] = {&*f32, &*f64};
 
   Rng rng(99);
   for (int batch = 0; batch < 40; ++batch) {

@@ -118,19 +118,19 @@ class Flags {
   }
 
   // The numeric getters return `fallback` for an absent flag. main() has
-  // checked every present numeric flag (CheckNumericFlags), so the parses
-  // below succeed.
+  // checked every present numeric flag (CheckNumericFlags), so a present
+  // value parses and lies in its range.
   double GetDouble(const std::string& key, double fallback) const {
     double v = fallback;
     auto it = values_.find(key);
-    if (it != values_.end() && !ParseDouble(it->second, &v)) return fallback;
+    if (it != values_.end()) ParseDouble(it->second, &v);
     return v;
   }
 
   int GetInt(const std::string& key, int fallback) const {
     long v = fallback;  // NOLINT(runtime/int)
     auto it = values_.find(key);
-    if (it != values_.end() && !ParseInt(it->second, &v)) return fallback;
+    if (it != values_.end()) ParseInt(it->second, &v);
     return static_cast<int>(v);
   }
 
@@ -187,16 +187,17 @@ const std::map<std::string, std::vector<std::string>>& CommandFlags() {
 }
 
 // Integer flags and the range each accepts. Sizes (counts and byte
-// limits) are never negative; a port fits in 16 bits; everything else must
-// fit in an int.
+// limits) are never negative; a warm capacity and a refresh interval, when
+// given, are positive; a port fits in 16 bits; everything else must fit in
+// an int.
 const std::map<std::string, std::pair<int, int>>& IntFlagRanges() {
   constexpr int kMin = std::numeric_limits<int>::min();
   constexpr int kMax = std::numeric_limits<int>::max();
   static const std::map<std::string, std::pair<int, int>> kRanges = {
       {"seed", {kMin, kMax}},         {"k", {kMin, kMax}},
       {"epochs", {kMin, kMax}},       {"delay-us", {kMin, kMax}},
-      {"refresh-ms", {kMin, kMax}},   {"idle-ms", {kMin, kMax}},
-      {"drain-grace-ms", {kMin, kMax}}, {"warm", {kMin, kMax}},
+      {"refresh-ms", {1, kMax}},      {"idle-ms", {kMin, kMax}},
+      {"drain-grace-ms", {kMin, kMax}}, {"warm", {1, kMax}},
       {"batch", {0, kMax}},           {"workers", {0, kMax}},
       {"queue", {0, kMax}},           {"max-conns", {0, kMax}},
       {"max-line", {0, kMax}},        {"max-inflight", {0, kMax}},
@@ -482,11 +483,7 @@ int CmdServe(const Flags& flags) {
   serve::ModelRegistry registry;
   registry.set_serve_dtype(*dtype);
   registry.set_metrics(&metrics);
-  const int warm = flags.GetInt("warm", 0);
-  if (warm < 0 || (flags.Has("warm") && warm == 0)) {
-    return Fail("--warm must be a positive integer (resident models)");
-  }
-  registry.set_warm_capacity(static_cast<size_t>(warm));
+  registry.set_warm_capacity(static_cast<size_t>(flags.GetInt("warm", 0)));
   if (!models_dir.empty()) {
     Status st = registry.LoadDirectory(models_dir);
     if (!st.ok()) return Fail(st.ToString());
@@ -505,9 +502,6 @@ int CmdServe(const Flags& flags) {
   // artifact file while serving hot-swaps it within one interval; rows
   // already submitted keep the snapshot they started with.
   const int refresh_ms = flags.GetInt("refresh-ms", 0);
-  if (refresh_ms < 0 || (flags.Has("refresh-ms") && refresh_ms == 0)) {
-    return Fail("--refresh-ms must be a positive integer (milliseconds)");
-  }
   std::atomic<uint64_t> refresh_polls{0};
   std::atomic<uint64_t> refresh_republished{0};
   std::atomic<uint64_t> refresh_errors{0};
