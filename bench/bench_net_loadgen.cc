@@ -8,7 +8,8 @@
 // percentiles instead of silently slowing the offered load.
 //
 // Two modes:
-//   self-serve (default)    trains a small pipeline, starts an in-process
+//   self-serve (default)    trains a small pipeline, freezes it at
+//                           float64, starts an in-process
 //                           net::TcpServer on an ephemeral loopback port,
 //                           and replays against it — hermetic, used by the
 //                           bench trajectory and net_loadgen_test.sh.
@@ -317,7 +318,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &config)) return 2;
 
   // Self-serve scaffolding lives here so it outlives the replay threads.
-  std::shared_ptr<const core::TargAdPipeline> pipeline;
+  std::shared_ptr<const core::RowScorer> frozen;
   std::unique_ptr<serve::BatchScorer> scorer;
   std::unique_ptr<net::NetMetrics> net_metrics;
   std::unique_ptr<net::TcpServer> server;
@@ -334,9 +335,12 @@ int main(int argc, char** argv) {
     pipeline_config.model.selection.k = 2;
     pipeline_config.model.selection.autoencoder.epochs = 10;
     pipeline_config.model.epochs = 15;
-    pipeline = std::make_shared<const core::TargAdPipeline>(
+    // Served frozen at float64, as the registry serves a text model.
+    frozen = std::make_shared<const core::FrozenScorer>(
         core::TargAdPipeline::Train(MakeTrainingTable(7, n_train),
                                     pipeline_config)
+            .ValueOrDie()
+            .Freeze(nn::Dtype::kFloat64)
             .ValueOrDie());
 
     serve::BatchScorerOptions scorer_options;
@@ -346,10 +350,7 @@ int main(int argc, char** argv) {
     scorer_options.max_queue_rows = config.queue;
     scorer = std::make_unique<serve::BatchScorer>(
         serve::BatchScorer::NamedSnapshotProvider(
-            [&pipeline](const std::string&)
-                -> std::shared_ptr<const core::RowScorer> {
-              return pipeline;
-            }),
+            [&frozen](const std::string&) { return frozen; }),
         scorer_options);
 
     net_metrics = std::make_unique<net::NetMetrics>();

@@ -4,8 +4,8 @@
 // and what the float32 frozen inference plan buys on top. Each cell scores
 // the same row set submitted by 4 concurrent client threads and reports
 // effective throughput plus observed mean batch size and p95 request
-// latency. float64 serves the TargAdPipeline itself; float32 serves the
-// frozen core::FrozenScorer built by TargAdPipeline::Freeze.
+// latency. Each dtype serves the core::FrozenScorer that
+// TargAdPipeline::Freeze builds at it, as the registry does.
 //
 // A cold-start phase times bringing a model from disk to servable: the
 // text path (TargAdPipeline::Load parse + Freeze) against the flat-artifact
@@ -203,17 +203,18 @@ int main() {
   config.model.selection.autoencoder.epochs = 10;
   config.model.epochs = 15;
   // Non-const: the cold-start phase needs Save(), which is not const.
-  auto pipeline = std::make_shared<core::TargAdPipeline>(
+  core::TargAdPipeline pipeline =
       core::TargAdPipeline::Train(MakeTrainingTable(7, n_train), config)
-          .ValueOrDie());
+          .ValueOrDie();
+  auto frozen64 = std::make_shared<const core::FrozenScorer>(
+      pipeline.Freeze(nn::Dtype::kFloat64).ValueOrDie());
   auto frozen32 = std::make_shared<const core::FrozenScorer>(
-      pipeline->Freeze(nn::Dtype::kFloat32).ValueOrDie());
+      pipeline.Freeze(nn::Dtype::kFloat32).ValueOrDie());
   const auto rows = MakeRequestRows(8, n_rows);
 
-  // The float64 cells serve the pipeline, the float32 cells the frozen plan.
   const std::vector<
       std::pair<const char*, std::shared_ptr<const core::RowScorer>>>
-      dtypes = {{"float64", pipeline}, {"float32", frozen32}};
+      dtypes = {{"float64", frozen64}, {"float32", frozen32}};
 
   const nn::kernels::TilingConfig& tiling = nn::kernels::Tiling();
   std::printf("serve throughput — %zu rows per cell, 4 client threads\n",
@@ -247,7 +248,7 @@ int main() {
     }
   }
 
-  const ColdStartResult cold = RunColdStart(*pipeline);
+  const ColdStartResult cold = RunColdStart(pipeline);
   std::printf(
       "\ncold start (disk -> servable, median of 30 loads, float32):\n"
       "  text parse+freeze: %llu us   artifact mmap+fixup: %llu us   "

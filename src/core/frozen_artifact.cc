@@ -227,19 +227,9 @@ Result<FrozenScorer> FrozenScorer::LoadArtifact(const std::string& path) {
                                    output_dim, " logits, expected m+k = ",
                                    spec.m + spec.k);
   }
-  // Informational copies of the normalizer statistics (scoring uses the
-  // typed mins/ranges); widened from the stored dtype values.
-  std::visit(
-      [&spec](const auto& m) {
-        spec.mins.resize(m.mins.size());
-        spec.maxs.resize(m.mins.size());
-        for (size_t j = 0; j < m.mins.size(); ++j) {
-          spec.mins[j] = static_cast<double>(m.mins[j]);
-          spec.maxs[j] =
-              static_cast<double>(m.mins[j]) + static_cast<double>(m.ranges[j]);
-        }
-      },
-      scorer.model_);
+  TARGAD_RETURN_NOT_OK(CheckSchema(
+      spec,
+      std::visit([](const auto& m) { return m.mins.size(); }, scorer.model_)));
   scorer.spec_ = std::move(spec);
   scorer.backing_ = artifact;  // Pins the mapping for the scorer's lifetime.
   return scorer;

@@ -11,48 +11,6 @@ namespace core {
 
 namespace {
 
-// Index of `column` in `table`, or -1.
-int FindColumn(const data::RawTable& table, const std::string& column) {
-  for (size_t j = 0; j < table.column_names.size(); ++j) {
-    if (table.column_names[j] == column) return static_cast<int>(j);
-  }
-  return -1;
-}
-
-// A copy of `table` without column `drop` (pass -1 for a plain copy).
-data::RawTable DropColumn(const data::RawTable& table, int drop) {
-  data::RawTable out;
-  for (size_t j = 0; j < table.column_names.size(); ++j) {
-    if (static_cast<int>(j) == drop) continue;
-    out.column_names.push_back(table.column_names[j]);
-  }
-  out.rows.reserve(table.num_rows());
-  for (const auto& row : table.rows) {
-    std::vector<std::string> cells;
-    cells.reserve(out.column_names.size());
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (static_cast<int>(j) == drop) continue;
-      cells.push_back(row[j]);
-    }
-    out.rows.push_back(std::move(cells));
-  }
-  return out;
-}
-
-// True when `spec`'s records can be encoded in one pass (EncodeRecords) and
-// report exactly what the default ScoreRecords reports. Each condition is
-// one the table path checks for the whole table; a failing one fails every
-// well-formed row there, with its own message, so such a schema is left to
-// the default.
-bool EncodesRecordsExactly(const FrozenScorer::Spec& spec,
-                           size_t normalized_dim) {
-  const std::vector<std::string>& columns = spec.feature_columns;
-  return spec.encoder.fitted() && spec.encoder.num_columns() == columns.size() &&
-         spec.encoder.output_dim() == normalized_dim &&
-         std::find(columns.begin(), columns.end(), spec.label_column) ==
-             columns.end();
-}
-
 // Each record's score where its status is OK, else its status.
 std::vector<Result<double>> RecordResults(std::vector<Status> status,
                                           const std::vector<double>& scores) {
@@ -77,6 +35,31 @@ std::vector<T> CastVector(const std::vector<double>& v) {
 
 }  // namespace
 
+Status FrozenScorer::CheckSchema(const Spec& spec, size_t normalized_dim) {
+  const data::OneHotEncoder& encoder = spec.encoder;
+  const std::vector<std::string>& columns = spec.feature_columns;
+  if (!encoder.fitted()) {
+    return Status::InvalidArgument("frozen scorer: encoder is not fitted");
+  }
+  if (encoder.num_columns() != columns.size()) {
+    return Status::InvalidArgument("frozen scorer: encoder has ",
+                                   encoder.num_columns(), " columns, schema has ",
+                                   columns.size(), " feature columns");
+  }
+  if (encoder.output_dim() != normalized_dim) {
+    return Status::InvalidArgument("frozen scorer: encoder emits ",
+                                   encoder.output_dim(),
+                                   " features, normalizer has ", normalized_dim);
+  }
+  if (std::find(columns.begin(), columns.end(), spec.label_column) !=
+      columns.end()) {
+    return Status::InvalidArgument("frozen scorer: label column '",
+                                   spec.label_column,
+                                   "' is also a feature column");
+  }
+  return Status::OK();
+}
+
 Result<FrozenScorer> FrozenScorer::Make(Spec spec, const nn::Sequential& net,
                                         nn::Dtype dtype) {
   if (spec.m <= 0 || spec.k <= 0) {
@@ -86,6 +69,7 @@ Result<FrozenScorer> FrozenScorer::Make(Spec spec, const nn::Sequential& net,
     return Status::InvalidArgument(
         "frozen scorer: normalizer min/max size mismatch");
   }
+  TARGAD_RETURN_NOT_OK(CheckSchema(spec, spec.mins.size()));
   // Ranges precomputed in double, exactly as MinMaxNormalizer::Transform
   // derives them per call, then converted once to the plan dtype.
   std::vector<double> ranges(spec.mins.size());
@@ -137,14 +121,12 @@ TARGAD_HOT_PATH Result<std::vector<double>> FrozenScorer::ScoreTyped(
 }
 
 // Not TARGAD_HOT_PATH: besides the per-row statuses, the record walk
-// unescapes quoted fields into a scratch string, and an inconsistent schema
-// falls back to the table path. The tail it shares with Score is hot.
+// unescapes quoted fields into a scratch string. It needs no fallback:
+// CheckSchema admitted only schemas it encodes exactly. The tail it shares
+// with Score is hot.
 template <typename T>
 std::vector<Result<double>> FrozenScorer::ScoreRecordsTyped(
     const Typed<T>& model, const std::vector<Record>& records) const {
-  if (!EncodesRecordsExactly(spec_, model.mins.size())) {
-    return RowScorer::ScoreRecords(records);
-  }
   nn::MatrixT<T> x;
   std::vector<Status> status = EncodeRecords(spec_.encoder, records, &x);
   return RecordResults(std::move(status), ScoreEncoded(model, &x));
@@ -193,7 +175,7 @@ TARGAD_HOT_PATH std::vector<double> FrozenScorer::ScoreEncoded(
 
 Result<std::vector<double>> FrozenScorer::Score(
     const data::RawTable& table) const {
-  const int label_col = FindColumn(table, spec_.label_column);
+  const int label_col = data::FindColumn(table, spec_.label_column);
   if (label_col < 0) {
     // The serving common case: no label column present, nothing to drop —
     // score the caller's table directly instead of deep-copying every cell.
@@ -204,7 +186,7 @@ Result<std::vector<double>> FrozenScorer::Score(
     return std::visit(
         [&](const auto& model) { return ScoreTyped(model, table); }, model_);
   }
-  const data::RawTable features = DropColumn(table, label_col);
+  const data::RawTable features = data::DropColumn(table, label_col);
   if (features.column_names != spec_.feature_columns) {
     return Status::InvalidArgument(
         "frozen scorer: feature columns differ from the training schema");

@@ -1,13 +1,18 @@
-// FrozenScorer: a self-contained, dtype-frozen serving representation of a
-// fitted TargAdPipeline — the whole RawTable -> S^tar path (one-hot
-// encoding, min-max normalization, fused MLP forward, softmax score head)
-// executed in the plan's dtype. Built by TargAdPipeline::Freeze(Dtype);
+// FrozenScorer: the serving representation of a fitted TargAdPipeline, and
+// the only one the serving stack holds — the whole RawTable -> S^tar path
+// (one-hot encoding, min-max normalization, fused MLP forward, softmax
+// score head) executed in the plan's dtype. Built by
+// TargAdPipeline::Freeze(Dtype) or mapped from a ".tgz1" (LoadArtifact);
 // holds no training state, so a snapshot is immutable and scores from any
 // number of threads concurrently.
 //
 // Exactness contract: Freeze(kFloat64) reproduces TargAdPipeline::Score
 // bit-for-bit. Freeze(kFloat32) runs the identical arithmetic in float32;
 // frozen_calibration_test bounds the score and AUROC drift.
+//
+// Consistent by construction: Make and LoadArtifact reject every schema the
+// one-pass record walk (ScoreRecords) cannot encode exactly, so a scorer
+// that exists never needs a second record path.
 
 #ifndef TARGAD_CORE_FROZEN_SCORER_H_
 #define TARGAD_CORE_FROZEN_SCORER_H_
@@ -43,14 +48,17 @@ class FrozenScorer : public RowScorer {
     std::vector<std::string> feature_columns;
     std::vector<std::string> class_names;
     data::OneHotEncoder encoder;
-    std::vector<double> mins;  ///< MinMaxNormalizer statistics.
+    /// MinMaxNormalizer statistics: read by Make, which converts them to
+    /// the plan dtype; left empty by LoadArtifact.
+    std::vector<double> mins;
     std::vector<double> maxs;
     int m = 0;
     int k = 0;
   };
 
   /// Freezes `net` (the fitted classifier MLP) at `dtype` and converts the
-  /// normalizer statistics once to the same dtype.
+  /// normalizer statistics once to the same dtype. InvalidArgument when the
+  /// spec fails CheckSchema or the network's shape does not fit it.
   [[nodiscard]] static Result<FrozenScorer> Make(Spec spec, const nn::Sequential& net,
                                    nn::Dtype dtype);
 
@@ -83,8 +91,9 @@ class FrozenScorer : public RowScorer {
   /// LoadArtifact of the file scores bit-identically to this scorer.
   [[nodiscard]] Status SaveArtifact(const std::string& path) const;
 
-  /// Zero-copy load: maps `path`, validates it once, and builds the scorer
-  /// by pointer fixup over the mapped bytes — weights are never copied.
+  /// Zero-copy load: maps `path`, validates it once (checksum, shapes,
+  /// CheckSchema), and builds the scorer by pointer fixup over the mapped
+  /// bytes — weights are never copied.
   /// The returned scorer (and every snapshot copy of it) pins the mapping
   /// until the last reference drops, so in-flight scores stay valid across
   /// a registry eviction or republish.
@@ -106,6 +115,12 @@ class FrozenScorer : public RowScorer {
   };
 
   FrozenScorer() = default;
+
+  /// The schema checks Make and LoadArtifact share: the encoder is fitted,
+  /// encodes exactly the feature columns, emits `normalized_dim` features,
+  /// and the label column is not a feature. InvalidArgument otherwise.
+  [[nodiscard]] static Status CheckSchema(const Spec& spec,
+                                          size_t normalized_dim);
 
   template <typename T>
   [[nodiscard]] Result<std::vector<double>> ScoreTyped(const Typed<T>& model,

@@ -8,44 +8,12 @@
 namespace targad {
 namespace core {
 
-namespace {
-
-// Index of `column` in `table`, or -1.
-int FindColumn(const data::RawTable& table, const std::string& column) {
-  for (size_t j = 0; j < table.column_names.size(); ++j) {
-    if (table.column_names[j] == column) return static_cast<int>(j);
-  }
-  return -1;
-}
-
-// A copy of `table` without column `drop` (pass -1 for a plain copy).
-data::RawTable DropColumn(const data::RawTable& table, int drop) {
-  data::RawTable out;
-  for (size_t j = 0; j < table.column_names.size(); ++j) {
-    if (static_cast<int>(j) == drop) continue;
-    out.column_names.push_back(table.column_names[j]);
-  }
-  out.rows.reserve(table.num_rows());
-  for (const auto& row : table.rows) {
-    std::vector<std::string> cells;
-    cells.reserve(out.column_names.size());
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (static_cast<int>(j) == drop) continue;
-      cells.push_back(row[j]);
-    }
-    out.rows.push_back(std::move(cells));
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<TargAdPipeline> TargAdPipeline::Train(const data::RawTable& table,
                                              const PipelineConfig& config) {
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("pipeline: empty training table");
   }
-  const int label_col = FindColumn(table, config.label_column);
+  const int label_col = data::FindColumn(table, config.label_column);
   if (label_col < 0) {
     return Status::InvalidArgument("pipeline: label column '",
                                    config.label_column, "' not found");
@@ -83,7 +51,7 @@ Result<TargAdPipeline> TargAdPipeline::Train(const data::RawTable& table,
   }
 
   // Fit preprocessing on the feature columns of the WHOLE training table.
-  const data::RawTable features = DropColumn(table, label_col);
+  const data::RawTable features = data::DropColumn(table, label_col);
   pipeline.feature_columns_ = features.column_names;
   TARGAD_RETURN_NOT_OK(pipeline.encoder_.Fit(features));
   TARGAD_ASSIGN_OR_RETURN(nn::Matrix encoded, pipeline.encoder_.Transform(features));
@@ -109,8 +77,8 @@ Result<TargAdPipeline> TargAdPipeline::TrainFromCsv(const std::string& path,
 }
 
 Result<nn::Matrix> TargAdPipeline::Featurize(const data::RawTable& table) const {
-  const int label_col = FindColumn(table, config_.label_column);
-  const data::RawTable features = DropColumn(table, label_col);
+  const int label_col = data::FindColumn(table, config_.label_column);
+  const data::RawTable features = data::DropColumn(table, label_col);
   if (features.column_names != feature_columns_) {
     return Status::InvalidArgument(
         "pipeline: feature columns differ from the training schema");

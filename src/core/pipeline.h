@@ -19,7 +19,6 @@
 
 #include "common/result.h"
 #include "core/frozen_scorer.h"
-#include "core/scorer.h"
 #include "core/targad.h"
 #include "data/csv.h"
 #include "data/preprocess.h"
@@ -36,8 +35,9 @@ struct PipelineConfig {
   TargADConfig model;
 };
 
-/// Preprocessing + model bundle fit from a CSV.
-class TargAdPipeline : public RowScorer {
+/// Preprocessing + model bundle fit from a CSV. Serving runs its frozen
+/// form (Freeze), not the pipeline itself.
+class TargAdPipeline {
  public:
   /// Fits encoder, normalizer, and model from a training table.
   [[nodiscard]] static Result<TargAdPipeline> Train(const data::RawTable& table,
@@ -49,9 +49,8 @@ class TargAdPipeline : public RowScorer {
 
   /// Scores a table with the same feature columns as training (the label
   /// column, if present, is dropped). Returns S^tar per row. Const and
-  /// thread-safe on a fitted pipeline: the serving layer shares one
-  /// immutable pipeline snapshot across concurrent scorers.
-  [[nodiscard]] Result<std::vector<double>> Score(const data::RawTable& table) const override;
+  /// thread-safe on a fitted pipeline.
+  [[nodiscard]] Result<std::vector<double>> Score(const data::RawTable& table) const;
 
   /// Convenience: ReadCsv + Score.
   [[nodiscard]] Result<std::vector<double>> ScoreCsv(const std::string& path) const;
@@ -66,14 +65,12 @@ class TargAdPipeline : public RowScorer {
   const std::vector<std::string>& class_names() const { return class_names_; }
 
   /// Feature columns a scoring table must carry, in training order.
-  const std::vector<std::string>& feature_columns() const override {
+  const std::vector<std::string>& feature_columns() const {
     return feature_columns_;
   }
 
   /// Name of the (optional, ignored at scoring time) label column.
-  const std::string& label_column() const override {
-    return config_.label_column;
-  }
+  const std::string& label_column() const { return config_.label_column; }
 
   TargAD& model() { return *model_; }
   const TargAD& model() const { return *model_; }

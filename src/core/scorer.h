@@ -1,8 +1,9 @@
 // RowScorer: the minimal scoring contract the serving stack depends on.
-// Both the full training pipeline (TargAdPipeline) and its frozen serving
-// representation (FrozenScorer) implement it, so the registry, batch scorer,
-// and stream driver are agnostic to which one a snapshot holds — and to the
-// dtype the frozen plan computes in.
+// The registry serves only FrozenScorer, whose ScoreRecords walks each
+// record once; the batch scorer and stream driver see this interface, so
+// they are agnostic to the dtype the frozen plan computes in, and a
+// decorator or test fake can stand in for a scorer by overriding Score
+// alone and inheriting the default ScoreRecords.
 
 #ifndef TARGAD_CORE_SCORER_H_
 #define TARGAD_CORE_SCORER_H_

@@ -2,11 +2,38 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/string_util.h"
 
 namespace targad {
 namespace data {
+
+int FindColumn(const RawTable& table, const std::string& column) {
+  for (size_t j = 0; j < table.column_names.size(); ++j) {
+    if (table.column_names[j] == column) return static_cast<int>(j);
+  }
+  return -1;
+}
+
+RawTable DropColumn(const RawTable& table, int drop) {
+  RawTable out;
+  for (size_t j = 0; j < table.column_names.size(); ++j) {
+    if (static_cast<int>(j) == drop) continue;
+    out.column_names.push_back(table.column_names[j]);
+  }
+  out.rows.reserve(table.num_rows());
+  for (const auto& row : table.rows) {
+    std::vector<std::string> cells;
+    cells.reserve(out.column_names.size());
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (static_cast<int>(j) == drop) continue;
+      cells.push_back(row[j]);
+    }
+    out.rows.push_back(std::move(cells));
+  }
+  return out;
+}
 
 size_t CsvRecordReader::MaxFields() const {
   if (done_) return 0;

@@ -25,6 +25,12 @@ struct RawTable {
   size_t num_cols() const { return column_names.size(); }
 };
 
+/// Index of the column named `column` in `table`, or -1.
+int FindColumn(const RawTable& table, const std::string& column);
+
+/// A copy of `table` without column `drop` (pass -1 for a plain copy).
+RawTable DropColumn(const RawTable& table, int drop);
+
 /// Parses a CSV file. Supports quoted fields with embedded delimiters and
 /// doubled quotes. If `has_header` is false, columns are named "c0", "c1"...
 [[nodiscard]] Result<RawTable> ReadCsv(const std::string& path, char delim = ',',

@@ -36,22 +36,6 @@ BatchScorer::BatchScorer(NamedSnapshotProvider provider,
   }
 }
 
-BatchScorer::BatchScorer(SnapshotProvider provider, BatchScorerOptions options,
-                         ServeMetrics* metrics)
-    : BatchScorer(
-          [provider = std::move(provider)](const std::string& model)
-              -> std::shared_ptr<const core::RowScorer> {
-            if (model != kDefaultModel) return nullptr;
-            return provider();
-          },
-          options, metrics) {}
-
-BatchScorer::BatchScorer(std::shared_ptr<const core::TargAdPipeline> pipeline,
-                         BatchScorerOptions options, ServeMetrics* metrics)
-    : BatchScorer(
-          SnapshotProvider([pipeline = std::move(pipeline)] { return pipeline; }),
-          options, metrics) {}
-
 BatchScorer::~BatchScorer() { Shutdown(); }
 
 std::future<Result<double>> BatchScorer::Submit(std::string record) {

@@ -41,7 +41,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/pipeline.h"
 #include "core/scorer.h"
 #include "serve/metrics.h"
 
@@ -71,15 +70,11 @@ class BatchScorer {
   /// Fetches the scorer snapshot for one model; called once per batch
   /// group. Returning nullptr fails that group's rows: FailedPrecondition
   /// for kDefaultModel (no model available), NotFound for any other name
-  /// (unknown model). Typically ModelRegistry::GetScorer in a lambda.
+  /// (unknown model). Typically ModelRegistry::GetScorer in a lambda, which
+  /// hands out core::FrozenScorer snapshots.
   using NamedSnapshotProvider =
       std::function<std::shared_ptr<const core::RowScorer>(
           const std::string& model)>;
-
-  /// Legacy single-model provider: serves kDefaultModel only; rows routed
-  /// to any other name fail with NotFound.
-  using SnapshotProvider =
-      std::function<std::shared_ptr<const core::TargAdPipeline>()>;
 
   /// Names the unknown-model NotFound message can offer as alternatives
   /// ("available: a, b, ..."). Called on the failure path only — once per
@@ -89,13 +84,6 @@ class BatchScorer {
 
   BatchScorer(NamedSnapshotProvider provider, BatchScorerOptions options,
               ServeMetrics* metrics = nullptr, ModelLister lister = nullptr);
-
-  BatchScorer(SnapshotProvider provider, BatchScorerOptions options,
-              ServeMetrics* metrics = nullptr);
-
-  /// Convenience: scores every kDefaultModel batch with one fixed pipeline.
-  BatchScorer(std::shared_ptr<const core::TargAdPipeline> pipeline,
-              BatchScorerOptions options, ServeMetrics* metrics = nullptr);
 
   /// Shuts down (drains pending requests, joins workers).
   ~BatchScorer();

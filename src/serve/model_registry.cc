@@ -8,7 +8,7 @@
 #include <fstream>
 #include <utility>
 
-#include "common/logging.h"
+#include "core/pipeline.h"
 #include "nn/artifact.h"
 
 namespace targad {
@@ -42,6 +42,38 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return us.count() < 0 ? 0 : static_cast<uint64_t>(us.count());
 }
 
+/// The model file of each stem in `dir`, keyed (and so ordered) by stem:
+/// the stem's ".tgz1" when it has one, else its ".targad", else its
+/// ".model". LoadDirectory and the RefreshIfChanged re-scan both use it.
+Result<std::map<std::string, fs::path>> ScanModelDir(const std::string& dir) {
+  std::error_code ec;
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    if (IsModelExtension(entry.path().extension().string())) {
+      files.push_back(entry.path());
+    }
+  }
+  if (ec) {
+    return Status::IOError("model registry: cannot scan ", dir, ": ",
+                           ec.message());
+  }
+  // Within a stem "a.model" < "a.targad" < "a.tgz1", so the last one wins.
+  std::sort(files.begin(), files.end());
+  std::map<std::string, fs::path> models;
+  for (fs::path& file : files) models[file.stem().string()] = std::move(file);
+  return models;
+}
+
+/// True when `source` is the text model that `artifact`, a ".tgz1" in the
+/// same directory with the same stem, takes over from.
+bool SupersededBy(const std::string& source, const fs::path& artifact) {
+  const fs::path text(source);
+  return IsArtifactPath(artifact.string()) && !IsArtifactPath(source) &&
+         text.parent_path() == artifact.parent_path() &&
+         text.stem() == artifact.stem();
+}
+
 }  // namespace
 
 Status ModelRegistry::LoadDirectory(const std::string& dir) {
@@ -56,30 +88,16 @@ Status ModelRegistry::LoadDirectory(const std::string& dir) {
       watched_dirs_.push_back(dir);
     }
   }
-  // Deterministic registration order for reproducible version counters;
-  // "a.targad" sorts before "a.tgz1", so when both exist for one stem the
-  // flat artifact is published last and wins.
-  std::vector<fs::path> artifacts;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (IsModelExtension(entry.path().extension().string())) {
-      artifacts.push_back(entry.path());
-    }
-  }
-  if (ec) {
-    return Status::IOError("model registry: cannot scan ", dir, ": ",
-                           ec.message());
-  }
-  std::sort(artifacts.begin(), artifacts.end());
-  for (const fs::path& path : artifacts) {
-    TARGAD_RETURN_NOT_OK(PublishFile(path.stem().string(), path.string()));
+  // Registered in stem order, for reproducible version counters.
+  TARGAD_ASSIGN_OR_RETURN(const auto models, ScanModelDir(dir));
+  for (const auto& [name, path] : models) {
+    TARGAD_RETURN_NOT_OK(PublishFile(name, path.string()));
   }
   return Status::OK();
 }
 
 Result<ModelRegistry::LoadedModel> ModelRegistry::LoadFromFile(
-    const std::string& name, const std::string& path, nn::Dtype serve_dtype,
-    ServeMetrics* metrics) {
+    const std::string& path, nn::Dtype serve_dtype, ServeMetrics* metrics) {
   const auto started = std::chrono::steady_clock::now();
   LoadedModel loaded;
   // Stat before reading: if the file is overwritten while we load it, the
@@ -91,30 +109,21 @@ Result<ModelRegistry::LoadedModel> ModelRegistry::LoadFromFile(
     // artifact carries its own dtype; serve_dtype does not apply.
     TARGAD_ASSIGN_OR_RETURN(core::FrozenScorer scorer,
                             core::FrozenScorer::LoadArtifact(path));
-    loaded.frozen =
+    loaded.scorer =
         std::make_shared<const core::FrozenScorer>(std::move(scorer));
     loaded.artifact = true;
   } else {
+    // Text model: parse, freeze to the serve dtype, drop the pipeline. The
+    // caller runs this outside the registry lock — freezing is CPU work,
+    // and lookups must stay responsive while a large model is prepared.
     std::ifstream in(path);
     if (!in) return Status::IOError("cannot open ", path);
     TARGAD_ASSIGN_OR_RETURN(core::TargAdPipeline pipeline,
                             core::TargAdPipeline::Load(in));
-    // Freeze outside the registry lock — weight conversion is CPU work,
-    // and lookups must stay responsive while a large model is prepared.
-    if (serve_dtype == nn::Dtype::kFloat32) {
-      auto plan = pipeline.Freeze(nn::Dtype::kFloat32);
-      if (plan.ok()) {
-        loaded.frozen = std::make_shared<const core::FrozenScorer>(
-            std::move(plan).ValueOrDie());
-      } else {
-        // Serve the double pipeline rather than drop the model.
-        TARGAD_LOG(Warning) << "model registry: cannot freeze '" << name
-                            << "' to float32 (" << plan.status().message()
-                            << "); serving float64 pipeline";
-      }
-    }
-    loaded.pipeline =
-        std::make_shared<const core::TargAdPipeline>(std::move(pipeline));
+    TARGAD_ASSIGN_OR_RETURN(core::FrozenScorer scorer,
+                            pipeline.Freeze(serve_dtype));
+    loaded.scorer =
+        std::make_shared<const core::FrozenScorer>(std::move(scorer));
   }
   if (metrics != nullptr) metrics->RecordRegistryLoad(ElapsedUs(started));
   return loaded;
@@ -126,8 +135,7 @@ uint64_t ModelRegistry::InstallLocked(const std::string& name,
                                       bool bump_version) {
   Entry& entry = models_[name];
   const bool was_in_lru = entry.warm && entry.file_backed;
-  entry.pipeline = std::move(loaded.pipeline);
-  entry.frozen = std::move(loaded.frozen);
+  entry.scorer = std::move(loaded.scorer);
   if (bump_version) entry.version += 1;
   entry.generation += 1;
   entry.source = source;
@@ -166,8 +174,7 @@ void ModelRegistry::EvictOverCapacityLocked() {
     // Demotion drops only the registry's references: snapshots held by
     // in-flight batches keep the plan — and a mapped artifact's mapping —
     // alive until the last one completes.
-    entry.pipeline.reset();
-    entry.frozen.reset();
+    entry.scorer.reset();
     entry.warm = false;
     if (metrics_ != nullptr) metrics_->RecordRegistryEviction();
   }
@@ -185,7 +192,7 @@ Status ModelRegistry::PublishFile(const std::string& name,
     dtype = serve_dtype_;
     metrics = metrics_;
   }
-  auto loaded = LoadFromFile(name, path, dtype, metrics);
+  auto loaded = LoadFromFile(path, dtype, metrics);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
                   "model registry: loading " + path + ": " +
@@ -198,42 +205,12 @@ Status ModelRegistry::PublishFile(const std::string& name,
 }
 
 uint64_t ModelRegistry::Publish(
-    const std::string& name,
-    std::shared_ptr<const core::TargAdPipeline> pipeline,
+    const std::string& name, std::shared_ptr<const core::FrozenScorer> scorer,
     const std::string& source) {
-  nn::Dtype dtype;
-  {
-    MutexLock lock(&mu_);
-    dtype = serve_dtype_;
-  }
-  // Freeze outside the lock — weight conversion is CPU work, and Get must
-  // stay responsive while a large artifact is being prepared.
-  std::shared_ptr<const core::FrozenScorer> frozen;
-  if (dtype == nn::Dtype::kFloat32 && pipeline != nullptr) {
-    auto plan = pipeline->Freeze(nn::Dtype::kFloat32);
-    if (plan.ok()) {
-      frozen = std::make_shared<const core::FrozenScorer>(
-          std::move(plan).ValueOrDie());
-    } else {
-      // Serve the double pipeline rather than drop the model.
-      TARGAD_LOG(Warning) << "model registry: cannot freeze '" << name
-                          << "' to float32 (" << plan.status().message()
-                          << "); serving float64 pipeline";
-    }
-  }
+  LoadedModel loaded;
+  loaded.scorer = std::move(scorer);  // No stat: pinned warm, not reloaded.
   MutexLock lock(&mu_);
-  Entry& entry = models_[name];
-  if (entry.warm && entry.file_backed) lru_.erase(entry.lru_pos);
-  entry.pipeline = std::move(pipeline);
-  entry.frozen = std::move(frozen);
-  entry.version += 1;
-  entry.generation += 1;
-  entry.source = source;
-  entry.file_backed = false;  // Pinned warm: nothing on disk to reload.
-  entry.artifact = false;
-  entry.warm = true;
-  entry.sig = FileSignature{};
-  return entry.version;
+  return InstallLocked(name, std::move(loaded), source, /*bump_version=*/true);
 }
 
 Result<size_t> ModelRegistry::RefreshIfChanged() {
@@ -269,26 +246,21 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
     ++republished;
   }
 
-  // New artifacts dropped into a watched directory join the registry.
+  // The start-up scan again: a new stem joins the registry, and a ".tgz1"
+  // dropped beside the text model a stem was loaded from takes over, as a
+  // fresh LoadDirectory would have it. The signature poll above covers
+  // every other registered model.
   for (const std::string& dir : dirs) {
-    std::error_code ec;
-    std::vector<fs::path> artifacts;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      if (!entry.is_regular_file()) continue;
-      if (IsModelExtension(entry.path().extension().string())) {
-        artifacts.push_back(entry.path());
-      }
-    }
-    if (ec) continue;  // A vanished directory is not an error on a re-poll.
-    std::sort(artifacts.begin(), artifacts.end());
-    for (const fs::path& path : artifacts) {
-      const std::string name = path.stem().string();
-      bool known = false;
+    auto models = ScanModelDir(dir);
+    if (!models.ok()) continue;  // A vanished directory is not an error here.
+    for (const auto& [name, path] : *models) {
+      bool stale = false;
       {
         MutexLock lock(&mu_);
-        known = models_.count(name) > 0;
+        const Entry* entry = FindLocked(name);
+        stale = entry == nullptr || SupersededBy(entry->source, path);
       }
-      if (known) continue;  // Signature poll above covers registered models.
+      if (!stale) continue;
       TARGAD_RETURN_NOT_OK(PublishFile(name, path.string()));
       ++republished;
     }
@@ -307,26 +279,38 @@ const ModelRegistry::Entry* ModelRegistry::FindLocked(
   return it == models_.end() ? nullptr : &it->second;
 }
 
-Result<ModelRegistry::SnapshotPair> ModelRegistry::PromoteAndInstall(
-    const std::string& name, const std::string& path) {
+Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
+    const std::string& name) {
+  std::string path;
   nn::Dtype dtype;
   ServeMetrics* metrics;
   {
     MutexLock lock(&mu_);
+    Entry* entry = FindLocked(name);
+    if (entry == nullptr) {
+      return Status::NotFound("model registry: no model named '", name, "'");
+    }
+    if (entry->warm) {
+      if (metrics_ != nullptr) metrics_->RecordRegistryHit();
+      if (entry->file_backed) TouchLocked(entry);
+      return std::shared_ptr<const core::RowScorer>(entry->scorer);
+    }
+    if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
+    path = entry->source;
     dtype = serve_dtype_;
     metrics = metrics_;
   }
-  // Two threads racing on the same cold model both load; both installs are
-  // consistent (the second one wins and bumps the generation again) and
-  // each caller scores with the snapshot it loaded — the duplicate work is
-  // the price of never holding mu_ across disk I/O.
-  auto loaded = LoadFromFile(name, path, dtype, metrics);
+  // Cold: promote. Two threads racing on the same cold model both load;
+  // both installs are consistent (the second one wins and bumps the
+  // generation again) and each caller scores with the snapshot it loaded —
+  // the duplicate work is the price of never holding mu_ across disk I/O.
+  auto loaded = LoadFromFile(path, dtype, metrics);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
                   "model registry: promoting '" + name + "' from " + path +
                       ": " + loaded.status().message());
   }
-  SnapshotPair out{loaded->pipeline, loaded->frozen};
+  std::shared_ptr<const core::RowScorer> scorer = loaded->scorer;
   MutexLock lock(&mu_);
   // A concurrent Remove wins: hand the caller its snapshot, but do not
   // resurrect the entry.
@@ -334,62 +318,7 @@ Result<ModelRegistry::SnapshotPair> ModelRegistry::PromoteAndInstall(
     InstallLocked(name, std::move(loaded).ValueOrDie(), path,
                   /*bump_version=*/false);
   }
-  return out;
-}
-
-Result<std::shared_ptr<const core::TargAdPipeline>> ModelRegistry::Get(
-    const std::string& name) {
-  std::string path;
-  {
-    MutexLock lock(&mu_);
-    Entry* entry = FindLocked(name);
-    if (entry == nullptr) {
-      return Status::NotFound("model registry: no model named '", name, "'");
-    }
-    if (entry->artifact) {
-      return Status::FailedPrecondition(
-          "model registry: '", name,
-          "' is a flat artifact with no pipeline; use GetScorer");
-    }
-    if (entry->warm) {
-      if (metrics_ != nullptr) metrics_->RecordRegistryHit();
-      if (entry->file_backed) TouchLocked(entry);
-      return entry->pipeline;
-    }
-    if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
-    path = entry->source;
-  }
-  TARGAD_ASSIGN_OR_RETURN(SnapshotPair promoted,
-                          PromoteAndInstall(name, path));
-  return promoted.pipeline;
-}
-
-Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
-    const std::string& name) {
-  std::string path;
-  {
-    MutexLock lock(&mu_);
-    Entry* entry = FindLocked(name);
-    if (entry == nullptr) {
-      return Status::NotFound("model registry: no model named '", name, "'");
-    }
-    if (entry->warm) {
-      if (metrics_ != nullptr) metrics_->RecordRegistryHit();
-      if (entry->file_backed) TouchLocked(entry);
-      if (entry->frozen != nullptr) {
-        return std::shared_ptr<const core::RowScorer>(entry->frozen);
-      }
-      return std::shared_ptr<const core::RowScorer>(entry->pipeline);
-    }
-    if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
-    path = entry->source;
-  }
-  TARGAD_ASSIGN_OR_RETURN(SnapshotPair promoted,
-                          PromoteAndInstall(name, path));
-  if (promoted.frozen != nullptr) {
-    return std::shared_ptr<const core::RowScorer>(promoted.frozen);
-  }
-  return std::shared_ptr<const core::RowScorer>(promoted.pipeline);
+  return scorer;
 }
 
 Result<ModelInfo> ModelRegistry::Info(const std::string& name) const {

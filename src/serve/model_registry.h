@@ -2,10 +2,10 @@
 // organized as a two-tier cache for fleet-scale serving (hundreds of
 // models behind one process).
 //
-//   warm tier  entries whose snapshot is resident: a pipeline (text
-//              artifacts), a frozen scorer (".tgz1" artifacts, built by
-//              pointer fixup over an mmap-ed file), or both. Get/GetScorer
-//              hand the snapshot out under the mutex; scorers keep a
+//   warm tier  entries whose snapshot — one core::FrozenScorer — is
+//              resident: frozen from a text model as it loads, or built by
+//              pointer fixup over an mmap-ed ".tgz1" artifact. GetScorer
+//              hands the snapshot out under the mutex; scorers keep a
 //              consistent model for a whole batch while a replacement is
 //              published concurrently.
 //   cold tier  file-backed entries the registry knows about — name, path,
@@ -22,16 +22,19 @@
 // last batch completes. Every (re)load into the warm tier bumps the
 // entry's generation counter; `version` keeps its publish-count meaning.
 //
-// Dtype split: with set_serve_dtype(nn::Dtype::kFloat32) every published
-// pipeline is additionally frozen into a float32 core::FrozenScorer and
-// GetScorer hands out that frozen snapshot. ".tgz1" artifacts carry their
-// own dtype and are served as-is.
+// One serving type: a text model (".targad"/".model") is parsed, frozen to
+// the serve dtype (set_serve_dtype; kFloat64, the default, scores
+// bit-identically to TargAdPipeline::Score) and the pipeline dropped, all
+// at load time. ".tgz1" artifacts carry their own dtype and are served
+// as-is. A model that fails to freeze fails to load, like a corrupt file.
 //
 // Redeploys: RefreshIfChanged re-stats the source file of every warm
-// file-backed model (and re-scans LoadDirectory directories) and
-// republishes artifacts whose stat signature — nanosecond mtime AND size —
-// changed, so a same-second rewrite is still caught. Cold entries are
-// skipped: they are re-read from disk at promotion time anyway.
+// file-backed model and republishes artifacts whose stat signature —
+// nanosecond mtime AND size — changed, so a same-second rewrite is still
+// caught. Cold entries are skipped: they are re-read from disk at
+// promotion time anyway. It also re-scans LoadDirectory directories with
+// the start-up scan, so new stems join and a ".tgz1" dropped beside a
+// served text model takes over from it.
 //
 // Registry metrics (hits/misses/evictions and a load-latency histogram) are
 // recorded into an optional ServeMetrics sink (set_metrics) and surface in
@@ -51,7 +54,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/frozen_scorer.h"
-#include "core/pipeline.h"
 #include "core/scorer.h"
 #include "nn/frozen.h"
 #include "serve/metrics.h"
@@ -99,10 +101,10 @@ class ModelRegistry {
  public:
   ModelRegistry() = default;
 
-  /// Dtype the serving path (GetScorer) runs in. kFloat64 (the default)
-  /// serves the pipeline itself; kFloat32 freezes every published pipeline
-  /// into a float32 FrozenScorer. Set before publishing: already-registered
-  /// models keep the scorer they were published with.
+  /// Dtype every text model is frozen to as it loads; kFloat64 (the
+  /// default) scores bit-identically to the pipeline. ".tgz1" artifacts
+  /// keep their own dtype. Set before publishing: already-registered models
+  /// keep the scorer they were loaded with.
   void set_serve_dtype(nn::Dtype dtype) TARGAD_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     serve_dtype_ = dtype;
@@ -130,44 +132,42 @@ class ModelRegistry {
     metrics_ = metrics;
   }
 
-  /// Loads every "*.targad" / "*.model" (text pipeline) and "*.tgz1" (flat
-  /// frozen artifact) file in `dir` (model name = file stem) and remembers
-  /// `dir` for RefreshIfChanged re-scans. When a stem exists with both a
-  /// text and a ".tgz1" extension, the ".tgz1" wins (published last in the
-  /// sorted scan). Fails on an unreadable directory or an unloadable
-  /// artifact; models registered before the failure stay registered.
+  /// Loads one model per file stem in `dir` (model name = stem) and
+  /// remembers `dir` for RefreshIfChanged re-scans. A stem's "*.tgz1" (flat
+  /// frozen artifact) wins over its "*.targad", which wins over its
+  /// "*.model" (text pipelines); the files that lose are not read. Fails on
+  /// an unreadable directory or an unloadable artifact; models registered
+  /// before the failure stay registered.
   [[nodiscard]] Status LoadDirectory(const std::string& dir);
 
   /// Loads one artifact file (text pipeline or ".tgz1" by extension) and
-  /// publishes it under `name`.
+  /// publishes it under `name`. A text pipeline is frozen to the serve
+  /// dtype on the way in.
   [[nodiscard]] Status PublishFile(const std::string& name, const std::string& path);
 
-  /// Publishes an in-memory pipeline (atomic hot-swap if `name` exists).
-  /// The entry is pinned warm — there is no file to reload it from.
-  /// Returns the new version number.
+  /// Publishes an in-memory frozen scorer (atomic hot-swap if `name`
+  /// exists). The entry is pinned warm — there is no file to reload it
+  /// from. Returns the new version number.
   uint64_t Publish(const std::string& name,
-                   std::shared_ptr<const core::TargAdPipeline> pipeline,
+                   std::shared_ptr<const core::FrozenScorer> scorer,
                    const std::string& source = "(in-memory)");
 
   /// Re-stats every warm file-backed model and re-scans every
-  /// LoadDirectory directory; artifacts whose stat signature changed (or
-  /// new files in a watched directory) are reloaded and hot-swapped.
-  /// Vanished files keep their last good snapshot registered. Returns the
-  /// number of models (re)published, or the first load error.
+  /// LoadDirectory directory. Artifacts whose stat signature changed, new
+  /// stems in a watched directory, and a ".tgz1" that now sits beside the
+  /// text model a stem was loaded from in that directory are (re)loaded
+  /// and hot-swapped; an entry published from anywhere else is never
+  /// replaced by the scan. Vanished files keep their last good snapshot
+  /// registered. Returns the number of models (re)published, or the first
+  /// load error.
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
-  /// Current pipeline snapshot for `name`, or NotFound. Promotes a cold
-  /// text-backed entry; FailedPrecondition for ".tgz1" artifacts, which
-  /// carry no pipeline (use GetScorer). The snapshot is immutable and
-  /// remains valid after any subsequent Publish or eviction of the name.
-  [[nodiscard]] Result<std::shared_ptr<const core::TargAdPipeline>> Get(
-      const std::string& name);
-
-  /// Serving snapshot for `name`, or NotFound: the frozen scorer when one
-  /// exists (".tgz1" artifact, or float32 serve dtype), else the pipeline.
-  /// A warm entry is handed out under the lock (and touched in LRU order);
-  /// a cold entry is promoted first — the disk load runs outside the lock,
-  /// so concurrent lookups of warm models never stall behind it.
+  /// Serving snapshot for `name` (always a core::FrozenScorer), or
+  /// NotFound. A warm entry is handed out under the lock (and touched in
+  /// LRU order); a cold entry is promoted first — the disk load runs
+  /// outside the lock, so concurrent lookups of warm models never stall
+  /// behind it. The snapshot is immutable and remains valid after any
+  /// subsequent Publish or eviction of the name.
   [[nodiscard]] Result<std::shared_ptr<const core::RowScorer>> GetScorer(
       const std::string& name);
 
@@ -192,10 +192,8 @@ class ModelRegistry {
 
  private:
   struct Entry {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    /// Frozen serving plan: always set for ".tgz1" artifacts, set for text
-    /// pipelines when they froze cleanly under a float32 serve dtype.
-    std::shared_ptr<const core::FrozenScorer> frozen;
+    /// The serving snapshot; null while the entry is cold.
+    std::shared_ptr<const core::FrozenScorer> scorer;
     uint64_t version = 0;
     uint64_t generation = 0;
     std::string source;
@@ -210,25 +208,17 @@ class ModelRegistry {
 
   /// What one disk load produced; installed under the lock afterwards.
   struct LoadedModel {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    std::shared_ptr<const core::FrozenScorer> frozen;
+    std::shared_ptr<const core::FrozenScorer> scorer;
     FileSignature sig{};
     bool stat_ok = false;  ///< False -> entry pinned warm (not refreshable).
     bool artifact = false;
   };
 
-  /// The two snapshot halves a promotion hands back to its caller.
-  struct SnapshotPair {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    std::shared_ptr<const core::FrozenScorer> frozen;
-  };
-
-  /// Reads `path` (text parse or artifact mmap by extension), freezing to
-  /// `serve_dtype` when applicable. Runs without mu_; records the load
+  /// Reads `path`: an artifact mmap, or a text parse frozen to
+  /// `serve_dtype`, by extension. Runs without mu_; records the load
   /// latency into `metrics` when non-null.
   [[nodiscard]] static Result<LoadedModel> LoadFromFile(
-      const std::string& name, const std::string& path, nn::Dtype serve_dtype,
-      ServeMetrics* metrics);
+      const std::string& path, nn::Dtype serve_dtype, ServeMetrics* metrics);
 
   /// Installs a loaded snapshot as the warm entry for `name`, bumping
   /// generation (and version when `bump_version`), updating LRU order and
@@ -244,17 +234,11 @@ class ModelRegistry {
   /// exceeds warm_capacity_.
   void EvictOverCapacityLocked() TARGAD_REQUIRES(mu_);
 
-  /// Shared lookup behind Get/GetScorer/Info; nullptr when `name` is not
-  /// registered. The pointer is only valid while mu_ stays held.
+  /// Shared lookup behind GetScorer/Info/RefreshIfChanged; nullptr when
+  /// `name` is not registered. The pointer is only valid while mu_ stays
+  /// held.
   Entry* FindLocked(const std::string& name) TARGAD_REQUIRES(mu_);
   const Entry* FindLocked(const std::string& name) const TARGAD_REQUIRES(mu_);
-
-  /// The cold half of Get/GetScorer: reloads `name` from `path` outside
-  /// the lock, installs it (unless the entry was removed concurrently),
-  /// and returns the freshly loaded snapshot parts.
-  [[nodiscard]] Result<SnapshotPair> PromoteAndInstall(const std::string& name,
-                                                       const std::string& path)
-      TARGAD_EXCLUDES(mu_);
 
   mutable RankedMutex mu_{LockRank::kModelRegistry};
   std::map<std::string, Entry> models_ TARGAD_GUARDED_BY(mu_);

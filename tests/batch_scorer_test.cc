@@ -11,6 +11,8 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/frozen_scorer.h"
+#include "core/pipeline.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 
@@ -50,10 +52,30 @@ std::shared_ptr<const core::TargAdPipeline> TrainPipeline(uint64_t seed) {
       std::move(pipeline).ValueOrDie());
 }
 
-// Feature rows (no label column), the same rows as CSV records, plus the
-// pipeline's serial scores.
+// `pipeline` frozen at `dtype`, the form the registry serves. At float64 it
+// scores bit-identically to the pipeline's own Score.
+std::shared_ptr<const core::FrozenScorer> Frozen(
+    const core::TargAdPipeline& pipeline,
+    nn::Dtype dtype = nn::Dtype::kFloat64) {
+  return std::make_shared<const core::FrozenScorer>(
+      pipeline.Freeze(dtype).ValueOrDie());
+}
+
+// Serves `scorer` as kDefaultModel; every other name is unknown.
+BatchScorer::NamedSnapshotProvider ServeDefault(
+    std::shared_ptr<const core::RowScorer> scorer) {
+  return [scorer](const std::string& model) {
+    return model == BatchScorer::kDefaultModel
+               ? scorer
+               : std::shared_ptr<const core::RowScorer>();
+  };
+}
+
+// Feature rows (no label column), the same rows as CSV records, the
+// pipeline's serial scores, and the pipeline frozen at float64.
 struct ScoringFixture {
   std::shared_ptr<const core::TargAdPipeline> pipeline;
+  std::shared_ptr<const core::FrozenScorer> scorer;
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> records;
   std::vector<double> serial_scores;
@@ -62,6 +84,7 @@ struct ScoringFixture {
 ScoringFixture MakeFixture(uint64_t seed, size_t n_rows) {
   ScoringFixture fx;
   fx.pipeline = TrainPipeline(seed);
+  fx.scorer = Frozen(*fx.pipeline);
   Rng rng(seed + 1000);
   data::RawTable table;
   table.column_names = fx.pipeline->feature_columns();
@@ -80,7 +103,7 @@ TEST(BatchScorerTest, SingleThreadMatchesSerialBitExact) {
   ScoringFixture fx = MakeFixture(7, 64);
   BatchScorerOptions options;
   options.max_batch_size = 16;
-  BatchScorer scorer(fx.pipeline, options);
+  BatchScorer scorer(ServeDefault(fx.scorer), options);
   std::vector<std::future<Result<double>>> futures;
   for (const auto& record : fx.records) {
     futures.push_back(scorer.Submit(record));
@@ -89,7 +112,8 @@ TEST(BatchScorerTest, SingleThreadMatchesSerialBitExact) {
     Result<double> result = futures[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // Bit-identical, not approximately equal: the whole pipeline is
-    // row-independent, so batching must not change a single ULP.
+    // row-independent, so neither freezing at float64 nor batching may
+    // change a single ULP.
     EXPECT_EQ(*result, fx.serial_scores[i]) << "row " << i;
   }
 }
@@ -100,7 +124,7 @@ TEST(BatchScorerTest, ConcurrentSubmittersMatchSerialBitExact) {
   options.max_batch_size = 8;
   options.num_workers = 4;
   ServeMetrics metrics;
-  BatchScorer scorer(fx.pipeline, options, &metrics);
+  BatchScorer scorer(ServeDefault(fx.scorer), options, &metrics);
 
   constexpr size_t kThreads = 8;
   constexpr int kRounds = 5;
@@ -137,23 +161,24 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
   // no torn reads, no scores from a half-swapped model.
   ScoringFixture fx_a = MakeFixture(21, 48);
   std::shared_ptr<const core::TargAdPipeline> pipeline_b = TrainPipeline(22);
+  std::shared_ptr<const core::FrozenScorer> scorer_b = Frozen(*pipeline_b);
   data::RawTable table;
   table.column_names = pipeline_b->feature_columns();
   for (const auto& row : fx_a.rows) table.rows.push_back(row);
   const std::vector<double> serial_b = pipeline_b->Score(table).ValueOrDie();
 
   ModelRegistry registry;
-  registry.Publish("m", fx_a.pipeline);
+  registry.Publish("m", fx_a.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 8;
   options.num_workers = 2;
   ServeMetrics metrics;
   BatchScorer scorer(
-      [&registry] {
-        auto snapshot = registry.Get("m");
+      BatchScorer::NamedSnapshotProvider([&registry](const std::string&) {
+        auto snapshot = registry.GetScorer("m");
         return snapshot.ok() ? *snapshot
-                             : std::shared_ptr<const core::TargAdPipeline>();
-      },
+                             : std::shared_ptr<const core::RowScorer>();
+      }),
       options, &metrics);
 
   std::atomic<bool> stop{false};
@@ -178,7 +203,7 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
   // Swap back and forth while traffic flows.
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    registry.Publish("m", swap % 2 == 0 ? pipeline_b : fx_a.pipeline);
+    registry.Publish("m", swap % 2 == 0 ? scorer_b : fx_a.scorer);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true);
@@ -197,7 +222,7 @@ TEST(BatchScorerTest, OverloadRejectsWithResourceExhausted) {
   options.max_queue_rows = 4;
   options.max_queue_delay_us = 30'000'000;
   ServeMetrics metrics;
-  BatchScorer scorer(fx.pipeline, options, &metrics);
+  BatchScorer scorer(ServeDefault(fx.scorer), options, &metrics);
 
   std::vector<std::future<Result<double>>> futures;
   bool saw_rejection = false;
@@ -230,7 +255,7 @@ TEST(BatchScorerTest, MalformedRowFailsAloneInItsBatch) {
   BatchScorerOptions options;
   options.max_batch_size = 8;
   options.max_queue_delay_us = 50'000;  // Force one batch.
-  BatchScorer scorer(fx.pipeline, options);
+  BatchScorer scorer(ServeDefault(fx.scorer), options);
 
   std::vector<std::future<Result<double>>> futures;
   futures.push_back(scorer.Submit(fx.records[0]));
@@ -257,8 +282,7 @@ TEST(BatchScorerTest, MalformedRowFailsAloneInItsBatch) {
 
 TEST(BatchScorerTest, NoModelFailsWithFailedPrecondition) {
   BatchScorerOptions options;
-  BatchScorer scorer(
-      [] { return std::shared_ptr<const core::TargAdPipeline>(); }, options);
+  BatchScorer scorer(ServeDefault(nullptr), options);
   Result<double> result = scorer.Submit("1,2,web").get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
@@ -276,8 +300,8 @@ TEST(BatchScorerTest, RoutesRowsToNamedModels) {
   const std::vector<double> serial_b = pipeline_b->Score(table).ValueOrDie();
 
   ModelRegistry registry;
-  registry.Publish("default", fx_a.pipeline);
-  registry.Publish("candidate", pipeline_b);
+  registry.Publish("default", fx_a.scorer);
+  registry.Publish("candidate", Frozen(*pipeline_b));
 
   BatchScorerOptions options;
   options.max_batch_size = 32;           // Both models fit one batch.
@@ -319,7 +343,7 @@ TEST(BatchScorerTest, RoutesRowsToNamedModels) {
 TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
   ScoringFixture fx = MakeFixture(71, 8);
   ModelRegistry registry;
-  registry.Publish("default", fx.pipeline);
+  registry.Publish("default", fx.scorer);
 
   BatchScorerOptions options;
   options.max_batch_size = 8;
@@ -357,17 +381,11 @@ TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
 
 TEST(BatchScorerTest, Float32SnapshotsServeWithinTolerance) {
   ScoringFixture fx = MakeFixture(81, 32);
-  auto frozen = std::make_shared<const core::FrozenScorer>(
-      fx.pipeline->Freeze(nn::Dtype::kFloat32).ValueOrDie());
-
   BatchScorerOptions options;
   options.max_batch_size = 8;
   options.num_workers = 2;
-  BatchScorer scorer(
-      BatchScorer::NamedSnapshotProvider(
-          [frozen](const std::string&)
-              -> std::shared_ptr<const core::RowScorer> { return frozen; }),
-      options);
+  BatchScorer scorer(ServeDefault(Frozen(*fx.pipeline, nn::Dtype::kFloat32)),
+                     options);
   std::vector<std::future<Result<double>>> futures;
   for (const auto& record : fx.records) {
     futures.push_back(scorer.Submit(record));
@@ -381,7 +399,7 @@ TEST(BatchScorerTest, Float32SnapshotsServeWithinTolerance) {
 
 TEST(BatchScorerTest, SubmitAfterShutdownFails) {
   ScoringFixture fx = MakeFixture(51, 4);
-  BatchScorer scorer(fx.pipeline, BatchScorerOptions{});
+  BatchScorer scorer(ServeDefault(fx.scorer), BatchScorerOptions{});
   scorer.Shutdown();
   Result<double> result = scorer.Submit(fx.records[0]).get();
   ASSERT_FALSE(result.ok());

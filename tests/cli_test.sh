@@ -47,8 +47,9 @@ grep -q "requests:" serve_metrics.txt || fail "serve metrics report missing"
   2>/dev/null || fail "serve stdin"
 diff -q scores.csv serve_stdout.csv || fail "serve stdin scores differ"
 
-# --dtype float64 (explicit) serves the full-precision pipeline: still
-# bit-identical to the serial score output.
+# --dtype float64 (explicit) serves the text model frozen at float64:
+# FrozenScorer's record walk, still bit-identical to the serial score
+# output of the pipeline itself.
 "$CLI" serve --model m.model --dtype float64 --in data_test.csv \
   --out serve_f64.csv 2>/dev/null || fail "serve --dtype float64"
 diff -q scores.csv serve_f64.csv || fail "float64 serve scores differ"

@@ -14,6 +14,8 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/frozen_scorer.h"
+#include "core/pipeline.h"
 
 namespace targad {
 namespace serve {
@@ -45,21 +47,32 @@ core::PipelineConfig FastConfig(uint64_t seed) {
   return config;
 }
 
-std::shared_ptr<const core::TargAdPipeline> TrainPipeline(uint64_t seed) {
-  auto pipeline =
-      core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed));
-  return std::make_shared<const core::TargAdPipeline>(
-      std::move(pipeline).ValueOrDie());
+core::TargAdPipeline TrainPipeline(uint64_t seed) {
+  return core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed))
+      .ValueOrDie();
+}
+
+// A trained pipeline frozen at `dtype`, ready for an in-memory Publish.
+std::shared_ptr<const core::FrozenScorer> TrainScorer(
+    uint64_t seed, nn::Dtype dtype = nn::Dtype::kFloat64) {
+  return std::make_shared<const core::FrozenScorer>(
+      TrainPipeline(seed).Freeze(dtype).ValueOrDie());
 }
 
 // A serialized pipeline artifact, as `targad train` would write it.
 std::string SavedArtifact(uint64_t seed) {
-  auto pipeline =
-      core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed))
-          .ValueOrDie();
+  auto pipeline = TrainPipeline(seed);
   std::stringstream buffer;
   TARGAD_CHECK_OK(pipeline.Save(buffer));
   return buffer.str();
+}
+
+data::RawTable TwoRows() {
+  data::RawTable rows;
+  rows.column_names = {"x", "y"};
+  rows.rows.push_back({"0.5", "0.5"});
+  rows.rows.push_back({"4.8", "5.1"});
+  return rows;
 }
 
 class TempDir {
@@ -85,16 +98,15 @@ int TempDir::counter_ = 0;
 
 TEST(ModelRegistryTest, PublishGetAndVersioning) {
   ModelRegistry registry;
-  auto pipeline_v1 = TrainPipeline(1);
-  EXPECT_EQ(registry.Publish("fraud", pipeline_v1), 1u);
+  auto scorer_v1 = TrainScorer(1);
+  EXPECT_EQ(registry.Publish("fraud", scorer_v1), 1u);
   EXPECT_EQ(registry.size(), 1u);
 
-  auto snapshot = registry.Get("fraud");
+  auto snapshot = registry.GetScorer("fraud");
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->get(), pipeline_v1.get());
+  EXPECT_EQ(snapshot->get(), scorer_v1.get());
 
-  auto pipeline_v2 = TrainPipeline(2);
-  EXPECT_EQ(registry.Publish("fraud", pipeline_v2), 2u);
+  EXPECT_EQ(registry.Publish("fraud", TrainScorer(2)), 2u);
   auto info = registry.Info("fraud");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->version, 2u);
@@ -110,7 +122,8 @@ TEST(ModelRegistryTest, PublishGetAndVersioning) {
 
 TEST(ModelRegistryTest, GetUnknownIsNotFound) {
   ModelRegistry registry;
-  EXPECT_EQ(registry.Get("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.GetScorer("nope").status().code(),
+            StatusCode::kNotFound);
   EXPECT_EQ(registry.Info("nope").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.Remove("nope").code(), StatusCode::kNotFound);
 }
@@ -129,9 +142,10 @@ TEST(ModelRegistryTest, LoadDirectoryRegistersArtifactsByStem) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_TRUE(registry.Get("alpha").ok());
-  EXPECT_TRUE(registry.Get("beta").ok());
-  EXPECT_EQ(registry.Get("notes").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(registry.GetScorer("alpha").ok());
+  EXPECT_TRUE(registry.GetScorer("beta").ok());
+  EXPECT_EQ(registry.GetScorer("notes").status().code(),
+            StatusCode::kNotFound);
 
   const std::vector<ModelInfo> models = registry.List();
   ASSERT_EQ(models.size(), 2u);
@@ -155,36 +169,55 @@ TEST(ModelRegistryTest, LoadDirectoryOnMissingDirIsNotFound) {
             StatusCode::kNotFound);
 }
 
-TEST(ModelRegistryTest, GetScorerServesPipelineUnderFloat64) {
+// The scorer a text model is served as: frozen at `dtype`, pipeline gone.
+const core::FrozenScorer* ServedFrozen(ModelRegistry* registry,
+                                       const std::string& name,
+                                       nn::Dtype dtype) {
+  auto scorer = registry->GetScorer(name);
+  EXPECT_TRUE(scorer.ok()) << scorer.status().ToString();
+  if (!scorer.ok()) return nullptr;
+  const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
+  EXPECT_NE(frozen, nullptr);
+  if (frozen == nullptr) return nullptr;
+  EXPECT_EQ(frozen->dtype(), dtype);
+  return frozen;
+}
+
+TEST(ModelRegistryTest, TextModelsServeFrozenScorerAtFloat64) {
+  TempDir dir;
+  const fs::path path = dir.path() / "m.targad";
+  {
+    std::ofstream out(path);
+    out << SavedArtifact(6);
+  }
   ModelRegistry registry;
-  auto pipeline = TrainPipeline(6);
-  registry.Publish("m", pipeline);
-  auto scorer = registry.GetScorer("m");
-  ASSERT_TRUE(scorer.ok());
-  // Default dtype is float64: the serving snapshot IS the pipeline.
-  EXPECT_EQ(scorer->get(), static_cast<const core::RowScorer*>(pipeline.get()));
-  EXPECT_EQ(registry.GetScorer("nope").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(registry.PublishFile("m", path.string()).ok());
+  const core::FrozenScorer* frozen =
+      ServedFrozen(&registry, "m", nn::Dtype::kFloat64);
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_FALSE(frozen->mapped());
+  // Default dtype is float64: the frozen snapshot scores bit-identically
+  // to the pipeline it was frozen from.
+  EXPECT_EQ(frozen->Score(TwoRows()).ValueOrDie(),
+            TrainPipeline(6).Score(TwoRows()).ValueOrDie());
 }
 
 TEST(ModelRegistryTest, Float32DtypeServesFrozenScorer) {
+  TempDir dir;
+  const fs::path path = dir.path() / "m.targad";
+  {
+    std::ofstream out(path);
+    out << SavedArtifact(7);
+  }
   ModelRegistry registry;
   registry.set_serve_dtype(nn::Dtype::kFloat32);
-  auto pipeline = TrainPipeline(7);
-  registry.Publish("m", pipeline);
+  ASSERT_TRUE(registry.PublishFile("m", path.string()).ok());
+  const core::FrozenScorer* frozen =
+      ServedFrozen(&registry, "m", nn::Dtype::kFloat32);
+  ASSERT_NE(frozen, nullptr);
 
-  auto scorer = registry.GetScorer("m");
-  ASSERT_TRUE(scorer.ok());
-  // The serving snapshot is the frozen plan, not the pipeline...
-  EXPECT_NE(scorer->get(), static_cast<const core::RowScorer*>(pipeline.get()));
-  // ...while Get still hands out the full-precision pipeline.
-  EXPECT_EQ(registry.Get("m")->get(), pipeline.get());
-
-  data::RawTable rows;
-  rows.column_names = {"x", "y"};
-  rows.rows.push_back({"0.5", "0.5"});
-  rows.rows.push_back({"4.8", "5.1"});
-  auto frozen_scores = (*scorer)->Score(rows);
-  auto exact_scores = pipeline->Score(rows);
+  auto frozen_scores = frozen->Score(TwoRows());
+  auto exact_scores = TrainPipeline(7).Score(TwoRows());
   ASSERT_TRUE(frozen_scores.ok()) << frozen_scores.status().ToString();
   ASSERT_TRUE(exact_scores.ok());
   ASSERT_EQ(frozen_scores->size(), exact_scores->size());
@@ -211,7 +244,7 @@ TEST(ModelRegistryTest, RefreshIfChangedReloadsOverwrittenArtifacts) {
 
   // Overwrite the artifact and force a newer mtime (filesystem timestamp
   // granularity can swallow a fast rewrite).
-  auto old_snapshot = registry.Get("live").ValueOrDie();
+  auto old_snapshot = registry.GetScorer("live").ValueOrDie();
   {
     std::ofstream out(path);
     out << SavedArtifact(9);
@@ -224,7 +257,7 @@ TEST(ModelRegistryTest, RefreshIfChangedReloadsOverwrittenArtifacts) {
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.Info("live")->version, 2u);
   // Hot-swap semantics: the new snapshot differs, the old one stays valid.
-  auto new_snapshot = registry.Get("live").ValueOrDie();
+  auto new_snapshot = registry.GetScorer("live").ValueOrDie();
   EXPECT_NE(new_snapshot.get(), old_snapshot.get());
   data::RawTable row;
   row.column_names = {"x", "y"};
@@ -254,7 +287,7 @@ TEST(ModelRegistryTest, RefreshCatchesSameTimestampRewrite) {
 
   ModelRegistry registry;
   ASSERT_TRUE(registry.PublishFile("fast", path.string()).ok());
-  auto old_snapshot = registry.Get("fast").ValueOrDie();
+  auto old_snapshot = registry.GetScorer("fast").ValueOrDie();
 
   // Rewrite with different bytes (a second pipeline differs in size: the
   // serialized weights are decimal text) and restore the old timestamp, as
@@ -271,7 +304,7 @@ TEST(ModelRegistryTest, RefreshCatchesSameTimestampRewrite) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.Info("fast")->version, 2u);
-  EXPECT_NE(registry.Get("fast").ValueOrDie().get(), old_snapshot.get());
+  EXPECT_NE(registry.GetScorer("fast").ValueOrDie().get(), old_snapshot.get());
 }
 
 TEST(ModelRegistryTest, RefreshIfChangedPicksUpNewFilesInWatchedDirs) {
@@ -292,7 +325,7 @@ TEST(ModelRegistryTest, RefreshIfChangedPicksUpNewFilesInWatchedDirs) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_TRUE(registry.Get("second").ok());
+  EXPECT_TRUE(registry.GetScorer("second").ok());
 }
 
 TEST(ModelRegistryTest, RefreshIfChangedKeepsVanishedArtifactsServing) {
@@ -309,29 +342,105 @@ TEST(ModelRegistryTest, RefreshIfChangedKeepsVanishedArtifactsServing) {
   ASSERT_TRUE(refreshed.ok());
   EXPECT_EQ(*refreshed, 0u);
   // The last good snapshot stays registered and scoreable.
-  EXPECT_TRUE(registry.Get("gone").ok());
+  EXPECT_TRUE(registry.GetScorer("gone").ok());
+}
+
+// A stem with both files is served from its ".tgz1"; the text file that
+// loses is never read.
+TEST(ModelRegistryTest, LoadDirectoryServesArtifactOverTextModel) {
+  TempDir dir;
+  {
+    std::ofstream out(dir.path() / "a.targad");
+    out << "not a pipeline\n";
+  }
+  ASSERT_TRUE(TrainScorer(15, nn::Dtype::kFloat32)
+                  ->SaveArtifact((dir.path() / "a.tgz1").string())
+                  .ok());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+  EXPECT_EQ(registry.Info("a")->source, (dir.path() / "a.tgz1").string());
+  EXPECT_EQ(registry.Info("a")->version, 1u);
+  EXPECT_TRUE(registry.Info("a")->artifact);
+}
+
+// Regression: the re-scan skipped every registered stem, so a ".tgz1"
+// dropped beside a served text model waited for a restart.
+TEST(ModelRegistryTest, RefreshServesArtifactDroppedBesideTextModel) {
+  TempDir dir;
+  {
+    std::ofstream out(dir.path() / "a.targad");
+    out << SavedArtifact(16);
+  }
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+  EXPECT_EQ(registry.Info("a")->source, (dir.path() / "a.targad").string());
+
+  ASSERT_TRUE(TrainScorer(17, nn::Dtype::kFloat32)
+                  ->SaveArtifact((dir.path() / "a.tgz1").string())
+                  .ok());
+  auto refreshed = registry.RefreshIfChanged();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(*refreshed, 1u);
+  EXPECT_EQ(registry.Info("a")->source, (dir.path() / "a.tgz1").string());
+  EXPECT_EQ(registry.Info("a")->version, 2u);
+  EXPECT_TRUE(registry.Info("a")->artifact);
+  ServedFrozen(&registry, "a", nn::Dtype::kFloat32);
+
+  refreshed = registry.RefreshIfChanged();
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_EQ(*refreshed, 0u);
+}
+
+// The re-scan adds stems and upgrades its own text models, but an entry
+// published from anywhere else keeps its source.
+TEST(ModelRegistryTest, RefreshNeverReplacesModelsPublishedElsewhere) {
+  TempDir dir;
+  TempDir elsewhere;
+  const fs::path text = elsewhere.path() / "a.targad";
+  {
+    std::ofstream out(text);
+    out << SavedArtifact(18);
+  }
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+  ASSERT_TRUE(registry.PublishFile("a", text.string()).ok());
+  auto pinned = TrainScorer(19);
+  registry.Publish("b", pinned);
+
+  for (const char* stem : {"a", "b"}) {
+    ASSERT_TRUE(TrainScorer(20, nn::Dtype::kFloat32)
+                    ->SaveArtifact((dir.path() / (std::string(stem) + ".tgz1"))
+                                       .string())
+                    .ok());
+  }
+  auto refreshed = registry.RefreshIfChanged();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(*refreshed, 0u);
+  EXPECT_EQ(registry.Info("a")->source, text.string());
+  EXPECT_EQ(registry.Info("b")->source, "(in-memory)");
+  EXPECT_EQ(registry.GetScorer("b")->get(), pinned.get());
 }
 
 TEST(ModelRegistryTest, ConcurrentPublishAndGetKeepSnapshotsIntact) {
   ModelRegistry registry;
-  auto pipeline_a = TrainPipeline(4);
-  auto pipeline_b = TrainPipeline(5);
-  registry.Publish("m", pipeline_a);
+  auto scorer_a = TrainScorer(4);
+  auto scorer_b = TrainScorer(5);
+  registry.Publish("m", scorer_a);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
-        auto snapshot = registry.Get("m");
+        auto snapshot = registry.GetScorer("m");
         ASSERT_TRUE(snapshot.ok());
-        const core::TargAdPipeline* raw = snapshot->get();
-        // Every observed snapshot is one of the two published pipelines.
-        ASSERT_TRUE(raw == pipeline_a.get() || raw == pipeline_b.get());
+        const core::RowScorer* raw = snapshot->get();
+        // Every observed snapshot is one of the two published scorers.
+        ASSERT_TRUE(raw == scorer_a.get() || raw == scorer_b.get());
       }
     });
   }
   for (int i = 0; i < 50; ++i) {
-    registry.Publish("m", i % 2 == 0 ? pipeline_b : pipeline_a);
+    registry.Publish("m", i % 2 == 0 ? scorer_b : scorer_a);
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(registry.Info("m")->version, 51u);

@@ -16,16 +16,24 @@
 //    new reader, to the copied splitter.
 //  - Scorer level: the FrozenScorer override of ScoreRecords against the
 //    default RowScorer::ScoreRecords, reached through a decorator that
-//    overrides only Score.
+//    overrides only Score; a text model served by the registry against the
+//    table path over the pipeline it was loaded from; and the schemas
+//    FrozenScorer::Make and LoadArtifact refuse, since the record walk has
+//    no fallback.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +42,8 @@
 #include "core/pipeline.h"
 #include "data/csv.h"
 #include "data/preprocess.h"
+#include "nn/artifact.h"
+#include "serve/model_registry.h"
 #include "serve/row_parse.h"
 
 namespace targad {
@@ -866,9 +876,119 @@ TEST(RecordPathScorers, OverridesMatchDefaultRecordPath) {
   }
 }
 
-// Schemas the table path rejects as a whole, as a hostile .tgz1 can carry
-// them: the record path must report the same per-row errors.
-TEST(RecordPathScorers, InconsistentSchemasMatchDefaultRecordPath) {
+// The default record path over a pipeline's own table Score: how a text
+// model was served before the registry froze every model on load.
+class PipelineTable final : public core::RowScorer {
+ public:
+  explicit PipelineTable(const core::TargAdPipeline* pipeline)
+      : pipeline_(pipeline) {}
+  Result<std::vector<double>> Score(
+      const data::RawTable& table) const override {
+    return pipeline_->Score(table);
+  }
+  const std::vector<std::string>& feature_columns() const override {
+    return pipeline_->feature_columns();
+  }
+  const std::string& label_column() const override {
+    return pipeline_->label_column();
+  }
+
+ private:
+  const core::TargAdPipeline* pipeline_;
+};
+
+// A scratch file path, removed on destruction.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("targad_record_path_" + std::to_string(::getpid()) + "_" +
+               name)) {}
+  ~TempFile() {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+// A text model served at float64 is a frozen scorer walking each record
+// once; it must return the score bits and the Status, code and message,
+// that the table path over the loaded pipeline returns for every record.
+TEST(RecordPathScorers, TextModelsKeepTheirOutputsWhenServedFrozen) {
+  Result<core::TargAdPipeline> trained = TrainPipeline();
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const TempFile model("text.targad");
+  {
+    std::ofstream out(model.path());
+    ASSERT_TRUE(trained->Save(out).ok());
+  }
+  std::ifstream in(model.path());
+  Result<core::TargAdPipeline> loaded = core::TargAdPipeline::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.PublishFile("m", model.path()).ok());
+  Result<std::shared_ptr<const core::RowScorer>> served =
+      registry.GetScorer("m");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_NE(dynamic_cast<const core::FrozenScorer*>(served->get()), nullptr);
+  const PipelineTable oracle(&*loaded);
+
+  Rng rng(101);
+  for (int batch = 0; batch < 60; ++batch) {
+    const std::vector<std::string> lines =
+        MutatedBatch(&rng, 1 + Pick(&rng, 40), batch % 2 == 1 ? 0.3 : 0.0);
+    for (const int label_col : {-1, 5}) {
+      const std::vector<core::RowScorer::Record> records =
+          Records(lines, label_col);
+      ExpectSameResults((*served)->ScoreRecords(records),
+                        oracle.ScoreRecords(records), lines);
+    }
+  }
+}
+
+// "<n> <len>:<column>...": the feature column list of a .tgz1 meta blob.
+std::string MetaColumns(const std::vector<std::string>& columns) {
+  std::string out = std::to_string(columns.size());
+  for (const std::string& c : columns) {
+    out += " " + std::to_string(c.size()) + ":" + c;
+  }
+  return out;
+}
+
+// Copies the .tgz1 at `from` to `to` with `old_text` replaced by `new_text`
+// in its meta blob and every tensor kept: a well-formed file (valid
+// checksum) that carries a hostile schema.
+void RewriteMeta(const std::string& from, const std::string& to,
+                 const std::string& old_text, const std::string& new_text) {
+  auto artifact = nn::MappedArtifact::Map(from);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  std::string meta((*artifact)->meta());
+  const size_t at = meta.find(old_text);
+  ASSERT_NE(at, std::string::npos);
+  meta.replace(at, old_text.size(), new_text);
+  nn::ArtifactWriter writer((*artifact)->dtype());
+  writer.set_meta(meta);
+  for (size_t i = 0; i < (*artifact)->num_sections(); ++i) {
+    const nn::MappedArtifact::Section& section = (*artifact)->section(i);
+    writer.AddTensor(section.rows, section.cols, section.data);
+  }
+  ASSERT_TRUE(writer.WriteFile(to).ok());
+}
+
+std::string SavedEncoder(const data::OneHotEncoder& encoder) {
+  std::ostringstream out;
+  EXPECT_TRUE(encoder.Save(out).ok());
+  return out.str();
+}
+
+// The record walk has no fallback, so a scorer whose schema it cannot
+// encode exactly must not exist: Make and a hostile .tgz1 both fail with
+// InvalidArgument, and the consistent schema still builds and loads.
+TEST(RecordPathScorers, MakeAndLoadArtifactRejectInconsistentSchemas) {
   Result<core::TargAdPipeline> pipeline = TrainPipeline();
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   data::RawTable features = TrainingTable();
@@ -876,6 +996,7 @@ TEST(RecordPathScorers, InconsistentSchemasMatchDefaultRecordPath) {
   for (auto& row : features.rows) row.pop_back();
   core::FrozenScorer::Spec spec;
   spec.label_column = "label";
+  spec.feature_columns = features.column_names;
   ASSERT_TRUE(spec.encoder.Fit(features).ok());
   data::MinMaxNormalizer normalizer;
   ASSERT_TRUE(normalizer.Fit(*spec.encoder.Transform(features)).ok());
@@ -885,26 +1006,49 @@ TEST(RecordPathScorers, InconsistentSchemasMatchDefaultRecordPath) {
   spec.k = pipeline->model().k();
   const nn::Sequential& net = pipeline->model().classifier().mlp().net();
 
-  const std::vector<std::vector<std::string>> schemas = {
-      {"a", "proto", "b", "svc", "c"},           // Consistent.
-      {"a", "proto", "b", "svc", "label"},       // Label among features.
-      {"a", "proto", "b", "svc", "c", "extra"},  // Wider than the encoder.
-      {"a", "proto", "b", "svc"},                // Narrower.
-  };
-  Rng rng(7);
-  for (const auto& columns : schemas) {
-    spec.feature_columns = columns;
-    Result<core::FrozenScorer> scorer =
-        core::FrozenScorer::Make(spec, net, nn::Dtype::kFloat32);
-    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-    for (int batch = 0; batch < 6; ++batch) {
-      const std::vector<std::string> lines =
-          MutatedBatch(&rng, 1 + Pick(&rng, 12), 0.3);
-      const std::vector<core::RowScorer::Record> records =
-          Records(lines, batch % 2 == 0 ? -1 : 5);
-      ExpectSameResults(scorer->ScoreRecords(records),
-                        TableOnly(&*scorer).ScoreRecords(records), lines);
+  // An encoder that knows one more protocol emits 11 features for the
+  // normalizer's 10.
+  data::RawTable wider_categories = features;
+  wider_categories.rows[0][1] = "sctp";
+  data::OneHotEncoder wide_encoder;
+  ASSERT_TRUE(wide_encoder.Fit(wider_categories).ok());
+  ASSERT_EQ(wide_encoder.output_dim(), spec.encoder.output_dim() + 1);
+
+  const TempFile good("good.tgz1");
+  const TempFile hostile("hostile.tgz1");
+  for (const nn::Dtype dtype : {nn::Dtype::kFloat32, nn::Dtype::kFloat64}) {
+    SCOPED_TRACE(nn::DtypeName(dtype));
+    Result<core::FrozenScorer> consistent =
+        core::FrozenScorer::Make(spec, net, dtype);
+    ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
+    ASSERT_TRUE(consistent->SaveArtifact(good.path()).ok());
+    ASSERT_TRUE(core::FrozenScorer::LoadArtifact(good.path()).ok());
+
+    const std::vector<std::vector<std::string>> bad_columns = {
+        {"a", "proto", "b", "svc", "label"},       // Label among features.
+        {"a", "proto", "b", "svc", "c", "extra"},  // Wider than the encoder.
+        {"a", "proto", "b", "svc"},                // Narrower.
+    };
+    for (const auto& columns : bad_columns) {
+      SCOPED_TRACE(MetaColumns(columns));
+      core::FrozenScorer::Spec bad = spec;
+      bad.feature_columns = columns;
+      EXPECT_EQ(core::FrozenScorer::Make(bad, net, dtype).status().code(),
+                StatusCode::kInvalidArgument);
+      RewriteMeta(good.path(), hostile.path(), MetaColumns(spec.feature_columns),
+                  MetaColumns(columns));
+      EXPECT_EQ(core::FrozenScorer::LoadArtifact(hostile.path()).status().code(),
+                StatusCode::kInvalidArgument);
     }
+
+    core::FrozenScorer::Spec bad = spec;
+    bad.encoder = wide_encoder;
+    EXPECT_EQ(core::FrozenScorer::Make(bad, net, dtype).status().code(),
+              StatusCode::kInvalidArgument);
+    RewriteMeta(good.path(), hostile.path(), SavedEncoder(spec.encoder),
+                SavedEncoder(wide_encoder));
+    EXPECT_EQ(core::FrozenScorer::LoadArtifact(hostile.path()).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

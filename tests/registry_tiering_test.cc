@@ -185,7 +185,7 @@ TEST(RegistryTieringTest, InFlightSnapshotStaysValidAcrossEviction) {
   EXPECT_FALSE(registry.GetScorer("a").ok());
 }
 
-TEST(RegistryTieringTest, TextBackedEntriesPromoteThroughBothAccessors) {
+TEST(RegistryTieringTest, TextBackedEntriesPromoteToFrozenScorers) {
   TempDir dir;
   WriteTextModel(dir.path() / "a.targad", 1);
   WriteTextModel(dir.path() / "b.targad", 2);
@@ -198,11 +198,16 @@ TEST(RegistryTieringTest, TextBackedEntriesPromoteThroughBothAccessors) {
       registry.PublishFile("b", (dir.path() / "b.targad").string()).ok());
   ASSERT_FALSE(registry.Info("a")->warm);
 
-  // Get (the pipeline accessor) also promotes a cold text entry.
-  auto pipeline = registry.Get("a");
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  EXPECT_TRUE((*pipeline)->Score(OneRow()).ok());
+  // Promotion re-parses the text model and freezes it again; the pipeline
+  // is dropped, so the snapshot is a frozen scorer like any other.
+  auto scorer = registry.GetScorer("a");
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat64);
+  EXPECT_TRUE(frozen->Score(OneRow()).ok());
   EXPECT_TRUE(registry.Info("a")->warm);
+  EXPECT_EQ(registry.Info("a")->generation, 2u);
 }
 
 TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
@@ -212,7 +217,8 @@ TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
 
   ModelRegistry registry;
   registry.set_warm_capacity(1);
-  auto pinned = std::make_shared<const core::TargAdPipeline>(TrainPipeline(3));
+  auto pinned = std::make_shared<const core::FrozenScorer>(
+      TrainPipeline(3).Freeze(nn::Dtype::kFloat64).ValueOrDie());
   registry.Publish("pinned", pinned);
   ASSERT_TRUE(registry.PublishFile("a", (dir.path() / "a.tgz1").string()).ok());
   ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
@@ -224,23 +230,25 @@ TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
   EXPECT_TRUE(registry.Info("pinned")->warm);
   EXPECT_FALSE(registry.Info("a")->warm);
   EXPECT_TRUE(registry.Info("b")->warm);
-  EXPECT_EQ(registry.Get("pinned")->get(), pinned.get());
+  EXPECT_EQ(registry.GetScorer("pinned")->get(), pinned.get());
 }
 
-TEST(RegistryTieringTest, ArtifactEntriesServeScorersNotPipelines) {
+TEST(RegistryTieringTest, ArtifactEntriesServeMappedScorers) {
   TempDir dir;
   WriteFlatArtifact(dir.path() / "flat.tgz1", 1);
   ModelRegistry registry;
   ASSERT_TRUE(
       registry.PublishFile("flat", (dir.path() / "flat.tgz1").string()).ok());
   EXPECT_TRUE(registry.Info("flat")->artifact);
-  // A flat artifact carries no training pipeline: Get is a usage error
-  // (FailedPrecondition, not NotFound), GetScorer is the serving path.
-  EXPECT_EQ(registry.Get("flat").status().code(),
-            StatusCode::kFailedPrecondition);
+  // The artifact is served as mapped, in its own dtype, whatever the
+  // registry's serve dtype.
   auto scorer = registry.GetScorer("flat");
   ASSERT_TRUE(scorer.ok());
-  EXPECT_TRUE((*scorer)->Score(OneRow()).ok());
+  const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_TRUE(frozen->mapped());
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat32);
+  EXPECT_TRUE(frozen->Score(OneRow()).ok());
 }
 
 TEST(RegistryTieringTest, ListNamesIsSortedAcrossBothTiers) {

@@ -26,9 +26,10 @@
 //                [--drain-grace-ms 5000] [--warm N]
 //       Stream rows (stdin or --in) through the micro-batched scoring
 //       service; scores go to stdout or --out, a metrics report to stderr.
-//       --dtype float32 freezes published models into the float32 inference
-//       plan; float64 (default) serves the full-precision pipeline. --models
-//       registers every artifact in DIR; a row may start with a
+//       Text models are frozen to --dtype as they load: float64 (default)
+//       scores bit-identically to `score`, float32 runs the float32
+//       inference plan; .tgz1 artifacts keep their own dtype. --models
+//       registers one artifact per stem in DIR; a row may start with a
 //       "model=<name>" cell to route to one of them. --refresh-ms N > 0
 //       polls every registered artifact's mtime every N milliseconds on a
 //       background timer and hot-swaps changed files (zero-downtime
@@ -473,9 +474,9 @@ int CmdServe(const Flags& flags) {
   BlockStopSignals();
 
   // The registry is the hot-swap point: a future front-end republishes a
-  // retrained artifact under the same name while scoring continues. With
-  // --dtype float32 every publish freezes the pipeline into the float32
-  // inference plan; GetScorer then serves the frozen snapshot.
+  // retrained artifact under the same name while scoring continues. Every
+  // text model is frozen to --dtype as it loads (float64 scores
+  // bit-identically to `score`); GetScorer serves the frozen snapshot.
   // Declared before the registry so the registry (whose loads/evictions
   // record into it) is destroyed first.
   serve::ServeMetrics metrics;
