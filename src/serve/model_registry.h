@@ -118,7 +118,7 @@ class ModelRegistry {
   /// resident; loading past the cap demotes the least-recently-used one to
   /// the cold tier. 0 (the default) means unbounded. In-memory publishes
   /// are pinned warm and do not count. Lowering the cap takes effect on
-  /// the next load, not retroactively.
+  /// the next load or publish, not retroactively.
   void set_warm_capacity(size_t capacity) TARGAD_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     warm_capacity_ = capacity;
