@@ -449,12 +449,13 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
           reply = FormatErrStatus(result.status());
         }
         metrics_->RecordScoreUs(ElapsedUs(submitted_at));
-        session->Complete(seq, std::move(reply));
-        {
-          MutexLock lock(&ready_mu_);
-          ready_.push_back(session);
+        if (session->Complete(seq, std::move(reply))) {
+          {
+            MutexLock lock(&ready_mu_);
+            ready_.push_back(session);
+          }
+          WakeLoop();
         }
-        WakeLoop();
         // Must be the callback's LAST touch of the server: the release
         // pairs with the drain loop's acquire-load of zero, which is the
         // proof that no callback still runs.

@@ -122,6 +122,8 @@ class TcpServer {
   void ParseAndDispatch(const std::shared_ptr<Session>& s,
                         std::chrono::steady_clock::time_point ingest_start);
   /// Executes one request line (immediate replies or a scorer submit).
+  /// Immediate replies complete on the poll thread and ignore Complete's
+  /// flush request: every caller flushes the session in the same loop pass.
   void DispatchLine(const std::shared_ptr<Session>& s,
                     const std::string& line,
                     std::chrono::steady_clock::time_point ingest_start);
@@ -155,7 +157,8 @@ class TcpServer {
 
   RankedMutex ready_mu_{LockRank::kNetReady};
   /// Sessions with newly completed replies, parked by callbacks for the
-  /// poll thread to flush (may hold duplicates; flush is idempotent).
+  /// poll thread to flush: one push per Session flush request (a rare
+  /// duplicate is harmless; flush is idempotent).
   std::vector<std::shared_ptr<Session>> ready_ TARGAD_GUARDED_BY(ready_mu_);
 };
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include "common/hot_path.h"
+#include "common/logging.h"
 
 namespace targad {
 namespace net {
@@ -14,7 +15,7 @@ void Session::Close() {
   }
   MutexLock lock(&mu_);
   closed_ = true;
-  completed_.clear();
+  ring_.clear();
 }
 
 uint64_t Session::BeginRequest() {
@@ -24,13 +25,23 @@ uint64_t Session::BeginRequest() {
   return seq;
 }
 
-void Session::Complete(uint64_t seq, std::string reply) {
+bool Session::Complete(uint64_t seq, std::string reply) {
   MutexLock lock(&mu_);
   --inflight_;
-  if (closed_) return;
-  Reply& slot = completed_[seq];
+  if (closed_) return false;
+  // Each seq completes once: never after its slot was collected, and
+  // never twice while it waits.
+  TARGAD_DCHECK(seq >= next_flush_seq_);
+  const size_t index = seq - next_flush_seq_;
+  if (index >= ring_.size()) ring_.resize(index + 1);
+  Reply& slot = ring_[index];
+  TARGAD_DCHECK(!slot.done);
   slot.text = std::move(reply);
   slot.done_at = std::chrono::steady_clock::now();
+  slot.done = true;
+  const bool first = !flush_requested_;
+  flush_requested_ = true;
+  return first;
 }
 
 size_t Session::inflight() const {
@@ -40,7 +51,9 @@ size_t Session::inflight() const {
 
 bool Session::ReplyQueueEmpty() const {
   MutexLock lock(&mu_);
-  return inflight_ == 0 && completed_.empty();
+  // With nothing in flight every slot is done, so an empty ring means
+  // every reply has been collected.
+  return inflight_ == 0 && ring_.empty();
 }
 
 size_t Session::CollectReady(std::string* sink, NetMetrics* metrics) {
@@ -51,15 +64,15 @@ size_t Session::CollectReady(std::string* sink, NetMetrics* metrics) {
 TARGAD_HOT_PATH size_t Session::CollectReadyLocked(std::string* sink,
                                                    NetMetrics* metrics) {
   size_t released = 0;
-  while (!completed_.empty() &&
-         completed_.begin()->first == next_flush_seq_) {
-    Reply& reply = completed_.begin()->second;
+  while (!ring_.empty() && ring_.front().done) {
+    const Reply& reply = ring_.front();
     if (metrics != nullptr) metrics->RecordRespondUs(ElapsedUs(reply.done_at));
     sink->append(reply.text);
-    completed_.erase(completed_.begin());
+    ring_.pop_front();
     ++next_flush_seq_;
     ++released;
   }
+  flush_requested_ = false;
   return released;
 }
 

@@ -12,6 +12,21 @@
 //    so the write stage emits reply seq 0, 1, 2, ... regardless of
 //    completion order.
 //
+// Replies wait in a ring of slots indexed by seq - next_flush_seq_: the
+// sequence numbers are dense and at most max_inflight_rows plus the poll
+// thread's own inline replies are outstanding, so the ring stays small and
+// a slot is found without a search. CollectReady pops done slots off the
+// front.
+//
+// Flush requests: Complete returns true only for the first completion
+// since the last CollectReady, and only then does the caller ask the poll
+// thread to flush the session (one ready-queue push and wake per flush, not
+// per reply). A later completion needs no request of its own: the pending
+// one triggers a CollectReady that runs after it, because CollectReady
+// clears the flag under the same mutex. Every Complete the poll thread
+// makes itself (PING, STATS, QUIT and ERR lines) is followed by a flush of
+// that session in the same loop pass, so the flag never strands a reply.
+//
 // Thread ownership: fields above mu_ are poll-thread-only (the read buffer,
 // the socket, flush backlog, lifecycle flags). Fields below mu_ are the
 // cross-thread reply handoff, guarded by the kNetSession rank.
@@ -21,7 +36,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -90,9 +105,12 @@ class Session {
   /// in flight until the matching Complete.
   uint64_t BeginRequest() TARGAD_EXCLUDES(mu_);
 
-  /// Hands back the reply for `seq`. Any thread; replies may complete out
-  /// of order.
-  void Complete(uint64_t seq, std::string reply) TARGAD_EXCLUDES(mu_);
+  /// Hands back the reply for `seq`, which must be outstanding. Any thread;
+  /// replies may complete out of order. Returns true when the caller must
+  /// ask the poll thread to flush this session: this is the first
+  /// completion since the last CollectReady (see the file comment). False
+  /// after Close, when the reply is dropped.
+  bool Complete(uint64_t seq, std::string reply) TARGAD_EXCLUDES(mu_);
 
   /// Requests begun but not yet completed.
   size_t inflight() const TARGAD_EXCLUDES(mu_);
@@ -104,6 +122,7 @@ class Session {
   /// Appends the longest contiguous run of completed replies to *sink (in
   /// sequence order) and returns how many replies were released. Records
   /// the respond-stage wait of each released reply in `metrics` (nullable).
+  /// Clears the flush request, so the next Complete asks for a flush again.
   size_t CollectReady(std::string* sink, NetMetrics* metrics)
       TARGAD_EXCLUDES(mu_);
 
@@ -116,6 +135,7 @@ class Session {
   struct Reply {
     std::string text;
     std::chrono::steady_clock::time_point done_at;
+    bool done = false;
   };
 
   // Poll-thread-owned (unguarded by convention: declared above the mutex).
@@ -129,8 +149,11 @@ class Session {
   uint64_t next_seq_ = 0;
 
   mutable RankedMutex mu_{LockRank::kNetSession};
-  std::map<uint64_t, Reply> completed_ TARGAD_GUARDED_BY(mu_);
+  /// Slot i holds the reply of seq next_flush_seq_ + i.
+  std::deque<Reply> ring_ TARGAD_GUARDED_BY(mu_);
   uint64_t next_flush_seq_ TARGAD_GUARDED_BY(mu_) = 0;
+  /// A completion since the last CollectReady has asked for a flush.
+  bool flush_requested_ TARGAD_GUARDED_BY(mu_) = false;
   size_t inflight_ TARGAD_GUARDED_BY(mu_) = 0;
   /// Set by Close: late completions still settle the in-flight count but
   /// their reply text is discarded (nobody will read it).

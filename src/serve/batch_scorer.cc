@@ -49,7 +49,7 @@ std::future<Result<double>> BatchScorer::Submit(std::string model,
   request.model = std::move(model);
   request.record = std::move(record);
   request.label_col = label_col;
-  std::future<Result<double>> future = request.promise.get_future();
+  std::future<Result<double>> future = request.promise.emplace().get_future();
   SubmitPending(std::move(request));
   return future;
 }
@@ -72,9 +72,10 @@ void BatchScorer::SubmitPending(Pending request) {
     if (rejected->callback) {
       rejected->callback(std::move(status));
     } else {
-      rejected->promise.set_value(std::move(status));
+      rejected->promise->set_value(std::move(status));
     }
   };
+  bool wake = false;
   {
     // Bounded admission critical section: a cap check, a push_back, and a
     // counter bump. No blocking work runs under mu_ on this path (the
@@ -96,9 +97,13 @@ void BatchScorer::SubmitPending(Pending request) {
     }
     queue_.push_back(std::move(request));
     ++outstanding_;
+    // The wake rule (header): only these pushes change what a waiting
+    // worker does.
+    wake = queue_.size() == 1 ||
+           queue_.size() % options_.max_batch_size == 0;
   }
   if (metrics_ != nullptr) metrics_->RecordSubmitted();
-  queue_cv_.notify_one();
+  if (wake) queue_cv_.notify_one();
 }
 
 void BatchScorer::Drain() {
@@ -156,7 +161,11 @@ void BatchScorer::WorkerLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    // Rows left behind may have crossed no wake edge; hand them to a peer
+    // rather than leave them until this batch is scored.
+    const bool rows_left = !queue_.empty();
     lock.unlock();
+    if (rows_left) queue_cv_.notify_one();
     ScoreBatch(&batch);
     // Destroy the fulfilled rows before relocking: a callback's captures
     // (e.g. a net::Session shared_ptr whose last reference dies here) may
@@ -182,7 +191,7 @@ TARGAD_HOT_PATH void BatchScorer::Fulfill(Pending* request,
   if (request->callback) {
     request->callback(std::move(result));
   } else {
-    request->promise.set_value(std::move(result));
+    request->promise->set_value(std::move(result));
   }
 }
 

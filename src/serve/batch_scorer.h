@@ -22,6 +22,17 @@
 //    stays valid until its last batch completes.
 //  - One malformed row fails only its own future, not its batch neighbors;
 //    a row naming an unknown model fails with NotFound, not its batch.
+//
+// Wake rule: a worker waits either idle, for a non-empty queue, or
+// coalescing, for a full batch or its deadline. So a Submit notifies one
+// worker only when its push takes the queue from empty to one row or to a
+// multiple of max_batch_size, and a worker that pops a batch and leaves
+// rows behind wakes one peer; every other push changes nothing a waiting
+// worker acts on. Shutdown wakes them all.
+//
+// The callback Submit builds no promise: a std::promise allocates its
+// shared state whether or not anyone ever takes its future, so only the
+// future overloads build one.
 
 #ifndef TARGAD_SERVE_BATCH_SCORER_H_
 #define TARGAD_SERVE_BATCH_SCORER_H_
@@ -34,6 +45,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,7 +148,7 @@ class BatchScorer {
     int label_col = -1;
     /// Exactly one of the two delivery channels is armed: the promise for
     /// the future overloads, `callback` for the callback overload.
-    std::promise<Result<double>> promise;
+    std::optional<std::promise<Result<double>>> promise;
     RowCallback callback;
     std::chrono::steady_clock::time_point enqueued;
   };

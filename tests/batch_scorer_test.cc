@@ -1,8 +1,12 @@
 #include "serve/batch_scorer.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -404,6 +408,148 @@ TEST(BatchScorerTest, SubmitAfterShutdownFails) {
   Result<double> result = scorer.Submit(fx.records[0]).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Wake protocol: a worker is woken only when a push takes the queue from
+// empty to one row or to a multiple of max_batch_size, or when a worker
+// leaves rows behind. An idle worker waits with no timeout, so a lost
+// wakeup hangs a row for good; each test bounds its waits instead.
+
+/// Scores every record 1.0 and watches the callers of ScoreRecords: it
+/// notes when two are inside at once (each caller waits up to `peer_wait`
+/// for a second), and Hold() parks callers until Release().
+class ProbeScorer : public core::RowScorer {
+ public:
+  explicit ProbeScorer(std::chrono::milliseconds peer_wait =
+                           std::chrono::milliseconds(0))
+      : peer_wait_(peer_wait) {}
+
+  Result<std::vector<double>> Score(
+      const data::RawTable& table) const override {
+    return std::vector<double>(table.rows.size(), 1.0);
+  }
+
+  std::vector<Result<double>> ScoreRecords(
+      const std::vector<Record>& records) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    if (++inside_ == 2 && !paired_at_) {
+      paired_at_ = std::chrono::steady_clock::now();
+    }
+    cv_.notify_all();
+    cv_.wait_for(lock, peer_wait_, [this] { return paired_at_.has_value(); });
+    cv_.wait(lock, [this] { return !held_; });
+    --inside_;
+    return std::vector<Result<double>>(records.size(), 1.0);
+  }
+
+  const std::vector<std::string>& feature_columns() const override {
+    static const std::vector<std::string> kColumns = {"x", "y"};
+    return kColumns;
+  }
+
+  const std::string& label_column() const override {
+    static const std::string kLabel = "label";
+    return kLabel;
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+  void WaitUntilEntered(int calls) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= calls; });
+  }
+
+  /// When two callers were first inside ScoreRecords at once, if ever.
+  std::optional<std::chrono::steady_clock::time_point> paired_at() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return paired_at_;
+  }
+
+ private:
+  const std::chrono::milliseconds peer_wait_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int entered_ = 0;
+  mutable int inside_ = 0;
+  mutable std::optional<std::chrono::steady_clock::time_point> paired_at_;
+  bool held_ = false;
+};
+
+constexpr std::chrono::seconds kResolveWithin(10);
+
+TEST(BatchScorerWakeTest, TrickleOfSingleRowsNeverStalls) {
+  // Each row is submitted only after the previous one resolved, so every
+  // push is an empty-to-one edge.
+  auto probe = std::make_shared<ProbeScorer>();
+  BatchScorerOptions options;
+  options.num_workers = 2;
+  BatchScorer scorer(ServeDefault(probe), options);
+  for (int i = 0; i < 200; ++i) {
+    std::future<Result<double>> future = scorer.Submit("1,2");
+    ASSERT_EQ(future.wait_for(kResolveWithin), std::future_status::ready)
+        << "row " << i;
+    EXPECT_TRUE(future.get().ok()) << "row " << i;
+  }
+}
+
+TEST(BatchScorerWakeTest, BurstKeepsBothWorkersScoringBeforeTheDeadline) {
+  // Three batches arrive at once and the coalescing deadline is a second
+  // away: full-batch pushes and the peer wake must put both workers to
+  // work long before the deadline would. The first row goes ahead alone,
+  // so a worker is already coalescing when the burst lands and only those
+  // wakeups can rouse it.
+  auto probe = std::make_shared<ProbeScorer>(std::chrono::seconds(5));
+  BatchScorerOptions options;
+  options.max_batch_size = 4;
+  options.max_queue_delay_us = 1'000'000;
+  options.num_workers = 2;
+  BatchScorer scorer(ServeDefault(probe), options);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<Result<double>>> futures;
+  futures.push_back(scorer.Submit("1,2"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  while (futures.size() < 3 * options.max_batch_size) {
+    futures.push_back(scorer.Submit("1,2"));
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(kResolveWithin), std::future_status::ready);
+    EXPECT_TRUE(future.get().ok());
+  }
+  const auto paired_at = probe->paired_at();
+  ASSERT_TRUE(paired_at.has_value());
+  EXPECT_LT(*paired_at - start, std::chrono::milliseconds(500));
+}
+
+TEST(BatchScorerWakeTest, RowsLeftBehindResolveWithoutAnotherSubmit) {
+  // The only worker is held inside ScoreRecords while six rows queue up;
+  // once released it takes a batch of four and must come back for the two
+  // left behind without any further push to wake it.
+  auto probe = std::make_shared<ProbeScorer>();
+  BatchScorerOptions options;
+  options.max_batch_size = 4;
+  options.num_workers = 1;
+  BatchScorer scorer(ServeDefault(probe), options);
+  probe->Hold();
+  std::vector<std::future<Result<double>>> futures;
+  futures.push_back(scorer.Submit("1,2"));
+  probe->WaitUntilEntered(1);
+  for (int i = 0; i < 6; ++i) futures.push_back(scorer.Submit("1,2"));
+  probe->Release();
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(kResolveWithin), std::future_status::ready);
+    EXPECT_TRUE(future.get().ok());
+  }
 }
 
 }  // namespace

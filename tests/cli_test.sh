@@ -243,8 +243,8 @@ esac
   && fail "flag from wrong subcommand accepted"
 
 # Numeric flag values are validated before the command runs: a value that
-# does not parse, a negative size and a port above 65535 each exit 1 with
-# an error naming the flag and its value.
+# does not parse, a negative size, a zero in-flight cap and a port above
+# 65535 each exit 1 with an error naming the flag and its value.
 expect_bad_value() {  # <flag> <value>: serve must reject it.
   err=$("$CLI" serve --model m.model "$1" "$2" </dev/null 2>&1 >/dev/null)
   rc=$?
@@ -259,6 +259,7 @@ expect_bad_value --workers -1
 expect_bad_value --batch -5
 expect_bad_value --queue -1
 expect_bad_value --max-line -1
+expect_bad_value --max-inflight 0
 expect_bad_value --tcp 70000
 expect_bad_value --workers 99999999999
 

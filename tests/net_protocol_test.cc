@@ -1,9 +1,10 @@
 // Tests for the TCP serving front-end: the wire protocol pieces in
 // isolation (FrameDecoder, ParseRequest, reply formatting, the shared CSV
-// row splitter) and the full server over real sockets — partial frames,
-// unknown-model routing, forced admission exhaustion ("ERR overloaded"),
-// per-connection reply ordering, idle timeout, connection caps, and
-// graceful drain with rows still in flight (the TSan-critical handshake).
+// row splitter, a Session's reply ring) and the full server over real
+// sockets — partial frames, unknown-model routing, forced admission
+// exhaustion ("ERR overloaded"), per-connection reply ordering, idle
+// timeout, connection caps, and graceful drain with rows still in flight
+// (the TSan-critical handshake).
 
 #include "net/protocol.h"
 
@@ -169,6 +170,84 @@ TEST(RowParseTest, SplitsCellsAndRoutingPrefix) {
   // The label column index counts data cells, after the routing cell.
   serve::DataRecord labeled = serve::SplitDataRecord("model=alt,1,y,2", 1);
   EXPECT_EQ(labeled.cells, (std::vector<std::string>{"1", "2"}));
+}
+
+// ---------------------------------------------------------------------------
+// Session reply ring, driven directly (no socket: fd -1)
+
+TEST(SessionTest, ReleasesNothingUntilTheFrontCompletes) {
+  Session session(-1, 64);
+  constexpr uint64_t kRequests = 256;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(session.BeginRequest(), i);
+  }
+  std::string sink;
+  for (uint64_t seq = kRequests - 1; seq > 0; --seq) {
+    session.Complete(seq, "reply " + std::to_string(seq) + "\n");
+    ASSERT_EQ(session.CollectReady(&sink, nullptr), 0u) << "seq " << seq;
+  }
+  EXPECT_TRUE(sink.empty());
+  EXPECT_FALSE(session.ReplyQueueEmpty());
+
+  session.Complete(0, "reply 0\n");
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), kRequests);
+  std::string expected;
+  for (uint64_t seq = 0; seq < kRequests; ++seq) {
+    expected += "reply " + std::to_string(seq) + "\n";
+  }
+  EXPECT_EQ(sink, expected);
+  EXPECT_EQ(session.inflight(), 0u);
+  EXPECT_TRUE(session.ReplyQueueEmpty());
+}
+
+TEST(SessionTest, CompleteAsksForOneFlushPerCollect) {
+  Session session(-1, 64);
+  for (int i = 0; i < 4; ++i) session.BeginRequest();
+  std::string sink;
+  EXPECT_TRUE(session.Complete(1, "b\n"));
+  EXPECT_FALSE(session.Complete(2, "c\n"));
+  // Seq 0 is still out, so nothing is released, but the request is spent.
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 0u);
+  EXPECT_TRUE(session.Complete(0, "a\n"));
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 3u);
+  EXPECT_TRUE(session.Complete(3, "d\n"));
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 1u);
+  EXPECT_EQ(sink, "a\nb\nc\nd\n");
+}
+
+TEST(SessionTest, CompletionsAfterCloseSettleButAreDropped) {
+  Session session(-1, 64);
+  for (int i = 0; i < 3; ++i) session.BeginRequest();
+  EXPECT_TRUE(session.Complete(1, "b\n"));
+  session.Close();
+  EXPECT_FALSE(session.ReplyQueueEmpty());  // Seqs 0 and 2 are still out.
+  EXPECT_FALSE(session.Complete(0, "a\n"));
+  EXPECT_FALSE(session.Complete(2, "c\n"));
+  EXPECT_EQ(session.inflight(), 0u);
+  EXPECT_TRUE(session.ReplyQueueEmpty());
+  std::string sink;
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 0u);
+  EXPECT_TRUE(sink.empty());
+}
+
+TEST(SessionTest, InlineRepliesKeepTheirPlaceAmongWorkerReplies) {
+  // The poll thread answers PING-like requests at once while scored rows
+  // before and after them are still with the workers.
+  Session session(-1, 64);
+  const uint64_t row0 = session.BeginRequest();
+  session.Complete(session.BeginRequest(), "PONG\n");
+  const uint64_t row2 = session.BeginRequest();
+  session.Complete(session.BeginRequest(), "ERR bad-request x\n");
+  const uint64_t row4 = session.BeginRequest();
+  std::string sink;
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 0u);
+  session.Complete(row4, "OK 4\n");
+  session.Complete(row2, "OK 2\n");
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 0u);
+  session.Complete(row0, "OK 0\n");
+  EXPECT_EQ(session.CollectReady(&sink, nullptr), 5u);
+  EXPECT_EQ(sink, "OK 0\nPONG\nOK 2\nERR bad-request x\nOK 4\n");
+  EXPECT_TRUE(session.ReplyQueueEmpty());
 }
 
 // ---------------------------------------------------------------------------

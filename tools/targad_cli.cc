@@ -188,9 +188,9 @@ const std::map<std::string, std::vector<std::string>>& CommandFlags() {
 }
 
 // Integer flags and the range each accepts. Sizes (counts and byte
-// limits) are never negative; a warm capacity and a refresh interval, when
-// given, are positive; a port fits in 16 bits; everything else must fit in
-// an int.
+// limits) are never negative; a warm capacity, a refresh interval and the
+// in-flight cap (at 0 the server would never read a line), when given, are
+// positive; a port fits in 16 bits; everything else must fit in an int.
 const std::map<std::string, std::pair<int, int>>& IntFlagRanges() {
   constexpr int kMin = std::numeric_limits<int>::min();
   constexpr int kMax = std::numeric_limits<int>::max();
@@ -201,7 +201,7 @@ const std::map<std::string, std::pair<int, int>>& IntFlagRanges() {
       {"drain-grace-ms", {kMin, kMax}}, {"warm", {1, kMax}},
       {"batch", {0, kMax}},           {"workers", {0, kMax}},
       {"queue", {0, kMax}},           {"max-conns", {0, kMax}},
-      {"max-line", {0, kMax}},        {"max-inflight", {0, kMax}},
+      {"max-line", {0, kMax}},        {"max-inflight", {1, kMax}},
       {"tcp", {0, 65535}},
   };
   return kRanges;
