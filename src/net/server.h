@@ -10,10 +10,11 @@
 //   score    BatchScorer workers: bounded admission (a full queue becomes
 //            "ERR overloaded" — the load-shedding path), micro-batching,
 //            model routing, hot-swap-safe snapshots, record splitting
-//   respond  completion callbacks park replies on their Session and nudge
-//            the poll thread through a wake pipe; the poll thread flushes
-//            the contiguous completed prefix, so replies stay in request
-//            order per connection
+//   respond  completion callbacks park replies on their Session; the first
+//            one since the session's last flush nudges the poll thread
+//            through a wake pipe; the poll thread flushes the contiguous
+//            completed prefix, so replies stay in request order per
+//            connection
 //
 // Graceful drain (BeginDrain, or a byte on Options::drain_fd — the CLI's
 // SIGTERM self-pipe): stop accepting, stop reading, let every in-flight

@@ -1,5 +1,7 @@
 #include "serve/batch_scorer.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -131,6 +133,10 @@ void BatchScorer::Shutdown() {
 }
 
 void BatchScorer::WorkerLoop() {
+  // The coalescing wait ends on its timer (no per-row wakeup cuts it
+  // short), and the default 50 us timer slack would add to every batch's
+  // deadline.
+  (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   MutexLock lock(&mu_);
   for (;;) {
     while (!stop_ && queue_.empty()) queue_cv_.wait(lock);

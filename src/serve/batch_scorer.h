@@ -28,7 +28,9 @@
 // worker only when its push takes the queue from empty to one row or to a
 // multiple of max_batch_size, and a worker that pops a batch and leaves
 // rows behind wakes one peer; every other push changes nothing a waiting
-// worker acts on. Shutdown wakes them all.
+// worker acts on. Shutdown wakes them all. A coalescing worker therefore
+// sleeps until its deadline, so workers run with a 1 ns timer slack: the
+// kernel's default 50 us would be added to every batch that times out.
 //
 // The callback Submit builds no promise: a std::promise allocates its
 // shared state whether or not anyone ever takes its future, so only the
