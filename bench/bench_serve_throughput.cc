@@ -9,8 +9,8 @@
 //
 // A cold-start phase times bringing a model from disk to servable: the
 // text path (TargAdPipeline::Load parse + Freeze) against the flat-artifact
-// path (FrozenScorer::LoadArtifact — mmap + pointer fixup, no parse, no
-// tensor copies). This is the registry's cold->warm promotion cost, i.e.
+// path (FrozenScorer::LoadArtifact — read + checksum + pointer fixup, no
+// parse, no per-tensor copies). This is the registry's cold->warm promotion cost, i.e.
 // the latency a routed row pays when it faults a model into the warm tier.
 //
 // Output: table on stdout, bench_serve_throughput.csv (CsvSink convention),
@@ -126,7 +126,7 @@ CellResult RunCell(const std::shared_ptr<const core::RowScorer>& scorer_snapshot
 
 struct ColdStartResult {
   uint64_t text_load_us = 0;      ///< Median parse-and-freeze latency.
-  uint64_t artifact_load_us = 0;  ///< Median mmap-and-fixup latency.
+  uint64_t artifact_load_us = 0;  ///< Median read-and-fixup latency.
   double speedup = 0.0;
   size_t artifact_bytes = 0;
 };
@@ -251,7 +251,7 @@ int main() {
   const ColdStartResult cold = RunColdStart(pipeline);
   std::printf(
       "\ncold start (disk -> servable, median of 30 loads, float32):\n"
-      "  text parse+freeze: %llu us   artifact mmap+fixup: %llu us   "
+      "  text parse+freeze: %llu us   artifact read+fixup: %llu us   "
       "speedup: %.1fx   artifact: %zu bytes\n",
       static_cast<unsigned long long>(cold.text_load_us),
       static_cast<unsigned long long>(cold.artifact_load_us), cold.speedup,

@@ -4,9 +4,14 @@
 // encoder); the numeric half — weights, biases, normalizer mins/ranges —
 // is stored as aligned tensor sections holding the ALREADY-CAST dtype-T
 // values. Loading therefore reproduces the frozen plan bit for bit: the
-// steps point straight into the mapping (zero copy), and the tiny
-// mins/ranges vectors are memcpy-equivalent copies of the bytes the saving
-// scorer computed. No arithmetic happens on either path.
+// steps point straight into the artifact's load buffer (no copy past the
+// read), and the tiny mins/ranges vectors are memcpy-equivalent copies of
+// the bytes the saving scorer computed. No arithmetic happens on either
+// path.
+//
+// The meta blob is untrusted input — its checksum detects corruption, not a
+// hostile writer, since anyone can recompute it — so LoadArtifact never
+// sizes a container from a count read out of it.
 //
 // Meta blob layout ("targad-frozen-meta-v1", whitespace-separated, strings
 // as <len>:<bytes> tokens):
@@ -35,23 +40,6 @@ namespace {
 
 constexpr char kMetaVersion[] = "targad-frozen-meta-v1";
 
-void WriteToken(std::ostream& out, const std::string& s) {
-  out << s.size() << ':' << s;
-}
-
-Status ReadToken(std::istream& in, std::string* out_str) {
-  size_t len = 0;
-  char colon = 0;
-  if (!(in >> len) || !in.get(colon) || colon != ':') {
-    return Status::InvalidArgument("artifact meta: malformed string token");
-  }
-  out_str->resize(len);
-  if (len > 0 && !in.read(out_str->data(), static_cast<std::streamsize>(len))) {
-    return Status::InvalidArgument("artifact meta: truncated string token");
-  }
-  return Status::OK();
-}
-
 int ActivationId(nn::Activation act) { return static_cast<int>(act); }
 
 Result<nn::Activation> ActivationFromId(int id) {
@@ -74,18 +62,18 @@ Status FrozenScorer::SaveArtifact(const std::string& path) const {
       [&](const auto& model) -> Status {
         std::ostringstream meta;
         meta << kMetaVersion << '\n';
-        WriteToken(meta, spec_.label_column);
+        data::WriteStringToken(meta, spec_.label_column);
         meta << ' ';
-        WriteToken(meta, spec_.unlabeled_value);
+        data::WriteStringToken(meta, spec_.unlabeled_value);
         meta << '\n' << spec_.feature_columns.size();
         for (const std::string& column : spec_.feature_columns) {
           meta << ' ';
-          WriteToken(meta, column);
+          data::WriteStringToken(meta, column);
         }
         meta << '\n' << spec_.class_names.size();
         for (const std::string& name : spec_.class_names) {
           meta << ' ';
-          WriteToken(meta, name);
+          data::WriteStringToken(meta, name);
         }
         meta << '\n' << spec_.m << ' ' << spec_.k << '\n';
         const auto& steps = model.net.steps();
@@ -114,7 +102,7 @@ Status FrozenScorer::SaveArtifact(const std::string& path) const {
 
 template <typename T>
 Result<FrozenScorer::Typed<T>> FrozenScorer::BuildTyped(
-    const nn::MappedArtifact& artifact,
+    const nn::LoadedArtifact& artifact,
     const std::vector<std::pair<int, double>>& step_meta) {
   const size_t expected = step_meta.size() * 2 + 2;
   if (artifact.num_sections() != expected) {
@@ -165,8 +153,8 @@ Result<FrozenScorer::Typed<T>> FrozenScorer::BuildTyped(
 }
 
 Result<FrozenScorer> FrozenScorer::LoadArtifact(const std::string& path) {
-  TARGAD_ASSIGN_OR_RETURN(std::shared_ptr<const nn::MappedArtifact> artifact,
-                          nn::MappedArtifact::Map(path));
+  TARGAD_ASSIGN_OR_RETURN(std::shared_ptr<const nn::LoadedArtifact> artifact,
+                          nn::LoadedArtifact::Load(path));
 
   std::istringstream meta{std::string(artifact->meta())};
   std::string version;
@@ -174,24 +162,31 @@ Result<FrozenScorer> FrozenScorer::LoadArtifact(const std::string& path) {
     return Status::InvalidArgument("artifact: ", path,
                                    ": unknown meta version '", version, "'");
   }
+  // Every string goes through the bounded token reader and every list is
+  // read element by element, so a count larger than the blob fails at the
+  // first missing element, having allocated only what it read.
+  auto read_token = [&](std::string* out) {
+    const Status st = data::ReadStringToken(meta, out);
+    if (st.ok()) return st;
+    return Status::InvalidArgument("artifact: ", path, ": meta string: ",
+                                   st.message());
+  };
   Spec spec;
-  TARGAD_RETURN_NOT_OK(ReadToken(meta, &spec.label_column));
-  TARGAD_RETURN_NOT_OK(ReadToken(meta, &spec.unlabeled_value));
+  TARGAD_RETURN_NOT_OK(read_token(&spec.label_column));
+  TARGAD_RETURN_NOT_OK(read_token(&spec.unlabeled_value));
   size_t num_columns = 0;
   if (!(meta >> num_columns)) {
     return Status::InvalidArgument("artifact: ", path, ": bad column count");
   }
-  spec.feature_columns.resize(num_columns);
-  for (std::string& column : spec.feature_columns) {
-    TARGAD_RETURN_NOT_OK(ReadToken(meta, &column));
+  for (size_t i = 0; i < num_columns; ++i) {
+    TARGAD_RETURN_NOT_OK(read_token(&spec.feature_columns.emplace_back()));
   }
   size_t num_classes = 0;
   if (!(meta >> num_classes)) {
     return Status::InvalidArgument("artifact: ", path, ": bad class count");
   }
-  spec.class_names.resize(num_classes);
-  for (std::string& name : spec.class_names) {
-    TARGAD_RETURN_NOT_OK(ReadToken(meta, &name));
+  for (size_t i = 0; i < num_classes; ++i) {
+    TARGAD_RETURN_NOT_OK(read_token(&spec.class_names.emplace_back()));
   }
   size_t num_steps = 0;
   if (!(meta >> spec.m >> spec.k >> num_steps) || spec.m <= 0 ||
@@ -199,12 +194,15 @@ Result<FrozenScorer> FrozenScorer::LoadArtifact(const std::string& path) {
     return Status::InvalidArgument("artifact: ", path,
                                    ": bad m/k/step counts");
   }
-  std::vector<std::pair<int, double>> step_meta(num_steps);
-  for (auto& [act_id, slope] : step_meta) {
+  std::vector<std::pair<int, double>> step_meta;
+  for (size_t i = 0; i < num_steps; ++i) {
+    int act_id = 0;
+    double slope = 0.0;
     if (!(meta >> act_id >> slope)) {
       return Status::InvalidArgument("artifact: ", path,
                                      ": truncated step list");
     }
+    step_meta.emplace_back(act_id, slope);
   }
   TARGAD_ASSIGN_OR_RETURN(spec.encoder, data::OneHotEncoder::Load(meta));
 
@@ -222,16 +220,19 @@ Result<FrozenScorer> FrozenScorer::LoadArtifact(const std::string& path) {
 
   const auto output_dim = std::visit(
       [](const auto& m) { return m.net.output_dim(); }, scorer.model_);
-  if (output_dim != static_cast<size_t>(spec.m + spec.k)) {
+  // Summed in size_t: m and k near INT_MAX must not overflow an int.
+  const size_t logits =
+      static_cast<size_t>(spec.m) + static_cast<size_t>(spec.k);
+  if (output_dim != logits) {
     return Status::InvalidArgument("artifact: ", path, ": network emits ",
                                    output_dim, " logits, expected m+k = ",
-                                   spec.m + spec.k);
+                                   logits);
   }
   TARGAD_RETURN_NOT_OK(CheckSchema(
       spec,
       std::visit([](const auto& m) { return m.mins.size(); }, scorer.model_)));
   scorer.spec_ = std::move(spec);
-  scorer.backing_ = artifact;  // Pins the mapping for the scorer's lifetime.
+  scorer.backing_ = artifact;  // Pins the buffer for the scorer's lifetime.
   return scorer;
 }
 

@@ -2,7 +2,7 @@
 // the only one the serving stack holds — the whole RawTable -> S^tar path
 // (one-hot encoding, min-max normalization, fused MLP forward, softmax
 // score head) executed in the plan's dtype. Built by
-// TargAdPipeline::Freeze(Dtype) or mapped from a ".tgz1" (LoadArtifact);
+// TargAdPipeline::Freeze(Dtype) or loaded from a ".tgz1" (LoadArtifact);
 // holds no training state, so a snapshot is immutable and scores from any
 // number of threads concurrently.
 //
@@ -30,7 +30,7 @@
 
 namespace targad {
 namespace nn {
-class MappedArtifact;  // nn/artifact.h; only frozen_artifact.cc needs it.
+class LoadedArtifact;  // nn/artifact.h; only frozen_artifact.cc needs it.
 }  // namespace nn
 
 namespace core {
@@ -85,24 +85,25 @@ class FrozenScorer : public RowScorer {
     return spec_.class_names;
   }
 
-  /// Serializes this frozen scorer into a flat mmap-able ".tgz1" artifact:
+  /// Serializes this frozen scorer into a flat ".tgz1" artifact:
   /// the schema/preprocessing metadata as the artifact's meta blob and the
   /// already-cast dtype parameters as aligned tensor sections, so a
   /// LoadArtifact of the file scores bit-identically to this scorer.
   [[nodiscard]] Status SaveArtifact(const std::string& path) const;
 
-  /// Zero-copy load: maps `path`, validates it once (checksum, shapes,
-  /// CheckSchema), and builds the scorer by pointer fixup over the mapped
-  /// bytes — weights are never copied.
-  /// The returned scorer (and every snapshot copy of it) pins the mapping
-  /// until the last reference drops, so in-flight scores stay valid across
-  /// a registry eviction or republish.
+  /// Reads `path` into one owned buffer, validates it once (checksum,
+  /// shapes, CheckSchema), and builds the scorer by pointer fixup over that
+  /// buffer — weights are not copied again. The returned scorer (and every
+  /// snapshot copy of it) pins the buffer until the last reference drops,
+  /// so in-flight scores stay valid across a registry eviction, a
+  /// republish, or any later write to the file.
   [[nodiscard]] static Result<FrozenScorer> LoadArtifact(
       const std::string& path);
 
-  /// True when this scorer borrows a mapped artifact (LoadArtifact); false
-  /// for Freeze-built scorers whose nets own their arena.
-  bool mapped() const { return backing_ != nullptr; }
+  /// True when this scorer borrows a loaded artifact's buffer
+  /// (LoadArtifact); false for Freeze-built scorers whose nets own their
+  /// arena.
+  bool from_artifact() const { return backing_ != nullptr; }
 
  private:
   /// The dtype-specific half: frozen net plus normalizer statistics
@@ -136,19 +137,19 @@ class FrozenScorer : public RowScorer {
   [[nodiscard]] std::vector<double> ScoreEncoded(const Typed<T>& model,
                                                  nn::MatrixT<T>* encoded) const;
 
-  /// LoadArtifact's dtype-typed half: views over the mapped sections plus
+  /// LoadArtifact's dtype-typed half: views over the loaded sections plus
   /// copies of the small normalizer vectors. `step_meta` is the
   /// (activation id, leaky slope) list parsed from the meta blob.
   template <typename T>
   [[nodiscard]] static Result<Typed<T>> BuildTyped(
-      const nn::MappedArtifact& artifact,
+      const nn::LoadedArtifact& artifact,
       const std::vector<std::pair<int, double>>& step_meta);
 
   Spec spec_;
   nn::Dtype dtype_ = nn::Dtype::kFloat64;
   std::variant<Typed<double>, Typed<float>> model_;
-  /// Keeps the mmap-ed artifact alive while any copy of this scorer (or a
-  /// net view into it) exists; null for Freeze-built scorers.
+  /// Keeps the loaded artifact's buffer alive while any copy of this scorer
+  /// (or a net view into it) exists; null for Freeze-built scorers.
   std::shared_ptr<const void> backing_;
 };
 

@@ -202,39 +202,34 @@ Result<MinMaxNormalizer> MinMaxNormalizer::Load(std::istream& in) {
   return norm;
 }
 
-namespace {
-
-// Quotes a token for whitespace-delimited round-tripping: length-prefixed.
-void WriteToken(std::ostream& out, const std::string& s) {
+void WriteStringToken(std::ostream& out, std::string_view s) {
   out << s.size() << ':' << s;
 }
 
-Status ReadToken(std::istream& in, std::string* out_str) {
+Status ReadStringToken(std::istream& in, std::string* out) {
   size_t len = 0;
   char colon = 0;
   if (!(in >> len) || !in.get(colon) || colon != ':') {
     return Status::InvalidArgument("bad token header");
   }
   if (len > (1u << 20)) return Status::InvalidArgument("token too long");
-  out_str->resize(len);
-  if (len > 0 && !in.read(out_str->data(), static_cast<long>(len))) {
+  out->resize(len);
+  if (len > 0 && !in.read(out->data(), static_cast<long>(len))) {
     return Status::InvalidArgument("truncated token");
   }
   return Status::OK();
 }
 
-}  // namespace
-
 Status OneHotEncoder::Save(std::ostream& out) const {
   if (!fitted()) return Status::FailedPrecondition("OneHotEncoder not fitted");
   out << "onehot-v1 " << columns_.size() << '\n';
   for (const ColumnSpec& spec : columns_) {
-    WriteToken(out, spec.name);
+    WriteStringToken(out, spec.name);
     out << ' ' << (spec.is_categorical ? 1 : 0) << ' '
         << spec.ordered_categories.size();
     for (const std::string& cat : spec.ordered_categories) {
       out << ' ';
-      WriteToken(out, cat);
+      WriteStringToken(out, cat);
     }
     out << '\n';
   }
@@ -255,7 +250,7 @@ Result<OneHotEncoder> OneHotEncoder::Load(std::istream& in) {
   enc.output_dim_ = 0;
   for (size_t j = 0; j < cols; ++j) {
     ColumnSpec spec;
-    TARGAD_RETURN_NOT_OK(ReadToken(in, &spec.name));
+    TARGAD_RETURN_NOT_OK(ReadStringToken(in, &spec.name));
     int categorical = 0;
     size_t n_categories = 0;
     if (!(in >> categorical >> n_categories)) {
@@ -264,7 +259,7 @@ Result<OneHotEncoder> OneHotEncoder::Load(std::istream& in) {
     spec.is_categorical = categorical != 0;
     for (size_t c = 0; c < n_categories; ++c) {
       std::string cat;
-      TARGAD_RETURN_NOT_OK(ReadToken(in, &cat));
+      TARGAD_RETURN_NOT_OK(ReadStringToken(in, &cat));
       spec.categories[cat] = spec.ordered_categories.size();
       spec.ordered_categories.push_back(cat);
     }

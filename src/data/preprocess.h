@@ -123,6 +123,15 @@ class OneHotEncoder {
   size_t output_dim_ = 0;
 };
 
+/// Writes `s` as a length-prefixed "<len>:<bytes>" token: the string
+/// encoding of the encoder's Save text and of a ".tgz1" meta blob.
+void WriteStringToken(std::ostream& out, std::string_view s);
+
+/// Reads one WriteStringToken token into *out. InvalidArgument on a
+/// malformed or truncated token, or on a length over 1 MiB — checked before
+/// anything is allocated, so a hostile length cannot exhaust memory.
+[[nodiscard]] Status ReadStringToken(std::istream& in, std::string* out);
+
 /// Drops exactly-duplicated columns (the paper reduces KDDCUP99 from its
 /// redundant raw features to 32). Returns the kept column indices.
 std::vector<size_t> DeduplicateColumns(const nn::Matrix& x, nn::Matrix* out);

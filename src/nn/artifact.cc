@@ -1,12 +1,12 @@
 #include "nn/artifact.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -86,8 +86,8 @@ std::string ArtifactWriter::Serialize() const {
   const size_t elem = ElemSize(dtype_);
 
   // Lay the file out front to back; payload offsets are 64-byte aligned so
-  // mapped tensor pointers are cache-line aligned (the mapping base is page
-  // aligned, a multiple of 64).
+  // tensor pointers into the 64-byte-aligned load buffer are cache-line
+  // aligned.
   const size_t meta_offset = sizeof(ArtifactHeader);
   const size_t table_offset = AlignUp(meta_offset + meta_.size(), 8);
   std::vector<SectionDesc> table(sections_.size());
@@ -134,11 +134,11 @@ std::string ArtifactWriter::Serialize() const {
 }
 
 Status ArtifactWriter::WriteFile(const std::string& path) const {
-  // Servers map artifacts MAP_PRIVATE, and a private mapping still shows
-  // later writes to (and faults on truncation of) pages it has not copied.
-  // So the file is never rewritten in place: the bytes go to a sibling temp
-  // file that is synced and then renamed over `path`, which leaves any
-  // mapped inode intact.
+  // A server may load `path` at any moment (a cold promotion, a refresh
+  // poll), so the file is never rewritten in place: a reader could see
+  // half-written bytes, which the checksum would reject — but as a failed
+  // load. The bytes go to a sibling temp file that is synced and then
+  // renamed over `path`, so every reader sees the old file or the new one.
   static std::atomic<uint64_t> temp_counter{0};
   const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
                            std::to_string(temp_counter.fetch_add(1));
@@ -162,7 +162,7 @@ Status ArtifactWriter::WriteFile(const std::string& path) const {
   return Status::OK();
 }
 
-Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Map(
+Result<std::shared_ptr<const LoadedArtifact>> LoadedArtifact::Load(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return Status::IOError("artifact: cannot open ", path);
@@ -177,18 +177,32 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Map(
     return Status::InvalidArgument("artifact: ", path, ": file too short (",
                                    size, " bytes)");
   }
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping outlives the descriptor; closing now keeps the fd budget
-  // independent of how many cold models the registry knows about.
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::IOError("artifact: mmap failed for ", path);
+  // The checksum below reads every byte anyway, so one read into a private
+  // buffer costs no more than a mapping would — and later writes to the
+  // file cannot reach the bytes a scorer serves.
+  auto artifact = std::shared_ptr<LoadedArtifact>(new LoadedArtifact());
+  artifact->buffer_ =
+      std::aligned_alloc(kPayloadAlign, AlignUp(size, kPayloadAlign));
+  if (artifact->buffer_ == nullptr) {
+    ::close(fd);
+    return Status::IOError("artifact: cannot allocate ", size, " bytes for ",
+                           path);
   }
-
-  auto artifact = std::shared_ptr<MappedArtifact>(new MappedArtifact());
-  artifact->base_ = base;
   artifact->size_ = size;
-  const auto* bytes = static_cast<const unsigned char*>(base);
+  auto* bytes = static_cast<unsigned char*>(artifact->buffer_);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, bytes + done, size - done,
+                              static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (done != size) {
+    return Status::IOError("artifact: short read of ", path, " (", done,
+                           " of ", size, " bytes)");
+  }
 
   ArtifactHeader header{};
   std::memcpy(&header, bytes, sizeof(header));
@@ -268,17 +282,13 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Map(
         Section{static_cast<size_t>(desc.rows), static_cast<size_t>(desc.cols),
                 bytes + desc.offset});
   }
-  return std::shared_ptr<const MappedArtifact>(std::move(artifact));
+  return std::shared_ptr<const LoadedArtifact>(std::move(artifact));
 }
 
-MappedArtifact::~MappedArtifact() {
-  if (base_ != nullptr) {
-    ::munmap(const_cast<void*>(base_), size_);
-  }
-}
+LoadedArtifact::~LoadedArtifact() { std::free(buffer_); }
 
 template <typename T>
-Result<const T*> MappedArtifact::Tensor(size_t i, size_t rows,
+Result<const T*> LoadedArtifact::Tensor(size_t i, size_t rows,
                                         size_t cols) const {
   const bool want_f32 = std::is_same_v<T, float>;
   if (want_f32 != (dtype_ == Dtype::kFloat32)) {
@@ -299,9 +309,9 @@ Result<const T*> MappedArtifact::Tensor(size_t i, size_t rows,
   return static_cast<const T*>(s.data);
 }
 
-template Result<const float*> MappedArtifact::Tensor<float>(size_t, size_t,
+template Result<const float*> LoadedArtifact::Tensor<float>(size_t, size_t,
                                                             size_t) const;
-template Result<const double*> MappedArtifact::Tensor<double>(size_t, size_t,
+template Result<const double*> LoadedArtifact::Tensor<double>(size_t, size_t,
                                                               size_t) const;
 
 }  // namespace nn

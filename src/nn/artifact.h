@@ -1,10 +1,11 @@
-// Versioned, mmap-friendly flat artifact container (".tgz1"): the on-disk
-// form of a frozen inference plan. The file is designed so a reader never
-// parses tensor data — it maps the file read-only, validates the header and
-// footer checksum once, and hands out pointers straight into the mapping.
-// Cold-starting a model is then a handful of page-table entries instead of
-// a text parse, and replicas serving the same artifact share the physical
-// pages through the kernel page cache.
+// Versioned flat artifact container (".tgz1"): the on-disk form of a
+// frozen inference plan. The file is designed so a reader never parses
+// tensor data — it reads the file once into one owned 64-byte-aligned
+// buffer, validates the header and footer checksum, and hands out pointers
+// straight into that buffer. Cold-starting a model is then one read plus a
+// checksum pass instead of a text parse. The served bytes are private and
+// already checked: rewriting or truncating the file afterwards cannot reach
+// a loaded artifact.
 //
 // Layout (all integers little-endian, offsets from the file start):
 //
@@ -16,8 +17,8 @@
 //                            here: columns, class names, encoder, steps).
 //   [table_offset, +24*n)    SectionDesc[n]: per-tensor {offset, rows, cols}.
 //   ...                      tensor payloads, each 64-byte aligned so a
-//                            mapped pointer is cache-line and SIMD aligned
-//                            (the mapping itself is page aligned).
+//                            pointer into the (64-byte-aligned) load buffer
+//                            is cache-line and SIMD aligned.
 //   [file_size-16, file_size)  ArtifactFooter: trailer magic + FNV-1a-64
 //                            checksum of every preceding byte.
 //
@@ -67,7 +68,8 @@ class ArtifactWriter {
 
   /// Serializes header + meta + section table + aligned payloads + footer
   /// checksum to `path`, atomically: a synced sibling temp file is renamed
-  /// over it, so scorers still mapping the old file keep their bytes.
+  /// over it, so a concurrent load sees the old file or the new one, never
+  /// a torn mix.
   [[nodiscard]] Status WriteFile(const std::string& path) const;
 
   /// In-memory serialization — the byte-exact file contents. Exposed for
@@ -86,31 +88,31 @@ class ArtifactWriter {
   std::vector<PendingSection> sections_;
 };
 
-/// A validated read-only mapping of one artifact file. Map() verifies the
-/// magic, format version, dtype tag, section bounds, and footer checksum up
-/// front; after that every accessor is a bounds-checked pointer into the
-/// mapping, with no further I/O. Returned as shared_ptr so snapshots built
-/// over the mapping (FrozenScorer, registry entries, in-flight batches) pin
-/// its lifetime — the munmap happens when the last reference drops.
-class MappedArtifact {
+/// One artifact file, read into an owned buffer and validated. Load()
+/// verifies the magic, format version, dtype tag, section bounds, and
+/// footer checksum up front; after that every accessor is a pointer into
+/// the buffer, with no further I/O. Returned as shared_ptr so snapshots
+/// built over the buffer (FrozenScorer, registry entries, in-flight
+/// batches) pin its lifetime — it is freed when the last reference drops.
+class LoadedArtifact {
  public:
   struct Section {
     size_t rows = 0;
     size_t cols = 0;
-    const void* data = nullptr;  ///< 64-byte aligned, inside the mapping.
+    const void* data = nullptr;  ///< 64-byte aligned, inside the buffer.
   };
 
-  /// Maps and validates `path`. Any structural defect — short file, bad
+  /// Reads and validates `path`. Any structural defect — short file, bad
   /// magic, unknown version or dtype, out-of-bounds section, checksum
-  /// mismatch — is InvalidArgument/IOError; a valid result never faults on
-  /// access.
-  [[nodiscard]] static Result<std::shared_ptr<const MappedArtifact>> Map(
+  /// mismatch — is InvalidArgument; an open, read or allocation failure
+  /// (including a file that shrinks while it is read) is IOError.
+  [[nodiscard]] static Result<std::shared_ptr<const LoadedArtifact>> Load(
       const std::string& path);
 
-  ~MappedArtifact();
+  ~LoadedArtifact();
 
-  MappedArtifact(const MappedArtifact&) = delete;
-  MappedArtifact& operator=(const MappedArtifact&) = delete;
+  LoadedArtifact(const LoadedArtifact&) = delete;
+  LoadedArtifact& operator=(const LoadedArtifact&) = delete;
 
   Dtype dtype() const { return dtype_; }
   uint32_t version() const { return version_; }
@@ -129,14 +131,14 @@ class MappedArtifact {
                                         size_t cols) const;
 
  private:
-  MappedArtifact() = default;
+  LoadedArtifact() = default;
 
-  const void* base_ = nullptr;  ///< mmap base (page aligned); owned.
+  void* buffer_ = nullptr;  ///< The file's bytes, 64-byte aligned; owned.
   size_t size_ = 0;
   Dtype dtype_ = Dtype::kFloat64;
   uint32_t version_ = 0;
-  std::string_view meta_;          ///< Points into the mapping.
-  std::vector<Section> sections_;  ///< Fixed up once during Map().
+  std::string_view meta_;          ///< Points into the buffer.
+  std::vector<Section> sections_;  ///< Fixed up once during Load().
 };
 
 }  // namespace nn

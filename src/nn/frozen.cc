@@ -104,7 +104,7 @@ Result<FrozenNetT<T>> FrozenNetT<T>::Freeze(const Sequential& net) {
   }
 
   // Pack weights and biases back to back into one arena; the steps become
-  // views into it, exactly like steps over a mapped artifact.
+  // views into it, exactly like steps over a loaded artifact.
   size_t total = 0;
   for (const Staged& s : staged) {
     total += s.weight.data().size() + s.bias.size();
@@ -174,7 +174,7 @@ TARGAD_HOT_PATH MatrixT<T> FrozenNetT<T>::Infer(const MatrixT<T>& x) const {
     // the same order, as Linear::Infer followed by the activation's Infer —
     // the bit-identity contract for T = double. The kernel reads the step's
     // borrowed pointers directly, so the same loop serves arena-backed and
-    // mapped-artifact plans.
+    // artifact-backed plans.
     MatrixT<T> y(h.rows(), step.out);
     kernels::FusedAffineActivation(h.rows(), step.out, h.cols(),
                                    h.data().data(), step.weight, step.bias,

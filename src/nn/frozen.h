@@ -37,8 +37,9 @@ const char* DtypeName(Dtype dtype);
 
 /// One fused inference step: y = act(x W + b). The step itself is a view —
 /// `weight` and `bias` point into storage owned elsewhere (the net's packed
-/// arena for heap-built plans, a mapped artifact for zero-copy loads), so
-/// constructing a plan over an artifact is pointer fixup, never a copy.
+/// arena for heap-built plans, a loaded artifact's buffer for ".tgz1"
+/// loads), so constructing a plan over an artifact is pointer fixup, never
+/// a copy.
 template <typename T>
 struct FrozenStepT {
   const T* weight = nullptr;  ///< Row-major (in x out), borrowed.
@@ -53,9 +54,9 @@ struct FrozenStepT {
 /// Immutable after construction, so one frozen net can score from any
 /// number of threads concurrently. Freeze packs all parameters into one
 /// shared arena (copies of the net stay cheap and safe); FromSteps wraps
-/// storage owned by the caller — e.g. an mmap-ed artifact — without
+/// storage owned by the caller — e.g. a loaded artifact's buffer — without
 /// copying, and whoever supplied the pointers must keep them alive for the
-/// net's lifetime (core::FrozenScorer pins the mapping via shared_ptr).
+/// net's lifetime (core::FrozenScorer pins the buffer via shared_ptr).
 template <typename T>
 class FrozenNetT {
  public:

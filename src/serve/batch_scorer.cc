@@ -214,16 +214,32 @@ void BatchScorer::ScoreBatch(std::vector<Pending>* batch) {
   }
 }
 
+Status BatchScorer::MissingModel(const std::string& model) const {
+  // The default model missing is a service-not-ready condition; any other
+  // name is a routing error of that row alone. The NotFound message names
+  // the routed model and offers the registered alternatives.
+  if (model == kDefaultModel) {
+    return Status::FailedPrecondition("batch scorer: no model available");
+  }
+  if (!lister_) {
+    return Status::NotFound("batch scorer: unknown model '", model, "'");
+  }
+  std::string available;
+  for (const std::string& name : lister_()) {
+    if (!available.empty()) available += ", ";
+    available += name;
+  }
+  if (available.empty()) {
+    return Status::NotFound("batch scorer: unknown model '", model,
+                            "' (no models registered)");
+  }
+  return Status::NotFound("batch scorer: unknown model '", model,
+                          "' (available: ", available, ")");
+}
+
 void BatchScorer::ScoreGroup(const std::string& model,
                              std::vector<Pending*>* rows) {
-  std::shared_ptr<const core::RowScorer> snapshot = provider_(model);
-  if (metrics_ != nullptr && snapshot != nullptr) {
-    const void* raw = snapshot.get();
-    MutexLock lock(&swap_mu_);
-    const void*& previous = last_snapshot_[model];
-    if (previous != nullptr && previous != raw) metrics_->RecordModelSwap();
-    previous = raw;
-  }
+  Result<std::shared_ptr<const core::RowScorer>> fetched = provider_(model);
 
   uint64_t scored = 0, failed = 0;
   auto fulfill = [&](Pending* request, Result<double> result) {
@@ -234,31 +250,21 @@ void BatchScorer::ScoreGroup(const std::string& model,
     if (metrics_ != nullptr) metrics_->RecordModelRows(model, scored, failed);
   };
 
-  if (snapshot == nullptr) {
-    // No snapshot: the default model missing is a service-not-ready
-    // condition; any other name is a routing error of that row alone. The
-    // NotFound message names the routed model and offers the registered
-    // alternatives — composed once per group, shared by every row in it.
-    Status failure = Status::OK();
-    if (model == kDefaultModel) {
-      failure = Status::FailedPrecondition("batch scorer: no model available");
-    } else if (!lister_) {
-      failure = Status::NotFound("batch scorer: unknown model '", model, "'");
-    } else {
-      std::string available;
-      for (const std::string& name : lister_()) {
-        if (!available.empty()) available += ", ";
-        available += name;
-      }
-      failure = available.empty()
-                    ? Status::NotFound("batch scorer: unknown model '", model,
-                                       "' (no models registered)")
-                    : Status::NotFound("batch scorer: unknown model '", model,
-                                       "' (available: ", available, ")");
-    }
+  if (!fetched.ok() || *fetched == nullptr) {
+    // Composed once per group, shared by every row in it.
+    const Status failure =
+        fetched.ok() ? MissingModel(model) : fetched.status();
     for (Pending* request : *rows) fulfill(request, failure);
     record_model();
     return;
+  }
+  const std::shared_ptr<const core::RowScorer>& snapshot = *fetched;
+  if (metrics_ != nullptr) {
+    const void* raw = snapshot.get();
+    MutexLock lock(&swap_mu_);
+    const void*& previous = last_snapshot_[model];
+    if (previous != nullptr && previous != raw) metrics_->RecordModelSwap();
+    previous = raw;
   }
 
   std::vector<core::RowScorer::Record> records;

@@ -21,7 +21,9 @@
 //    a concurrent Publish affects only later batches, and the old snapshot
 //    stays valid until its last batch completes.
 //  - One malformed row fails only its own future, not its batch neighbors;
-//    a row naming an unknown model fails with NotFound, not its batch.
+//    a row naming an unknown model fails with NotFound, and a model the
+//    provider cannot serve fails with the provider's status — each only
+//    its own group, not the batch.
 //
 // Wake rule: a worker waits either idle, for a non-empty queue, or
 // coalescing, for a full batch or its deadline. So a Submit notifies one
@@ -84,10 +86,13 @@ class BatchScorer {
   /// Fetches the scorer snapshot for one model; called once per batch
   /// group. Returning nullptr fails that group's rows: FailedPrecondition
   /// for kDefaultModel (no model available), NotFound for any other name
-  /// (unknown model). Typically ModelRegistry::GetScorer in a lambda, which
-  /// hands out core::FrozenScorer snapshots.
+  /// (unknown model). Returning an error status fails them with that
+  /// status — e.g. a registered model whose cold promotion cannot load.
+  /// Typically ModelRegistry::GetScorer in a lambda, which hands out
+  /// core::FrozenScorer snapshots; a lambda returning a plain shared_ptr
+  /// converts.
   using NamedSnapshotProvider =
-      std::function<std::shared_ptr<const core::RowScorer>(
+      std::function<Result<std::shared_ptr<const core::RowScorer>>(
           const std::string& model)>;
 
   /// Names the unknown-model NotFound message can offer as alternatives
@@ -158,6 +163,10 @@ class BatchScorer {
   /// Shared admission path: enqueues `request` or fulfils it inline with
   /// the rejection status (queue full / shut down).
   void SubmitPending(Pending request) TARGAD_EXCLUDES(mu_);
+
+  /// The failure of a group whose provider returned nullptr: no default
+  /// model, or an unknown name with the registered alternatives.
+  Status MissingModel(const std::string& model) const;
 
   void WorkerLoop() TARGAD_EXCLUDES(mu_);
   /// Waits until outstanding_ hits zero; `lock` must hold mu_.

@@ -65,7 +65,7 @@ struct MetricsSnapshot {
   uint64_t latency_p95_us = 0;
   uint64_t latency_p99_us = 0;
   /// Model-registry tiering counters (zero when no registry is attached):
-  /// warm-tier lookups, cold-tier promotions (each one a disk load), LRU
+  /// warm-tier lookups, cold-tier promotions (each one a disk load),
   /// demotions, and the latency distribution of the loads themselves.
   uint64_t registry_hits = 0;
   uint64_t registry_misses = 0;
@@ -106,15 +106,16 @@ class ServeMetrics {
   void RecordFailed(uint64_t latency_us);
 
   /// Model-registry tiering events. Hit = served from the warm tier; miss =
-  /// the model was cold and had to be promoted; eviction = an LRU demotion
-  /// to the cold tier. Atomic-only, so the registry may record them while
+  /// the model was cold and had to be promoted; eviction = a demotion of
+  /// the least-frequently-used warm model to the cold tier. Atomic-only, so the registry may record them while
   /// holding its own mutex.
   void RecordRegistryHit() { Add(&registry_hits_); }
   void RecordRegistryMiss() { Add(&registry_misses_); }
   void RecordRegistryEviction() { Add(&registry_evictions_); }
 
   /// One disk load of a model (cold promotion, publish, or refresh) and its
-  /// wall time — the cold-start cost the mmap artifact path collapses.
+  /// wall time — for a ".tgz1" artifact a read, a checksum and a pointer
+  /// fixup; for a text model a parse and a freeze.
   void RecordRegistryLoad(uint64_t load_us);
 
   MetricsSnapshot Snapshot() const;

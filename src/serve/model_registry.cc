@@ -105,7 +105,7 @@ Result<ModelRegistry::LoadedModel> ModelRegistry::LoadFromFile(
   loaded.stat_ok = StatSignature(path, &loaded.sig);
 
   if (IsArtifactPath(path)) {
-    // Flat artifact: mmap + checksum + pointer fixup, no parse. The
+    // Flat artifact: read + checksum + pointer fixup, no parse. The
     // artifact carries its own dtype; serve_dtype does not apply.
     TARGAD_ASSIGN_OR_RETURN(core::FrozenScorer scorer,
                             core::FrozenScorer::LoadArtifact(path));
@@ -134,7 +134,7 @@ uint64_t ModelRegistry::InstallLocked(const std::string& name,
                                       const std::string& source,
                                       bool bump_version) {
   Entry& entry = models_[name];
-  const bool was_in_lru = entry.warm && entry.file_backed;
+  const bool was_candidate = entry.warm && entry.file_backed;
   entry.scorer = std::move(loaded.scorer);
   if (bump_version) entry.version += 1;
   entry.generation += 1;
@@ -145,39 +145,66 @@ uint64_t ModelRegistry::InstallLocked(const std::string& name,
   // so the entry is pinned warm like an in-memory publish.
   entry.file_backed = loaded.stat_ok;
   entry.warm = true;
-  if (entry.file_backed) {
-    if (was_in_lru) {
-      TouchLocked(&entry);
-    } else {
-      lru_.push_front(name);
-      entry.lru_pos = lru_.begin();
-    }
-  } else if (was_in_lru) {
-    lru_.erase(entry.lru_pos);
+  entry.last_used = ++use_clock_;
+  if (entry.file_backed && !was_candidate) {
+    warm_files_.push_back(&entry);
+  } else if (!entry.file_backed && was_candidate) {
+    ForgetWarmFileLocked(&entry);
   }
-  EvictOverCapacityLocked();
+  EvictOverCapacityLocked(&entry);
   return entry.version;
 }
 
-void ModelRegistry::TouchLocked(Entry* entry) {
-  // Splice moves the node without invalidating entry->lru_pos.
-  lru_.splice(lru_.begin(), lru_, entry->lru_pos);
+void ModelRegistry::CountLookupLocked(Entry* entry) {
+  entry->uses = CurrentUsesLocked(entry) + 1;
+  entry->last_used = ++use_clock_;
+  // Unbounded tiers evict nothing, so their counts need no aging.
+  if (warm_capacity_ > 0 && ++period_lookups_ >= 8 * warm_capacity_) {
+    period_lookups_ = 0;
+    ++aging_period_;
+  }
 }
 
-void ModelRegistry::EvictOverCapacityLocked() {
-  while (warm_capacity_ > 0 && lru_.size() > warm_capacity_) {
-    const std::string victim = std::move(lru_.back());
-    lru_.pop_back();
-    auto it = models_.find(victim);
-    if (it == models_.end()) continue;
-    Entry& entry = it->second;
+uint64_t ModelRegistry::CurrentUsesLocked(Entry* entry) {
+  const uint64_t missed = aging_period_ - entry->uses_period;
+  entry->uses = missed >= 64 ? 0 : entry->uses >> missed;
+  entry->uses_period = aging_period_;
+  return entry->uses;
+}
+
+void ModelRegistry::EvictOverCapacityLocked(const Entry* keep) {
+  while (warm_capacity_ > 0 && warm_files_.size() > warm_capacity_) {
+    // The cap is at least 1, so past it there is a candidate besides
+    // `keep`. The scan visits only warm file-backed entries.
+    Entry* victim = nullptr;
+    for (Entry* entry : warm_files_) {
+      if (entry == keep) continue;
+      if (victim == nullptr) {
+        victim = entry;
+        continue;
+      }
+      const uint64_t uses = CurrentUsesLocked(entry);
+      const uint64_t victim_uses = CurrentUsesLocked(victim);
+      if (uses < victim_uses ||
+          (uses == victim_uses && entry->last_used < victim->last_used)) {
+        victim = entry;
+      }
+    }
+    ForgetWarmFileLocked(victim);
     // Demotion drops only the registry's references: snapshots held by
-    // in-flight batches keep the plan — and a mapped artifact's mapping —
-    // alive until the last one completes.
-    entry.scorer.reset();
-    entry.warm = false;
+    // in-flight batches keep the plan — and an artifact's load buffer —
+    // alive until the last one completes. The count stays.
+    victim->scorer.reset();
+    victim->warm = false;
     if (metrics_ != nullptr) metrics_->RecordRegistryEviction();
   }
+}
+
+void ModelRegistry::ForgetWarmFileLocked(const Entry* entry) {
+  auto it = std::find(warm_files_.begin(), warm_files_.end(), entry);
+  if (it == warm_files_.end()) return;
+  *it = warm_files_.back();
+  warm_files_.pop_back();
 }
 
 Status ModelRegistry::PublishFile(const std::string& name,
@@ -290,9 +317,10 @@ Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
     if (entry == nullptr) {
       return Status::NotFound("model registry: no model named '", name, "'");
     }
+    // Cold entries are always file-backed; pinned ones are not counted.
+    if (entry->file_backed) CountLookupLocked(entry);
     if (entry->warm) {
       if (metrics_ != nullptr) metrics_->RecordRegistryHit();
-      if (entry->file_backed) TouchLocked(entry);
       return std::shared_ptr<const core::RowScorer>(entry->scorer);
     }
     if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
@@ -304,11 +332,13 @@ Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
   // both installs are consistent (the second one wins and bumps the
   // generation again) and each caller scores with the snapshot it loaded —
   // the duplicate work is the price of never holding mu_ across disk I/O.
+  // A failed load is the server's condition, not the caller's: the model
+  // is registered but cannot be served until its file is fixed.
   auto loaded = LoadFromFile(path, dtype, metrics);
   if (!loaded.ok()) {
-    return Status(loaded.status().code(),
-                  "model registry: promoting '" + name + "' from " + path +
-                      ": " + loaded.status().message());
+    return Status::FailedPrecondition("model registry: promoting '", name,
+                                      "' from ", path, ": ",
+                                      loaded.status().message());
   }
   std::shared_ptr<const core::RowScorer> scorer = loaded->scorer;
   MutexLock lock(&mu_);
@@ -356,7 +386,9 @@ Status ModelRegistry::Remove(const std::string& name) {
   if (it == models_.end()) {
     return Status::NotFound("model registry: no model named '", name, "'");
   }
-  if (it->second.warm && it->second.file_backed) lru_.erase(it->second.lru_pos);
+  if (it->second.warm && it->second.file_backed) {
+    ForgetWarmFileLocked(&it->second);
+  }
   models_.erase(it);
   return Status::OK();
 }
@@ -368,7 +400,7 @@ size_t ModelRegistry::size() const {
 
 size_t ModelRegistry::warm_size() const {
   MutexLock lock(&mu_);
-  return lru_.size();
+  return warm_files_.size();
 }
 
 }  // namespace serve

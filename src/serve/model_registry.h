@@ -4,23 +4,34 @@
 //
 //   warm tier  entries whose snapshot — one core::FrozenScorer — is
 //              resident: frozen from a text model as it loads, or built by
-//              pointer fixup over an mmap-ed ".tgz1" artifact. GetScorer
-//              hands the snapshot out under the mutex; scorers keep a
-//              consistent model for a whole batch while a replacement is
-//              published concurrently.
+//              pointer fixup over a ".tgz1" artifact read into memory.
+//              GetScorer hands the snapshot out under the mutex; scorers
+//              keep a consistent model for a whole batch while a
+//              replacement is published concurrently.
 //   cold tier  file-backed entries the registry knows about — name, path,
-//              stat signature — whose snapshot has been dropped. The first
-//              lookup promotes the entry back to warm (a disk load; for
-//              ".tgz1" artifacts an mmap + fixup, not a parse).
+//              stat signature, lookup count — whose snapshot has been
+//              dropped. The first lookup promotes the entry back to warm
+//              (a disk load; for ".tgz1" artifacts a read + checksum +
+//              fixup, not a parse).
 //
-// set_warm_capacity bounds how many file-backed snapshots stay resident:
-// past the cap, the least-recently-used file-backed entry is demoted to
-// cold. In-memory publishes have no file to reload from, so they are
-// pinned warm and never count against the cap. Eviction only drops the
-// registry's reference — in-flight scores hold snapshot shared_ptrs, which
-// pin the plan (and, for mapped artifacts, the mapping itself) until the
-// last batch completes. Every (re)load into the warm tier bumps the
-// entry's generation counter; `version` keeps its publish-count meaning.
+// set_warm_capacity bounds how many file-backed snapshots stay resident.
+// Eviction is least-frequently-used with aging: every lookup of a
+// file-backed entry, hit or miss, adds one to its count; all counts halve
+// once every 8 x warm-capacity lookups; past the cap, the warm file-backed
+// entry with the lowest count is demoted to cold, ties going to the entry
+// looked up or installed longest ago. A count survives demotion, so a hot
+// model that was evicted comes back with its history, and the entry being
+// installed is never its own victim, so every load lands warm. Frequency,
+// not recency, because BatchScorer fetches a batch's models in name order:
+// a batch that routes to more models than the cap holds is a sorted scan
+// longer than the cache, which evicts every model under LRU before its
+// next batch reaches it. In-memory publishes have no file to reload from,
+// so they are pinned warm, never counted, and never count against the cap.
+// Eviction only drops the registry's reference — in-flight scores hold
+// snapshot shared_ptrs, which pin the plan (and an artifact's load buffer)
+// until the last batch completes. Every (re)load into the warm tier bumps
+// the entry's generation counter; `version` keeps its publish-count
+// meaning.
 //
 // One serving type: a text model (".targad"/".model") is parsed, frozen to
 // the serve dtype (set_serve_dtype; kFloat64, the default, scores
@@ -44,7 +55,6 @@
 #define TARGAD_SERVE_MODEL_REGISTRY_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,7 +102,8 @@ struct ModelInfo {
   uint64_t generation = 0;
   /// True when the snapshot is resident (warm tier).
   bool warm = false;
-  /// True when the source is a flat ".tgz1" artifact (mmap-loaded).
+  /// True when the source is a flat ".tgz1" artifact (loaded by read +
+  /// pointer fixup, not frozen from a text model).
   bool artifact = false;
 };
 
@@ -115,10 +126,10 @@ class ModelRegistry {
   }
 
   /// Warm-tier capacity: at most this many FILE-BACKED snapshots stay
-  /// resident; loading past the cap demotes the least-recently-used one to
-  /// the cold tier. 0 (the default) means unbounded. In-memory publishes
-  /// are pinned warm and do not count. Lowering the cap takes effect on
-  /// the next load or publish, not retroactively.
+  /// resident; loading past the cap demotes the least-frequently-used one
+  /// (header comment) to the cold tier. 0 (the default) means unbounded.
+  /// In-memory publishes are pinned warm and do not count. Lowering the
+  /// cap takes effect on the next load or publish, not retroactively.
   void set_warm_capacity(size_t capacity) TARGAD_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     warm_capacity_ = capacity;
@@ -163,11 +174,15 @@ class ModelRegistry {
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
   /// Serving snapshot for `name` (always a core::FrozenScorer), or
-  /// NotFound. A warm entry is handed out under the lock (and touched in
-  /// LRU order); a cold entry is promoted first — the disk load runs
-  /// outside the lock, so concurrent lookups of warm models never stall
-  /// behind it. The snapshot is immutable and remains valid after any
-  /// subsequent Publish or eviction of the name.
+  /// NotFound when no such model is registered. Every lookup of a
+  /// file-backed entry adds to its eviction count. A warm entry is handed
+  /// out under the lock; a cold entry is promoted first — the disk load
+  /// runs outside the lock, so concurrent lookups of warm models never
+  /// stall behind it. A promotion that cannot load the file is
+  /// FailedPrecondition carrying the load error: the model is registered
+  /// but unavailable, which is not the caller's fault. The snapshot is
+  /// immutable and remains valid after any subsequent Publish or eviction
+  /// of the name.
   [[nodiscard]] Result<std::shared_ptr<const core::RowScorer>> GetScorer(
       const std::string& name);
 
@@ -202,8 +217,13 @@ class ModelRegistry {
     bool warm = false;      ///< Snapshot resident. In-memory entries: always.
     /// Source-file stat signature at load time; file-backed entries only.
     FileSignature sig{};
-    /// Position in lru_; valid only while warm && file_backed.
-    std::list<std::string>::iterator lru_pos{};
+    /// Lookups, halved per aging period; current as of `uses_period`.
+    /// Kept across demotion. Use CurrentUsesLocked to read it.
+    uint64_t uses = 0;
+    uint64_t uses_period = 0;
+    /// use_clock_ at the entry's last lookup or install: the eviction
+    /// tie-break.
+    uint64_t last_used = 0;
   };
 
   /// What one disk load produced; installed under the lock afterwards.
@@ -214,25 +234,34 @@ class ModelRegistry {
     bool artifact = false;
   };
 
-  /// Reads `path`: an artifact mmap, or a text parse frozen to
+  /// Reads `path`: a ".tgz1" artifact load, or a text parse frozen to
   /// `serve_dtype`, by extension. Runs without mu_; records the load
   /// latency into `metrics` when non-null.
   [[nodiscard]] static Result<LoadedModel> LoadFromFile(
       const std::string& path, nn::Dtype serve_dtype, ServeMetrics* metrics);
 
   /// Installs a loaded snapshot as the warm entry for `name`, bumping
-  /// generation (and version when `bump_version`), updating LRU order and
-  /// evicting over capacity. Returns the entry's version.
+  /// generation (and version when `bump_version`) and evicting over
+  /// capacity — never the installed entry itself. Returns the entry's
+  /// version.
   uint64_t InstallLocked(const std::string& name, LoadedModel loaded,
                          const std::string& source, bool bump_version)
       TARGAD_REQUIRES(mu_);
 
-  /// Moves a warm file-backed entry to the LRU front.
-  void TouchLocked(Entry* entry) TARGAD_REQUIRES(mu_);
+  /// Counts one lookup of a file-backed entry and advances the aging
+  /// clock.
+  void CountLookupLocked(Entry* entry) TARGAD_REQUIRES(mu_);
 
-  /// Demotes least-recently-used file-backed entries while the warm tier
-  /// exceeds warm_capacity_.
-  void EvictOverCapacityLocked() TARGAD_REQUIRES(mu_);
+  /// `entry->uses` after the halvings of the aging periods it missed,
+  /// applied lazily here so aging costs O(1) per lookup.
+  uint64_t CurrentUsesLocked(Entry* entry) TARGAD_REQUIRES(mu_);
+
+  /// Demotes the lowest-count warm file-backed entries other than `keep`
+  /// while the warm tier exceeds warm_capacity_.
+  void EvictOverCapacityLocked(const Entry* keep) TARGAD_REQUIRES(mu_);
+
+  /// Drops `entry` from warm_files_.
+  void ForgetWarmFileLocked(const Entry* entry) TARGAD_REQUIRES(mu_);
 
   /// Shared lookup behind GetScorer/Info/RefreshIfChanged; nullptr when
   /// `name` is not registered. The pointer is only valid while mu_ stays
@@ -242,8 +271,14 @@ class ModelRegistry {
 
   mutable RankedMutex mu_{LockRank::kModelRegistry};
   std::map<std::string, Entry> models_ TARGAD_GUARDED_BY(mu_);
-  /// Warm file-backed names, most recently used first.
-  std::list<std::string> lru_ TARGAD_GUARDED_BY(mu_);
+  /// The warm file-backed entries, unordered: the eviction candidates.
+  /// std::map nodes are stable, so these stay valid until Remove.
+  std::vector<Entry*> warm_files_ TARGAD_GUARDED_BY(mu_);
+  /// Lookups and installs so far; stamps Entry::last_used.
+  uint64_t use_clock_ TARGAD_GUARDED_BY(mu_) = 0;
+  /// Aging periods elapsed, and lookups counted in the current one.
+  uint64_t aging_period_ TARGAD_GUARDED_BY(mu_) = 0;
+  uint64_t period_lookups_ TARGAD_GUARDED_BY(mu_) = 0;
   std::vector<std::string> watched_dirs_ TARGAD_GUARDED_BY(mu_);
   nn::Dtype serve_dtype_ TARGAD_GUARDED_BY(mu_) = nn::Dtype::kFloat64;
   size_t warm_capacity_ TARGAD_GUARDED_BY(mu_) = 0;

@@ -1,5 +1,6 @@
 #include "nn/artifact.h"
 
+#include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -60,16 +61,16 @@ ArtifactWriter SmallWriter(const std::vector<float>& a,
   return writer;
 }
 
-TEST(ArtifactTest, WriteMapRoundTripPreservesEverything) {
+TEST(ArtifactTest, WriteLoadRoundTripPreservesEverything) {
   TempDir dir;
   const fs::path path = dir.path() / "toy.tgz1";
   const std::vector<float> a = {1.0f, -2.5f, 3.25f, 0.0f, 7.5f, -0.125f};
   const std::vector<float> b = {9.0f, 8.0f, 7.0f, 6.0f};
   ASSERT_TRUE(SmallWriter(a, b).WriteFile(path.string()).ok());
 
-  auto mapped = MappedArtifact::Map(path.string());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const MappedArtifact& artifact = **mapped;
+  auto loaded = LoadedArtifact::Load(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const LoadedArtifact& artifact = **loaded;
   EXPECT_EQ(artifact.version(), 1u);
   EXPECT_EQ(artifact.dtype(), Dtype::kFloat32);
   EXPECT_EQ(artifact.meta(), "schema: toy");
@@ -99,15 +100,15 @@ TEST(ArtifactTest, TensorRejectsDtypeAndShapeMismatch) {
   const std::vector<float> a = {1, 2, 3, 4, 5, 6};
   const std::vector<float> b = {1, 2, 3, 4};
   ASSERT_TRUE(SmallWriter(a, b).WriteFile(path.string()).ok());
-  auto mapped = MappedArtifact::Map(path.string());
-  ASSERT_TRUE(mapped.ok());
+  auto loaded = LoadedArtifact::Load(path.string());
+  ASSERT_TRUE(loaded.ok());
   // Wrong element type for the stored dtype tag.
-  EXPECT_FALSE((*mapped)->Tensor<double>(0, 2, 3).ok());
+  EXPECT_FALSE((*loaded)->Tensor<double>(0, 2, 3).ok());
   // Wrong expected shape.
-  EXPECT_FALSE((*mapped)->Tensor<float>(0, 3, 2).ok());
+  EXPECT_FALSE((*loaded)->Tensor<float>(0, 3, 2).ok());
 }
 
-TEST(ArtifactTest, MapRejectsCorruptFiles) {
+TEST(ArtifactTest, LoadRejectsCorruptFiles) {
   TempDir dir;
   const std::vector<float> a = {1, 2, 3, 4, 5, 6};
   const std::vector<float> b = {1, 2, 3, 4};
@@ -118,33 +119,33 @@ TEST(ArtifactTest, MapRejectsCorruptFiles) {
     std::string bytes = good;
     bytes[0] ^= 0x5a;
     WriteBytes(path, bytes);
-    EXPECT_FALSE(MappedArtifact::Map(path.string()).ok());
+    EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
   }
   {  // One flipped payload byte: the footer checksum must catch it.
     std::string bytes = good;
     bytes[bytes.size() / 2] ^= 0x01;
     WriteBytes(path, bytes);
-    EXPECT_FALSE(MappedArtifact::Map(path.string()).ok());
+    EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
   }
   {  // Truncated mid-payload: header file_size disagrees with the file.
     WriteBytes(path, good.substr(0, good.size() - 10));
-    EXPECT_FALSE(MappedArtifact::Map(path.string()).ok());
+    EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
   }
   {  // Shorter than one header.
     WriteBytes(path, good.substr(0, 20));
-    EXPECT_FALSE(MappedArtifact::Map(path.string()).ok());
+    EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
   }
   {  // Missing file.
     EXPECT_FALSE(
-        MappedArtifact::Map((dir.path() / "absent.tgz1").string()).ok());
+        LoadedArtifact::Load((dir.path() / "absent.tgz1").string()).ok());
   }
-  // The pristine bytes still map — the corruptions above, not the harness,
+  // The pristine bytes still load — the corruptions above, not the harness,
   // caused the rejections.
   WriteBytes(path, good);
-  EXPECT_TRUE(MappedArtifact::Map(path.string()).ok());
+  EXPECT_TRUE(LoadedArtifact::Load(path.string()).ok());
 }
 
-TEST(ArtifactTest, MapRejectsOutOfBoundsSectionEvenWithValidChecksum) {
+TEST(ArtifactTest, LoadRejectsOutOfBoundsSectionEvenWithValidChecksum) {
   TempDir dir;
   const std::vector<float> a = {1, 2, 3, 4, 5, 6};
   const std::vector<float> b = {1, 2, 3, 4};
@@ -163,7 +164,7 @@ TEST(ArtifactTest, MapRejectsOutOfBoundsSectionEvenWithValidChecksum) {
 
   const fs::path path = dir.path() / "oob.tgz1";
   WriteBytes(path, bytes);
-  EXPECT_FALSE(MappedArtifact::Map(path.string()).ok());
+  EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -223,8 +224,8 @@ TEST_P(ArtifactRoundTripTest, LoadArtifactScoresBitIdentically) {
   auto loaded = core::FrozenScorer::LoadArtifact(path.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  EXPECT_TRUE(loaded->mapped());
-  EXPECT_FALSE(frozen.mapped());
+  EXPECT_TRUE(loaded->from_artifact());
+  EXPECT_FALSE(frozen.from_artifact());
   EXPECT_EQ(loaded->dtype(), dtype);
   EXPECT_EQ(loaded->m(), frozen.m());
   EXPECT_EQ(loaded->k(), frozen.k());
@@ -251,15 +252,15 @@ INSTANTIATE_TEST_SUITE_P(Dtypes, ArtifactRoundTripTest,
                            return std::string(DtypeName(info.param));
                          });
 
-TEST(ArtifactTest, MappedScorerSurvivesFileUnlink) {
+TEST(ArtifactTest, LoadedScorerSurvivesFileUnlink) {
   TempDir dir;
   auto pipeline = TrainPipeline(23);
   auto frozen = pipeline.Freeze(Dtype::kFloat32).ValueOrDie();
   const fs::path path = dir.path() / "gone.tgz1";
   ASSERT_TRUE(frozen.SaveArtifact(path.string()).ok());
   auto loaded = core::FrozenScorer::LoadArtifact(path.string()).ValueOrDie();
-  // POSIX keeps the mapping alive after the unlink; scoring must not fault
-  // or change — this is what lets a redeploy overwrite artifacts in place.
+  // The scorer serves its own copy of the bytes; scoring must not fault or
+  // change once the file is gone.
   fs::remove(path);
   const data::RawTable rows = MakeScoringRows(24, 16);
   auto before = frozen.Score(rows).ValueOrDie();
@@ -267,10 +268,9 @@ TEST(ArtifactTest, MappedScorerSurvivesFileUnlink) {
   EXPECT_EQ(before, after);
 }
 
-// Republishing over a live artifact must not touch the inode a running
-// scorer maps: an in-place rewrite would change its weights under it (same
-// size) or fault it (shorter file).
-TEST(ArtifactTest, RewriteOverMappedArtifactKeepsOldScorerIntact) {
+// Republishing over a live artifact leaves a running scorer's weights
+// alone, and a fresh load sees the new file whole.
+TEST(ArtifactTest, RepublishOverLoadedArtifactKeepsOldScorerIntact) {
   TempDir dir;
   auto old_frozen = TrainPipeline(26).Freeze(Dtype::kFloat32).ValueOrDie();
   auto new_frozen = TrainPipeline(27).Freeze(Dtype::kFloat32).ValueOrDie();
@@ -331,6 +331,193 @@ TEST(ArtifactTest, LoadArtifactRejectsTamperedScorerFile) {
   bytes[bytes.size() / 3] ^= 0x40;
   WriteBytes(path, bytes);
   EXPECT_FALSE(core::FrozenScorer::LoadArtifact(path.string()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile files: in-place rewrites of a loaded artifact, and meta blobs with
+// a valid checksum but a hostile schema.
+
+// The bytes of the .tgz1 at `path` with its meta blob replaced by `meta`
+// and every tensor kept: a well-formed file (valid checksum).
+std::string WithMeta(const fs::path& path, const std::string& meta) {
+  auto artifact = LoadedArtifact::Load(path.string()).ValueOrDie();
+  ArtifactWriter writer(artifact->dtype());
+  writer.set_meta(meta);
+  for (size_t i = 0; i < artifact->num_sections(); ++i) {
+    const LoadedArtifact::Section& section = artifact->section(i);
+    writer.AddTensor(section.rows, section.cols, section.data);
+  }
+  return writer.Serialize();
+}
+
+// `meta` with the digits that open line `line` replaced by `digits`. The
+// lines of a frozen scorer's meta blob are: 0 version, 1 the label and
+// unlabeled-value tokens, 2 the feature columns, 3 the class names, 4 m and
+// k, 5 the step count.
+std::string WithLeadingNumber(const std::string& meta, size_t line,
+                              const std::string& digits) {
+  size_t begin = 0;
+  for (size_t i = 0; i < line; ++i) begin = meta.find('\n', begin) + 1;
+  size_t end = begin;
+  while (end < meta.size() && meta[end] >= '0' && meta[end] <= '9') ++end;
+  EXPECT_GT(end, begin) << "line " << line << " opens with no number";
+  return meta.substr(0, begin) + digits + meta.substr(end);
+}
+
+// A live artifact rewritten in place — truncated, or overwritten with
+// same-size zeros or garbage, as cp, rsync --inplace or an editor would —
+// cannot reach the scorer already loaded from it, and a fresh load of the
+// damaged file fails with an error, not a signal.
+TEST(ArtifactTest, InPlaceRewriteCannotReachALoadedScorer) {
+  TempDir dir;
+  auto frozen = TrainPipeline(30).Freeze(Dtype::kFloat32).ValueOrDie();
+  const data::RawTable rows = MakeScoringRows(31, 32);
+  const std::vector<double> expected = frozen.Score(rows).ValueOrDie();
+  const fs::path path = dir.path() / "live.tgz1";
+
+  for (const char* damage : {"truncate", "zeros", "garbage"}) {
+    SCOPED_TRACE(damage);
+    ASSERT_TRUE(frozen.SaveArtifact(path.string()).ok());
+    auto served = core::FrozenScorer::LoadArtifact(path.string());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->Score(rows).ValueOrDie(), expected);
+
+    const size_t size = fs::file_size(path);
+    if (std::string(damage) == "truncate") {
+      std::ofstream truncate(path, std::ios::binary | std::ios::trunc);
+    } else {
+      // in|out opens the existing inode without truncating it.
+      std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+      std::string bytes(size, '\0');
+      if (std::string(damage) == "garbage") {
+        Rng rng(32);
+        for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+      }
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ASSERT_EQ(fs::file_size(path), std::string(damage) == "truncate" ? 0 : size);
+
+    EXPECT_EQ(served->Score(rows).ValueOrDie(), expected);
+    EXPECT_EQ(core::FrozenScorer::LoadArtifact(path.string()).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// A meta blob is untrusted even when its checksum is valid: anyone can
+// recompute FNV-1a. A huge count or token length must be an error, never
+// an allocation sized from it (which aborts the process).
+TEST(ArtifactTest, HugeMetaCountsAreInvalidArgument) {
+  TempDir dir;
+  const fs::path good = dir.path() / "good.tgz1";
+  ASSERT_TRUE(TrainPipeline(33)
+                  .Freeze(Dtype::kFloat32)
+                  .ValueOrDie()
+                  .SaveArtifact(good.string())
+                  .ok());
+  const std::string meta(LoadedArtifact::Load(good.string()).ValueOrDie()->meta());
+
+  struct Case {
+    const char* what;
+    size_t line;
+    const char* digits;
+  };
+  const Case cases[] = {
+      {"feature-column count 2^62", 2, "4611686018427387904"},
+      {"class-name count 2^62", 3, "4611686018427387904"},
+      {"step count 2^61-1", 5, "2305843009213693951"},
+      {"string token length", 1, "99999999999999999"},
+  };
+  const fs::path path = dir.path() / "hostile.tgz1";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    WriteBytes(path, WithMeta(good, WithLeadingNumber(meta, c.line, c.digits)));
+    ASSERT_TRUE(LoadedArtifact::Load(path.string()).ok());  // Checksum valid.
+    auto loaded = core::FrozenScorer::LoadArtifact(path.string());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  // The rebuild itself is faithful: the unedited meta still loads.
+  WriteBytes(path, WithMeta(good, meta));
+  EXPECT_TRUE(core::FrozenScorer::LoadArtifact(path.string()).ok());
+}
+
+// Seeded mutations of a fixture's meta tokens, each written back with a
+// valid checksum: every load returns ok() or an error status, and a scorer
+// that loads also scores a record without crashing. Under ASan/UBSan (the
+// serve label) this is the .tgz1 meta parser's fuzz pass.
+TEST(ArtifactTest, MutatedMetaTokensLoadOrFailCleanly) {
+  TempDir dir;
+  const fs::path fixture = dir.path() / "fixture.tgz1";
+  ASSERT_TRUE(TrainPipeline(34)
+                  .Freeze(Dtype::kFloat64)
+                  .ValueOrDie()
+                  .SaveArtifact(fixture.string())
+                  .ok());
+  const std::string meta(
+      LoadedArtifact::Load(fixture.string()).ValueOrDie()->meta());
+  // The meta blob as alternating separator / token pieces, so a mutation
+  // replaces whole tokens and keeps the layout around them.
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i < meta.size();) {
+    const bool space = std::isspace(static_cast<unsigned char>(meta[i])) != 0;
+    size_t j = i;
+    while (j < meta.size() &&
+           (std::isspace(static_cast<unsigned char>(meta[j])) != 0) == space) {
+      ++j;
+    }
+    tokens.push_back(meta.substr(i, j - i));
+    i = j;
+  }
+  const std::vector<std::string> replacements = {
+      "0",     "1",     "-1",     "2",          "2147483647", "2147483648",
+      "4294967296", "18446744073709551615", "99999999999999999999",
+      "1e308", "nan",   "-0",     "0:",         "1:",         "5:x",
+      "3:abc 1:z",     "",      "onehot-v1",  "targad-frozen-meta-v1"};
+
+  Rng rng(35);
+  const fs::path path = dir.path() / "mutant.tgz1";
+  const std::vector<core::RowScorer::Record> record = {{"0.5,0.5,web", -1}};
+  size_t loaded_ok = 0;
+  constexpr int kBudget = 600;
+  for (int round = 0; round < kBudget; ++round) {
+    std::vector<std::string> mutant = tokens;
+    const int edits = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int e = 0; e < edits; ++e) {
+      std::string& token = mutant[rng.UniformInt(mutant.size())];
+      switch (rng.UniformInt(4)) {
+        case 0:  // A boundary value or a token of the wrong kind.
+          token = replacements[rng.UniformInt(replacements.size())];
+          break;
+        case 1:  // One byte flipped to printable noise.
+          if (!token.empty()) {
+            token[rng.UniformInt(token.size())] =
+                static_cast<char>(33 + rng.UniformInt(94));
+          }
+          break;
+        case 2:  // Dropped.
+          token.clear();
+          break;
+        default:  // Duplicated.
+          token += " " + token;
+          break;
+      }
+    }
+    std::string mutated;
+    for (const std::string& token : mutant) mutated += token;
+    if (rng.UniformInt(8) == 0) {  // Cut short.
+      mutated.resize(rng.UniformInt(mutated.size() + 1));
+    }
+    WriteBytes(path, WithMeta(fixture, mutated));
+    auto loaded = core::FrozenScorer::LoadArtifact(path.string());
+    if (!loaded.ok()) continue;
+    ++loaded_ok;
+    EXPECT_EQ(loaded->ScoreRecords(record).size(), 1u);
+  }
+  // Some mutations are harmless (a renamed column, a changed slope): the
+  // loop reached the builder, not only the first parse error.
+  EXPECT_GT(loaded_ok, 0u);
+  EXPECT_LT(loaded_ok, static_cast<size_t>(kBudget));
 }
 
 }  // namespace

@@ -383,6 +383,45 @@ TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
   EXPECT_EQ(snapshot.per_model.at("no-such").rows_scored, 0u);
 }
 
+// A provider error — e.g. a registered model whose cold promotion cannot
+// load — reaches that group's rows with its own code and message, not as
+// an unknown model, and leaves the rest of the batch alone.
+TEST(BatchScorerTest, ProviderErrorReachesItsRowsWithItsStatus) {
+  ScoringFixture fx = MakeFixture(73, 4);
+  BatchScorerOptions options;
+  options.max_batch_size = 4;
+  options.max_queue_delay_us = 50'000;  // One batch mixing both groups.
+  ServeMetrics metrics;
+  BatchScorer scorer(
+      BatchScorer::NamedSnapshotProvider(
+          [&fx](const std::string& name)
+              -> Result<std::shared_ptr<const core::RowScorer>> {
+            if (name == "broken") {
+              return Status::FailedPrecondition(
+                  "model registry: promoting 'broken': checksum mismatch");
+            }
+            return std::shared_ptr<const core::RowScorer>(fx.scorer);
+          }),
+      options, &metrics);
+
+  std::future<Result<double>> good = scorer.Submit(fx.records[0]);
+  std::future<Result<double>> broken = scorer.Submit("broken", fx.records[1]);
+
+  Result<double> bad = broken.get();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bad.status().message(),
+            "model registry: promoting 'broken': checksum mismatch");
+  Result<double> ok = good.get();
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*ok, fx.serial_scores[0]);
+
+  scorer.Drain();
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  ASSERT_EQ(snapshot.per_model.count("broken"), 1u);
+  EXPECT_EQ(snapshot.per_model.at("broken").rows_failed, 1u);
+}
+
 TEST(BatchScorerTest, Float32SnapshotsServeWithinTolerance) {
   ScoringFixture fx = MakeFixture(81, 32);
   BatchScorerOptions options;

@@ -120,7 +120,7 @@ head -1 data_test.csv | cat - bad_route.csv > bad_routed_test.csv
 
 # Flat frozen artifacts: freeze -> inspect -> serve from the .tgz1. Both
 # serves parse the same text pipeline and freeze it at float32 — one in
-# process, one through the artifact — so the mapped artifact's scores must
+# process, one through the artifact — so the loaded artifact's scores must
 # be bit-identical to the --dtype float32 output above.
 "$CLI" freeze --model m.model --out m.tgz1 --dtype float32 || fail "freeze"
 [ -s m.tgz1 ] || fail "frozen artifact empty"

@@ -195,7 +195,7 @@ TEST(ModelRegistryTest, TextModelsServeFrozenScorerAtFloat64) {
   const core::FrozenScorer* frozen =
       ServedFrozen(&registry, "m", nn::Dtype::kFloat64);
   ASSERT_NE(frozen, nullptr);
-  EXPECT_FALSE(frozen->mapped());
+  EXPECT_FALSE(frozen->from_artifact());
   // Default dtype is float64: the frozen snapshot scores bit-identically
   // to the pipeline it was frozen from.
   EXPECT_EQ(frozen->Score(TwoRows()).ValueOrDie(),

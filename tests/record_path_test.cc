@@ -964,7 +964,7 @@ std::string MetaColumns(const std::vector<std::string>& columns) {
 // checksum) that carries a hostile schema.
 void RewriteMeta(const std::string& from, const std::string& to,
                  const std::string& old_text, const std::string& new_text) {
-  auto artifact = nn::MappedArtifact::Map(from);
+  auto artifact = nn::LoadedArtifact::Load(from);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   std::string meta((*artifact)->meta());
   const size_t at = meta.find(old_text);
@@ -973,7 +973,7 @@ void RewriteMeta(const std::string& from, const std::string& to,
   nn::ArtifactWriter writer((*artifact)->dtype());
   writer.set_meta(meta);
   for (size_t i = 0; i < (*artifact)->num_sections(); ++i) {
-    const nn::MappedArtifact::Section& section = (*artifact)->section(i);
+    const nn::LoadedArtifact::Section& section = (*artifact)->section(i);
     writer.AddTensor(section.rows, section.cols, section.data);
   }
   ASSERT_TRUE(writer.WriteFile(to).ok());

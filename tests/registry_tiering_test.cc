@@ -1,10 +1,11 @@
-// Warm/cold tiering of the ModelRegistry: LRU eviction under a warm
-// capacity, cold-tier promotion on lookup, generation-vs-version counters,
-// in-flight snapshot pinning across eviction, and the registry metrics
-// those transitions record. The flat-artifact format itself is covered by
+// Warm/cold tiering of the ModelRegistry: least-frequently-used eviction
+// under a warm capacity, cold-tier promotion on lookup, generation-vs-version
+// counters, in-flight snapshot pinning across eviction, in-place rewrites of
+// a live artifact, and the registry metrics those transitions record. The flat-artifact format itself is covered by
 // artifact_test; here artifacts are just the fastest thing to evict and
 // promote.
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -95,7 +96,7 @@ data::RawTable OneRow() {
   return row;
 }
 
-TEST(RegistryTieringTest, EvictsLeastRecentlyUsedPastWarmCapacity) {
+TEST(RegistryTieringTest, EvictsLeastUsedPastWarmCapacity) {
   TempDir dir;
   WriteFlatArtifact(dir.path() / "a.tgz1", 1);
   WriteFlatArtifact(dir.path() / "b.tgz1", 2);
@@ -107,9 +108,10 @@ TEST(RegistryTieringTest, EvictsLeastRecentlyUsedPastWarmCapacity) {
   ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
   EXPECT_EQ(registry.warm_size(), 2u);
 
-  // Loading c pushes the registry past capacity; a, the least recently
-  // used, is demoted to the cold tier. Nothing is forgotten: all three
-  // names stay registered.
+  // Loading c pushes the registry past capacity. Neither a nor b has been
+  // looked up, so the tie goes to a, installed longest ago: it is demoted
+  // to the cold tier. Nothing is forgotten: all three names stay
+  // registered.
   ASSERT_TRUE(registry.PublishFile("c", (dir.path() / "c.tgz1").string()).ok());
   EXPECT_EQ(registry.warm_size(), 2u);
   EXPECT_EQ(registry.size(), 3u);
@@ -118,7 +120,7 @@ TEST(RegistryTieringTest, EvictsLeastRecentlyUsedPastWarmCapacity) {
   EXPECT_TRUE(registry.Info("c")->warm);
 }
 
-TEST(RegistryTieringTest, GetScorerTouchChangesEvictionVictim) {
+TEST(RegistryTieringTest, GetScorerCountChangesEvictionVictim) {
   TempDir dir;
   WriteFlatArtifact(dir.path() / "a.tgz1", 1);
   WriteFlatArtifact(dir.path() / "b.tgz1", 2);
@@ -128,7 +130,7 @@ TEST(RegistryTieringTest, GetScorerTouchChangesEvictionVictim) {
   registry.set_warm_capacity(2);
   ASSERT_TRUE(registry.PublishFile("a", (dir.path() / "a.tgz1").string()).ok());
   ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
-  // Serving a moves it to the front of the LRU; b becomes the victim.
+  // Serving a counts one lookup; b, never looked up, becomes the victim.
   ASSERT_TRUE(registry.GetScorer("a").ok());
   ASSERT_TRUE(registry.PublishFile("c", (dir.path() / "c.tgz1").string()).ok());
   EXPECT_TRUE(registry.Info("a")->warm);
@@ -149,9 +151,10 @@ TEST(RegistryTieringTest, ColdPromotionBumpsGenerationNotVersion) {
   EXPECT_EQ(registry.Info("a")->version, 1u);
   EXPECT_EQ(registry.Info("a")->generation, 1u);
 
-  // Looking a up faults it back in: a disk load (mmap + fixup), a new
-  // generation, the same published version — and b, now least recent,
-  // takes a's place in the cold tier.
+  // Looking a up faults it back in: a disk load (read + fixup), a new
+  // generation, the same published version — and b, the only other warm
+  // entry (an install is never its own victim), takes a's place in the
+  // cold tier.
   auto scorer = registry.GetScorer("a");
   ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
   EXPECT_TRUE((*scorer)->Score(OneRow()).ok());
@@ -175,7 +178,7 @@ TEST(RegistryTieringTest, InFlightSnapshotStaysValidAcrossEviction) {
 
   // Evict a (capacity 1, b takes the slot) and delete its backing file:
   // the snapshot handed out above pins both the frozen plan and the
-  // underlying mapping, so in-flight scoring is unaffected...
+  // artifact's load buffer, so in-flight scoring is unaffected...
   ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
   ASSERT_FALSE(registry.Info("a")->warm);
   fs::remove(dir.path() / "a.tgz1");
@@ -233,20 +236,20 @@ TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
   EXPECT_EQ(registry.GetScorer("pinned")->get(), pinned.get());
 }
 
-TEST(RegistryTieringTest, ArtifactEntriesServeMappedScorers) {
+TEST(RegistryTieringTest, ArtifactEntriesServeLoadedScorers) {
   TempDir dir;
   WriteFlatArtifact(dir.path() / "flat.tgz1", 1);
   ModelRegistry registry;
   ASSERT_TRUE(
       registry.PublishFile("flat", (dir.path() / "flat.tgz1").string()).ok());
   EXPECT_TRUE(registry.Info("flat")->artifact);
-  // The artifact is served as mapped, in its own dtype, whatever the
+  // The artifact is served as loaded, in its own dtype, whatever the
   // registry's serve dtype.
   auto scorer = registry.GetScorer("flat");
   ASSERT_TRUE(scorer.ok());
   const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
   ASSERT_NE(frozen, nullptr);
-  EXPECT_TRUE(frozen->mapped());
+  EXPECT_TRUE(frozen->from_artifact());
   EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat32);
   EXPECT_TRUE(frozen->Score(OneRow()).ok());
 }
@@ -300,6 +303,146 @@ TEST(RegistryTieringTest, MetricsCountHitsMissesEvictionsAndLoads) {
     histogram_total += count;
   }
   EXPECT_EQ(histogram_total, 3u);
+}
+
+// The batch scorer's access pattern: each batch fetches its models in name
+// order, so a batch routed to more models than the cap holds is a scan
+// longer than the cache. A model fetched twice per round (two batches'
+// groups) stays warm through the scan; under LRU the scan would evict it
+// every round.
+TEST(RegistryTieringTest, FrequentModelSurvivesScansLongerThanTheCache) {
+  TempDir dir;
+  for (const char* name : {"a", "b", "c", "hot"}) {
+    WriteFlatArtifact(dir.path() / (std::string(name) + ".tgz1"), 1);
+  }
+  ModelRegistry registry;
+  registry.set_warm_capacity(2);
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+
+  auto round = [&] {
+    for (const char* name : {"hot", "hot", "a", "b", "c"}) {
+      ASSERT_TRUE(registry.GetScorer(name).ok()) << name;
+    }
+  };
+  round();
+  const uint64_t generation = registry.Info("hot")->generation;
+  for (int i = 0; i < 20; ++i) round();
+  EXPECT_TRUE(registry.Info("hot")->warm);
+  EXPECT_EQ(registry.Info("hot")->generation, generation);
+  EXPECT_EQ(registry.warm_size(), 2u);
+}
+
+// Counts halve once every 8 x warm-capacity lookups, so a model that was
+// hot long ago loses its slot to models that are hot now.
+TEST(RegistryTieringTest, AgedCountsLetNewlyHotModelsIn) {
+  TempDir dir;
+  for (const char* name : {"new", "old", "x"}) {
+    WriteFlatArtifact(dir.path() / (std::string(name) + ".tgz1"), 1);
+  }
+  ModelRegistry registry;
+  registry.set_warm_capacity(2);
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+  // Installed in name order: new, old, x; installing x evicted new.
+  ASSERT_FALSE(registry.Info("new")->warm);
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(registry.GetScorer("old").ok());
+
+  // new and x alternate; old is never asked for again. Without aging,
+  // old's count would keep its slot and new and x would evict each other
+  // on every lookup.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(registry.GetScorer("new").ok());
+    ASSERT_TRUE(registry.GetScorer("x").ok());
+  }
+  EXPECT_FALSE(registry.Info("old")->warm);
+  const uint64_t new_generation = registry.Info("new")->generation;
+  const uint64_t x_generation = registry.Info("x")->generation;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(registry.GetScorer("new").ok());
+    ASSERT_TRUE(registry.GetScorer("x").ok());
+  }
+  EXPECT_EQ(registry.Info("new")->generation, new_generation);
+  EXPECT_EQ(registry.Info("x")->generation, x_generation);
+}
+
+// A registered model whose cold promotion cannot load is unavailable, not
+// unknown and not a bad request: FailedPrecondition with the load error.
+TEST(RegistryTieringTest, FailedPromotionIsFailedPreconditionWithTheCause) {
+  TempDir dir;
+  WriteFlatArtifact(dir.path() / "a.tgz1", 1);
+  WriteFlatArtifact(dir.path() / "b.tgz1", 2);
+  ModelRegistry registry;
+  registry.set_warm_capacity(1);
+  ASSERT_TRUE(registry.PublishFile("a", (dir.path() / "a.tgz1").string()).ok());
+  ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
+  ASSERT_FALSE(registry.Info("a")->warm);
+  fs::remove(dir.path() / "a.tgz1");
+
+  auto promoted = registry.GetScorer("a");
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_EQ(promoted.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(promoted.status().message().find("cannot open"), std::string::npos)
+      << promoted.status().ToString();
+  EXPECT_NE(promoted.status().message().find("a.tgz1"), std::string::npos);
+  // Unregistered is still NotFound.
+  EXPECT_EQ(registry.GetScorer("zzz").status().code(), StatusCode::kNotFound);
+}
+
+// A live artifact rewritten in place — truncated, or overwritten with
+// same-size zeros or garbage — never reaches serving: the warm snapshot
+// keeps its scores, the refresh poll reports the load error and keeps the
+// old version, and once the entry is evicted its promotion fails with an
+// error status, never a signal.
+TEST(RegistryTieringTest, InPlaceRewriteOfALiveArtifactNeverReachesServing) {
+  for (const char* damage : {"truncate", "zeros", "garbage"}) {
+    SCOPED_TRACE(damage);
+    TempDir dir;
+    const fs::path a = dir.path() / "a.tgz1";
+    WriteFlatArtifact(a, 1);
+    WriteFlatArtifact(dir.path() / "b.tgz1", 2);
+    ModelRegistry registry;
+    registry.set_warm_capacity(1);
+    ASSERT_TRUE(registry.PublishFile("a", a.string()).ok());
+    auto snapshot = registry.GetScorer("a").ValueOrDie();
+    const auto before = snapshot->Score(OneRow()).ValueOrDie();
+    const ModelInfo info = registry.Info("a").ValueOrDie();
+
+    const auto mtime = fs::last_write_time(a);
+    const size_t size = fs::file_size(a);
+    if (std::string(damage) == "truncate") {
+      std::ofstream truncate(a, std::ios::binary | std::ios::trunc);
+    } else {
+      // in|out opens the existing inode without truncating it.
+      std::fstream out(a, std::ios::binary | std::ios::in | std::ios::out);
+      std::string bytes(size, '\0');
+      if (std::string(damage) == "garbage") {
+        Rng rng(3);
+        for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+      }
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    // A same-size rewrite can land in the same timestamp tick, which the
+    // signature poll cannot see; move the mtime so the poll must look.
+    fs::last_write_time(a, mtime + std::chrono::seconds(1));
+
+    EXPECT_EQ(snapshot->Score(OneRow()).ValueOrDie(), before);
+    auto refreshed = registry.RefreshIfChanged();
+    EXPECT_FALSE(refreshed.ok());
+    const ModelInfo after = registry.Info("a").ValueOrDie();
+    EXPECT_EQ(after.version, info.version);
+    EXPECT_EQ(after.generation, info.generation);
+    EXPECT_TRUE(after.warm);
+    EXPECT_EQ(registry.GetScorer("a").ValueOrDie()->Score(OneRow()).ValueOrDie(),
+              before);
+
+    // Evicted (b takes the one slot), a must come back from the damaged
+    // file: an error status.
+    ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
+    ASSERT_FALSE(registry.Info("a")->warm);
+    auto promoted = registry.GetScorer("a");
+    ASSERT_FALSE(promoted.ok());
+    EXPECT_EQ(promoted.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(snapshot->Score(OneRow()).ValueOrDie(), before);
+  }
 }
 
 }  // namespace

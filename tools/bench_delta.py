@@ -148,7 +148,7 @@ def render_cold_start(baseline, candidate, candidate_label):
     lines += [
         "",
         f"_Median of 30 page-cache-warm loads; text = parse + freeze, "
-        f"artifact = mmap + pointer fixup over a "
+        f"artifact = read + checksum + pointer fixup over a "
         f"{int(cand_cold.get('artifact_bytes', 0)):,}-byte `.tgz1`. "
         f"Artifact load is {float(cand_cold.get('speedup', 0.0)):.1f}x "
         "faster — the registry's cold-to-warm promotion cost. Latency "

@@ -12,12 +12,13 @@
 //       AUPRC/AUROC of a score file against a labeled CSV.
 //   targad freeze --model M --out A.tgz1 [--dtype float64|float32]
 //       Freeze a text pipeline into the flat .tgz1 artifact: the serving
-//       container that mmap()s straight into an inference plan (no parse,
-//       no per-tensor copies). --dtype picks the stored element type.
+//       container that loads with one read and a checksum straight into
+//       an inference plan (no parse, no per-tensor copies). --dtype picks
+//       the stored element type.
 //   targad inspect --artifact A.tgz1
 //       Validate and dump a flat artifact: format version, dtype, section
-//       table, meta-blob size. Fails (exit 1) on any corruption the mapped
-//       reader would reject — bad magic, bad checksum, truncation.
+//       table, meta-blob size. Fails (exit 1) on any corruption the
+//       serving loader would reject — bad magic, bad checksum, truncation.
 //   targad serve --model M [--models DIR] [--in X.csv] [--out scores.csv]
 //                [--dtype float64|float32] [--batch 64] [--delay-us 200]
 //                [--workers 2] [--queue 4096] [--refresh-ms 0]
@@ -35,10 +36,11 @@
 //       background timer and hot-swaps changed files (zero-downtime
 //       redeploy: overwrite the .targad in place and the next batch scores
 //       with the new model). --warm N caps the registry's warm tier at N
-//       resident models: past the cap the least-recently-served file-backed
-//       models are demoted to the cold tier (name + path only) and promoted
-//       back — instantly for mmap-ed .tgz1 artifacts — on their next
-//       routed row. --tcp PORT serves the line protocol
+//       resident models: past the cap the least-frequently-served
+//       file-backed models (lookup counts that halve as they age) are
+//       demoted to the cold tier (name + path only) and promoted back —
+//       a read and a checksum for .tgz1 artifacts — on their next routed
+//       row; a promotion that cannot load fails that row as unavailable. --tcp PORT serves the line protocol
 //       ("SCORE <model> <csv>" -> "OK <score>", see src/net/protocol.h)
 //       on a TCP listener instead of stdio; PORT 0 picks an ephemeral port,
 //       reported on stderr as "targad: listening on <addr>:<port>".
@@ -373,9 +375,9 @@ int CmdFreeze(const Flags& flags) {
   Status st = frozen->SaveArtifact(out_path);
   if (!st.ok()) return Fail(st.ToString());
 
-  // Re-map what was just written: proves the artifact round-trips through
+  // Re-load what was just written: proves the artifact round-trips through
   // the same validation serving will run, and yields the exact file size.
-  auto artifact = nn::MappedArtifact::Map(out_path);
+  auto artifact = nn::LoadedArtifact::Load(out_path);
   if (!artifact.ok()) return Fail(artifact.status().ToString());
   std::printf("froze %s -> %s (%s, %zu sections, %zu bytes)\n",
               model_path.c_str(), out_path.c_str(), nn::DtypeName(*dtype),
@@ -386,9 +388,9 @@ int CmdFreeze(const Flags& flags) {
 int CmdInspect(const Flags& flags) {
   const std::string path = flags.Get("artifact");
   if (path.empty()) return Fail("inspect requires --artifact <file>");
-  auto artifact = nn::MappedArtifact::Map(path);
+  auto artifact = nn::LoadedArtifact::Load(path);
   if (!artifact.ok()) return Fail(artifact.status().ToString());
-  const nn::MappedArtifact& a = **artifact;
+  const nn::LoadedArtifact& a = **artifact;
   const size_t elem = a.dtype() == nn::Dtype::kFloat32 ? 4 : 8;
   std::printf("%s: targad flat artifact v%u\n", path.c_str(), a.version());
   std::printf("  dtype %s, %zu bytes, checksum ok\n", nn::DtypeName(a.dtype()),
@@ -397,7 +399,7 @@ int CmdInspect(const Flags& flags) {
   std::printf("  sections: %zu\n", a.num_sections());
   size_t payload = 0;
   for (size_t i = 0; i < a.num_sections(); ++i) {
-    const nn::MappedArtifact::Section& s = a.section(i);
+    const nn::LoadedArtifact::Section& s = a.section(i);
     const size_t bytes = s.rows * s.cols * elem;
     payload += bytes;
     std::printf("    [%2zu] %4zu x %-4zu %8zu bytes\n", i, s.rows, s.cols,
@@ -519,10 +521,17 @@ int CmdServe(const Flags& flags) {
 
   serve::BatchScorer scorer(
       serve::BatchScorer::NamedSnapshotProvider(
-          [&registry](const std::string& name) {
+          [&registry](const std::string& name)
+              -> Result<std::shared_ptr<const core::RowScorer>> {
             auto snapshot = registry.GetScorer(name);
-            return snapshot.ok() ? *snapshot
-                                 : std::shared_ptr<const core::RowScorer>();
+            // An unregistered name becomes the batch scorer's unknown-model
+            // error, which lists the alternatives; any other failure (a
+            // cold promotion that cannot load) reaches the row as is.
+            if (!snapshot.ok() &&
+                snapshot.status().code() == StatusCode::kNotFound) {
+              return std::shared_ptr<const core::RowScorer>();
+            }
+            return snapshot;
           }),
       options, &metrics,
       serve::BatchScorer::ModelLister(
