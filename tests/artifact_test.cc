@@ -383,8 +383,9 @@ TEST(ArtifactTest, InPlaceRewriteCannotReachALoadedScorer) {
     ASSERT_EQ(served->Score(rows).ValueOrDie(), expected);
 
     const size_t size = fs::file_size(path);
-    if (std::string(damage) == "truncate") {
-      std::ofstream truncate(path, std::ios::binary | std::ios::trunc);
+    const bool truncate = std::string(damage) == "truncate";
+    if (truncate) {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
     } else {
       // in|out opens the existing inode without truncating it.
       std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -395,7 +396,7 @@ TEST(ArtifactTest, InPlaceRewriteCannotReachALoadedScorer) {
       }
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    ASSERT_EQ(fs::file_size(path), std::string(damage) == "truncate" ? 0 : size);
+    ASSERT_EQ(fs::file_size(path), truncate ? 0u : size);
 
     EXPECT_EQ(served->Score(rows).ValueOrDie(), expected);
     EXPECT_EQ(core::FrozenScorer::LoadArtifact(path.string()).status().code(),
@@ -470,10 +471,10 @@ TEST(ArtifactTest, MutatedMetaTokensLoadOrFailCleanly) {
     i = j;
   }
   const std::vector<std::string> replacements = {
-      "0",     "1",     "-1",     "2",          "2147483647", "2147483648",
-      "4294967296", "18446744073709551615", "99999999999999999999",
-      "1e308", "nan",   "-0",     "0:",         "1:",         "5:x",
-      "3:abc 1:z",     "",      "onehot-v1",  "targad-frozen-meta-v1"};
+      "0", "1", "-1", "2", "2147483647", "2147483648", "4294967296",
+      "18446744073709551615", "99999999999999999999", "1e308", "nan", "-0",
+      "0:", "1:", "5:x", "3:abc 1:z", "", "onehot-v1",
+      "targad-frozen-meta-v1"};
 
   Rng rng(35);
   const fs::path path = dir.path() / "mutant.tgz1";

@@ -344,11 +344,11 @@ TEST(RegistryTieringTest, AgedCountsLetNewlyHotModelsIn) {
   ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
   // Installed in name order: new, old, x; installing x evicted new.
   ASSERT_FALSE(registry.Info("new")->warm);
-  for (int i = 0; i < 64; ++i) ASSERT_TRUE(registry.GetScorer("old").ok());
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(registry.GetScorer("old").ok());
 
   // new and x alternate; old is never asked for again. Without aging,
-  // old's count would keep its slot and new and x would evict each other
-  // on every lookup.
+  // old's 1000 lookups would keep its slot through all 100 rounds, and new
+  // and x would evict each other on every lookup.
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(registry.GetScorer("new").ok());
     ASSERT_TRUE(registry.GetScorer("x").ok());
@@ -409,7 +409,7 @@ TEST(RegistryTieringTest, InPlaceRewriteOfALiveArtifactNeverReachesServing) {
     const auto mtime = fs::last_write_time(a);
     const size_t size = fs::file_size(a);
     if (std::string(damage) == "truncate") {
-      std::ofstream truncate(a, std::ios::binary | std::ios::trunc);
+      std::ofstream out(a, std::ios::binary | std::ios::trunc);
     } else {
       // in|out opens the existing inode without truncating it.
       std::fstream out(a, std::ios::binary | std::ios::in | std::ios::out);
