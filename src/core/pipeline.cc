@@ -120,44 +120,22 @@ Result<FrozenScorer> TargAdPipeline::Freeze(nn::Dtype dtype) const {
                             model_->classifier().mlp().net(), dtype);
 }
 
-namespace {
-
-void WritePipelineToken(std::ostream& out, const std::string& s) {
-  out << s.size() << ':' << s;
-}
-
-Status ReadPipelineToken(std::istream& in, std::string* out_str) {
-  size_t len = 0;
-  char colon = 0;
-  if (!(in >> len) || !in.get(colon) || colon != ':') {
-    return Status::InvalidArgument("pipeline: bad token header");
-  }
-  if (len > (1u << 20)) return Status::InvalidArgument("pipeline: token too long");
-  out_str->resize(len);
-  if (len > 0 && !in.read(out_str->data(), static_cast<long>(len))) {
-    return Status::InvalidArgument("pipeline: truncated token");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status TargAdPipeline::Save(std::ostream& out) {
   if (model_ == nullptr || !model_->fitted()) {
     return Status::FailedPrecondition("pipeline: model not trained");
   }
   out << "targad-pipeline-v1\n";
-  WritePipelineToken(out, config_.label_column);
+  data::WriteStringToken(out, config_.label_column);
   out << ' ';
-  WritePipelineToken(out, config_.unlabeled_value);
+  data::WriteStringToken(out, config_.unlabeled_value);
   out << '\n' << feature_columns_.size() << '\n';
   for (const std::string& column : feature_columns_) {
-    WritePipelineToken(out, column);
+    data::WriteStringToken(out, column);
     out << '\n';
   }
   out << class_names_.size() << '\n';
   for (const std::string& name : class_names_) {
-    WritePipelineToken(out, name);
+    data::WriteStringToken(out, name);
     out << '\n';
   }
   TARGAD_RETURN_NOT_OK(encoder_.Save(out));
@@ -171,23 +149,27 @@ Result<TargAdPipeline> TargAdPipeline::Load(std::istream& in) {
     return Status::InvalidArgument("not a targad-pipeline-v1 stream");
   }
   TargAdPipeline pipeline;
-  TARGAD_RETURN_NOT_OK(ReadPipelineToken(in, &pipeline.config_.label_column));
-  TARGAD_RETURN_NOT_OK(ReadPipelineToken(in, &pipeline.config_.unlabeled_value));
+  TARGAD_RETURN_NOT_OK(
+      data::ReadStringToken(in, &pipeline.config_.label_column));
+  TARGAD_RETURN_NOT_OK(
+      data::ReadStringToken(in, &pipeline.config_.unlabeled_value));
+  // Lists are read element by element, so a count larger than the stream
+  // fails at the first missing element, having allocated only what it read.
   size_t n_columns = 0;
   if (!(in >> n_columns) || n_columns > (1u << 20)) {
     return Status::InvalidArgument("pipeline: bad feature column count");
   }
-  pipeline.feature_columns_.resize(n_columns);
-  for (std::string& column : pipeline.feature_columns_) {
-    TARGAD_RETURN_NOT_OK(ReadPipelineToken(in, &column));
+  for (size_t i = 0; i < n_columns; ++i) {
+    TARGAD_RETURN_NOT_OK(data::ReadStringToken(
+        in, &pipeline.feature_columns_.emplace_back()));
   }
   size_t n_classes = 0;
   if (!(in >> n_classes) || n_classes > (1u << 16)) {
     return Status::InvalidArgument("pipeline: bad class count");
   }
-  pipeline.class_names_.resize(n_classes);
-  for (std::string& name : pipeline.class_names_) {
-    TARGAD_RETURN_NOT_OK(ReadPipelineToken(in, &name));
+  for (size_t i = 0; i < n_classes; ++i) {
+    TARGAD_RETURN_NOT_OK(
+        data::ReadStringToken(in, &pipeline.class_names_.emplace_back()));
   }
   TARGAD_ASSIGN_OR_RETURN(pipeline.encoder_, data::OneHotEncoder::Load(in));
   TARGAD_ASSIGN_OR_RETURN(pipeline.normalizer_, data::MinMaxNormalizer::Load(in));

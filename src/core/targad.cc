@@ -6,6 +6,8 @@
 #include "nn/serialize.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace targad {
 namespace core {
@@ -204,6 +206,21 @@ Result<TargAD> TargAD::Load(std::istream& in) {
     if (!(in >> h)) return Status::InvalidArgument("truncated hidden sizes");
   }
 
+  // The widths above size nothing until the parameter matrices behind
+  // them have been read: one (in x out) weight and one (1 x out) bias per
+  // layer, the layout MakeMlp builds. Summed in size_t: m and k near
+  // INT_MAX must not overflow an int.
+  std::vector<size_t> widths = {input_dim};
+  widths.insert(widths.end(), hidden.begin(), hidden.end());
+  widths.push_back(static_cast<size_t>(m) + static_cast<size_t>(k));
+  std::vector<std::pair<size_t, size_t>> shapes;
+  for (size_t i = 0; i + 1 < widths.size(); ++i) {
+    shapes.emplace_back(widths[i], widths[i + 1]);
+    shapes.emplace_back(1, widths[i + 1]);
+  }
+  TARGAD_ASSIGN_OR_RETURN(std::vector<nn::Matrix> params,
+                          nn::ReadParamMatrices(in, shapes));
+
   TargADConfig config;
   config.classifier.hidden = hidden;
   TARGAD_ASSIGN_OR_RETURN(TargAD model, TargAD::Make(config));
@@ -211,7 +228,12 @@ Result<TargAD> TargAD::Load(std::istream& in) {
       TargAdClassifier clf,
       TargAdClassifier::Make(config.classifier, input_dim, m, k));
   model.classifier_ = std::make_unique<TargAdClassifier>(std::move(clf));
-  TARGAD_RETURN_NOT_OK(nn::ReadParams(in, &model.classifier_->mlp().net()));
+  const std::vector<nn::Matrix*> dst = model.classifier_->mlp().net().Params();
+  TARGAD_CHECK(dst.size() == params.size());
+  for (size_t i = 0; i < dst.size(); ++i) {
+    TARGAD_CHECK(dst[i]->SameShape(params[i]));
+    *dst[i] = std::move(params[i]);
+  }
   model.m_ = m;
   model.k_ = k;
   model.fitted_ = true;

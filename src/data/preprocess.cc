@@ -190,15 +190,19 @@ Result<MinMaxNormalizer> MinMaxNormalizer::Load(std::istream& in) {
   if (!(in >> magic >> cols) || magic != "minmax-v1") {
     return Status::InvalidArgument("not a minmax-v1 stream");
   }
+  if (cols == 0) return Status::InvalidArgument("empty minmax stream");
+  // Pairs are appended as they are read, so a column count larger than
+  // the payload fails at the first missing pair, having allocated only
+  // what it read.
   MinMaxNormalizer norm;
-  norm.mins_.resize(cols);
-  norm.maxs_.resize(cols);
   for (size_t j = 0; j < cols; ++j) {
-    if (!(in >> norm.mins_[j] >> norm.maxs_[j])) {
+    double lo = 0.0, hi = 0.0;
+    if (!(in >> lo >> hi)) {
       return Status::InvalidArgument("truncated minmax payload");
     }
+    norm.mins_.push_back(lo);
+    norm.maxs_.push_back(hi);
   }
-  if (cols == 0) return Status::InvalidArgument("empty minmax stream");
   return norm;
 }
 

@@ -32,15 +32,22 @@ Result<Matrix> ReadMatrix(std::istream& in) {
   if (!(in >> tag >> rows >> cols) || tag != "matrix") {
     return Status::InvalidArgument("expected 'matrix <rows> <cols>' header");
   }
-  if (rows * cols > (1ULL << 28)) {
+  // Divided, not multiplied: rows * cols can wrap to a small number.
+  constexpr size_t kMaxElements = size_t{1} << 28;
+  if (cols != 0 && rows > kMaxElements / cols) {
     return Status::InvalidArgument("matrix implausibly large: ", rows, "x", cols);
   }
-  Matrix m(rows, cols);
-  for (double& v : m.data()) {
+  // Values are appended as they are read, so dimensions larger than the
+  // payload fail at the first missing value, having allocated only what
+  // was read.
+  std::vector<double> values;
+  for (size_t i = 0; i < rows * cols; ++i) {
+    double v = 0.0;
     if (!(in >> v)) return Status::InvalidArgument("truncated matrix payload");
     if (!std::isfinite(v)) return Status::InvalidArgument("non-finite value");
+    values.push_back(v);
   }
-  return m;
+  return Matrix(rows, cols, std::move(values));
 }
 
 Status WriteParams(std::ostream& out, Sequential& net) {
@@ -54,7 +61,8 @@ Status WriteParams(std::ostream& out, Sequential& net) {
   return Status::OK();
 }
 
-Status ReadParams(std::istream& in, Sequential* net) {
+Result<std::vector<Matrix>> ReadParamMatrices(
+    std::istream& in, const std::vector<std::pair<size_t, size_t>>& shapes) {
   std::string tag;
   size_t count = 0;
   if (!(in >> tag >> count) || tag != "params") {
@@ -75,24 +83,31 @@ Status ReadParams(std::istream& in, Sequential* net) {
     return Status::InvalidArgument("unknown params dtype tag '", dtype_tag,
                                    "'");
   }
-  const auto params = net->Params();
-  if (count != params.size()) {
+  if (count != shapes.size()) {
     return Status::InvalidArgument("parameter count mismatch: stream has ", count,
-                                   ", network has ", params.size());
+                                   ", expected ", shapes.size());
   }
-  // Two-phase: read and validate every matrix before touching the network,
-  // so a truncated or mismatched stream cannot leave it half-overwritten.
   std::vector<Matrix> loaded;
-  loaded.reserve(params.size());
-  for (Matrix* p : params) {
+  for (const auto& [rows, cols] : shapes) {
     TARGAD_ASSIGN_OR_RETURN(Matrix m, ReadMatrix(in));
-    if (!m.SameShape(*p)) {
+    if (m.rows() != rows || m.cols() != cols) {
       return Status::InvalidArgument("parameter shape mismatch: stream ",
-                                     m.rows(), "x", m.cols(), ", network ",
-                                     p->rows(), "x", p->cols());
+                                     m.rows(), "x", m.cols(), ", expected ",
+                                     rows, "x", cols);
     }
     loaded.push_back(std::move(m));
   }
+  return loaded;
+}
+
+Status ReadParams(std::istream& in, Sequential* net) {
+  const auto params = net->Params();
+  std::vector<std::pair<size_t, size_t>> shapes;
+  for (const Matrix* p : params) shapes.emplace_back(p->rows(), p->cols());
+  // Two-phase: read and validate every matrix before touching the network,
+  // so a truncated or mismatched stream cannot leave it half-overwritten.
+  TARGAD_ASSIGN_OR_RETURN(std::vector<Matrix> loaded,
+                          ReadParamMatrices(in, shapes));
   for (size_t i = 0; i < params.size(); ++i) *params[i] = std::move(loaded[i]);
   return Status::OK();
 }

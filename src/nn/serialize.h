@@ -10,6 +10,8 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "nn/matrix.h"
@@ -21,7 +23,10 @@ namespace nn {
 /// Writes one matrix (full double precision).
 [[nodiscard]] Status WriteMatrix(std::ostream& out, const Matrix& m);
 
-/// Reads one matrix written by WriteMatrix.
+/// Reads one matrix written by WriteMatrix. InvalidArgument on a
+/// malformed, truncated or non-finite payload, or on more than 2^28
+/// elements; the matrix grows as its values are read, so its header sizes
+/// nothing the stream does not hold.
 [[nodiscard]] Result<Matrix> ReadMatrix(std::istream& in);
 
 /// Writes every parameter of `net` in layer order. The header records the
@@ -35,6 +40,14 @@ namespace nn {
 /// non-f64 dtype tag are rejected with InvalidArgument; untagged legacy
 /// headers are accepted as f64.
 [[nodiscard]] Status ReadParams(std::istream& in, Sequential* net);
+
+/// Reads a WriteParams stream without a network to receive it: the header
+/// must name exactly shapes.size() matrices, and matrix i must be
+/// shapes[i] = {rows, cols}. For callers that rebuild the network from
+/// widths they read themselves, and must not size it before the matrices
+/// behind those widths have been read.
+[[nodiscard]] Result<std::vector<Matrix>> ReadParamMatrices(
+    std::istream& in, const std::vector<std::pair<size_t, size_t>>& shapes);
 
 }  // namespace nn
 }  // namespace targad

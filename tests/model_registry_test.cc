@@ -163,6 +163,47 @@ TEST(ModelRegistryTest, LoadDirectoryFailsOnCorruptArtifact) {
   EXPECT_FALSE(registry.LoadDirectory(dir.path().string()).ok());
 }
 
+// `text` with the whitespace-separated token `skip` places after the
+// first `anchor` replaced by `value`.
+std::string EditToken(std::string text, const std::string& anchor,
+                      size_t skip, const std::string& value) {
+  size_t pos = text.find(anchor);
+  EXPECT_NE(pos, std::string::npos) << anchor;
+  pos += anchor.size();
+  for (size_t i = 0; i <= skip; ++i) {
+    pos = text.find_first_not_of(" \n", pos);
+    if (i < skip) pos = text.find_first_of(" \n", pos);
+  }
+  return text.replace(pos, text.find_first_of(" \n", pos) - pos, value);
+}
+
+// One edit to a saved model's counts or widths: the file fails to publish
+// with InvalidArgument, and nothing is sized from the edited number.
+TEST(ModelRegistryTest, PublishFileRejectsHostileCountsInTextModels) {
+  TempDir dir;
+  const std::string saved = SavedArtifact(8);
+  const std::string huge = "1099511627776";
+  const std::string edits[] = {
+      EditToken(saved, "minmax-v1", 0, "4611686018427387904"),
+      EditToken(saved, "hidden", 1, huge),
+      EditToken(saved, "targad-v1", 2, huge),
+      EditToken(EditToken(saved, "matrix", 0, "4294967296"), "matrix", 1,
+                "4294967296"),
+  };
+  ModelRegistry registry;
+  for (const std::string& text : edits) {
+    ASSERT_NE(text, saved);
+    const fs::path path = dir.path() / "bad.targad";
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    const Status st = registry.PublishFile("bad", path.string());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  EXPECT_EQ(registry.GetScorer("bad").status().code(), StatusCode::kNotFound);
+}
+
 TEST(ModelRegistryTest, LoadDirectoryOnMissingDirIsNotFound) {
   ModelRegistry registry;
   EXPECT_EQ(registry.LoadDirectory("/nonexistent/registry/dir").code(),

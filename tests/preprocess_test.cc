@@ -1,5 +1,7 @@
 #include "data/preprocess.h"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 namespace targad {
@@ -43,6 +45,29 @@ TEST(MinMaxTest, UsageErrors) {
   nn::Matrix train(2, 2, 0.5);
   ASSERT_TRUE(norm.Fit(train).ok());
   EXPECT_FALSE(norm.Transform(nn::Matrix(1, 3)).ok());
+}
+
+TEST(MinMaxTest, SaveLoadRoundTrip) {
+  MinMaxNormalizer norm;
+  ASSERT_TRUE(norm.Fit(nn::Matrix(2, 2, {0.0, -1.0, 10.0, 3.0})).ok());
+  std::stringstream stream;
+  ASSERT_TRUE(norm.Save(stream).ok());
+  const MinMaxNormalizer loaded = MinMaxNormalizer::Load(stream).ValueOrDie();
+  EXPECT_EQ(loaded.mins(), norm.mins());
+  EXPECT_EQ(loaded.maxs(), norm.maxs());
+}
+
+// Load sizes nothing from the column count it reads: a count beyond the
+// payload fails at the first missing pair.
+TEST(MinMaxTest, LoadRejectsColumnCountsBeyondThePayload) {
+  for (const char* text : {"minmax-v1 4611686018427387904\n0 1\n",
+                           "minmax-v1 18446744073709551615\n",
+                           "minmax-v1 3\n0 1\n2 3\n"}) {
+    std::istringstream in(text);
+    const Result<MinMaxNormalizer> loaded = MinMaxNormalizer::Load(in);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 RawTable MixedTable() {

@@ -34,6 +34,19 @@ TEST(MatrixSerializeTest, RejectsCorruptHeaders) {
   EXPECT_FALSE(nn::ReadMatrix(nonfinite).ok());
 }
 
+// The header's dimensions size nothing: a product that wraps to 0 and one
+// above the 2^28-element cap are both InvalidArgument.
+TEST(MatrixSerializeTest, RejectsHostileDimensions) {
+  for (const char* text : {"matrix 4294967296 4294967296\n",
+                           "matrix 9223372036854775808 2\n",
+                           "matrix 16385 16384\n1 2\n"}) {
+    std::stringstream in(text);
+    const Result<nn::Matrix> m = nn::ReadMatrix(in);
+    ASSERT_FALSE(m.ok()) << text;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST(ParamsSerializeTest, RoundTripThroughIdenticalArchitecture) {
   Rng r1(2), r2(3);
   nn::Sequential a = nn::Sequential::MakeMlp({4, 8, 2}, nn::Activation::kReLU,
@@ -238,6 +251,38 @@ TEST(TargAdSerializeTest, LoadRejectsGarbage) {
   EXPECT_FALSE(core::TargAD::Load(wrong_magic).ok());
   std::stringstream truncated("targad-v1\n2 2 10\nhidden 2 64 32\n");
   EXPECT_FALSE(core::TargAD::Load(truncated).ok());
+}
+
+// A 2-3-2 classifier (m = k = 1): the header line, the hidden widths, then
+// the four parameter matrices behind them.
+std::string TinyModelText(const std::string& input_dim,
+                          const std::string& hidden) {
+  return "targad-v1\n1 1 " + input_dim + "\nhidden " + hidden +
+         "\nparams 4 f64\n"
+         "matrix 2 3\n1 2 3\n4 5 6\n"
+         "matrix 1 3\n0 0 0\n"
+         "matrix 3 2\n1 2\n3 4\n5 6\n"
+         "matrix 1 2\n0 0\n";
+}
+
+// The classifier is built only once the parameter matrices agree with the
+// header's widths, so a width of 2^40 is InvalidArgument, not an
+// allocation.
+TEST(TargAdSerializeTest, LoadRejectsWidthsTheParametersDoNotHold) {
+  std::stringstream good(TinyModelText("2", "1 3"));
+  const Result<core::TargAD> loaded = core::TargAD::Load(good);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Score(nn::Matrix(1, 2, {1.0, 1.0})).size(), 1u);
+
+  for (const std::string& text :
+       {TinyModelText("1099511627776", "1 3"),
+        TinyModelText("2", "1 1099511627776"),
+        TinyModelText("2", "2 3 1099511627776"), TinyModelText("3", "1 3")}) {
+    std::stringstream in(text);
+    const Result<core::TargAD> model = core::TargAD::Load(in);
+    ASSERT_FALSE(model.ok()) << text;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 }  // namespace
