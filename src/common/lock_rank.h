@@ -15,14 +15,16 @@
 // juggling) stays legal as long as acquisition order was.
 //
 // The table is the single source of truth for lock ordering, consumed by
-// three checkers: this runtime checker, targad-lint's lock-rank-table rule
-// (ranks and names must be unique — unique integer ranks are a total
-// order, so the acquire-ascending policy is acyclic by construction), and
-// the human reading DESIGN.md §11.
+// this runtime checker, targad-lint's lock-order pass and the human
+// reading DESIGN.md §11. Ranks and names must be unique — unique integer
+// ranks are a total order, so the acquire-ascending policy is acyclic by
+// construction; the compiler enforces both (see below the enum).
 
 #ifndef TARGAD_COMMON_LOCK_RANK_H_
 #define TARGAD_COMMON_LOCK_RANK_H_
 
+#include <cstddef>
+#include <iterator>
 #include <mutex>
 
 #include "common/logging.h"
@@ -32,8 +34,8 @@ namespace targad {
 
 // Lock-rank table: acquisition order ascends, so a row may be acquired
 // while holding any row above it, never one below. Gaps are deliberate —
-// new locks slot in without renumbering. targad-lint (lock-rank-table)
-// enforces that names and ranks stay unique.
+// new locks slot in without renumbering. Names and ranks stay unique: the
+// enum rejects a repeated name, the static_assert below it a repeated rank.
 //
 //   rank | lock                           | held while calling
 //   -----+--------------------------------+-----------------------------
@@ -66,6 +68,30 @@ enum class LockRank : int {
   TARGAD_LOCK_RANK_TABLE(TARGAD_LOCK_RANK_ENUM_ENTRY)
 #undef TARGAD_LOCK_RANK_ENUM_ENTRY
 };
+
+namespace internal {
+
+// A duplicate name already fails to compile (it redeclares an enumerator);
+// a duplicate rank would not, so it is checked here.
+constexpr bool LockRanksAreUnique() {
+  constexpr int kRanks[] = {
+#define TARGAD_LOCK_RANK_VALUE_ENTRY(name, value) value,
+      TARGAD_LOCK_RANK_TABLE(TARGAD_LOCK_RANK_VALUE_ENTRY)
+#undef TARGAD_LOCK_RANK_VALUE_ENTRY
+  };
+  for (size_t i = 0; i < std::size(kRanks); ++i) {
+    for (size_t j = i + 1; j < std::size(kRanks); ++j) {
+      if (kRanks[i] == kRanks[j]) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace internal
+
+static_assert(internal::LockRanksAreUnique(),
+              "TARGAD_LOCK_RANK_TABLE: two locks share a rank; ranks must be "
+              "unique so acquire-ascending is a total order");
 
 /// Table name of `rank` ("kThreadPool"), or "?" for an unknown value.
 const char* LockRankName(LockRank rank);

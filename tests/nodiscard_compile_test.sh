@@ -2,7 +2,9 @@
 # Negative-compilation guard for the [[nodiscard]] error model: a discarded
 # Status or Result<T> must be a COMPILE ERROR under -Werror=unused-result,
 # and the blessed forms (checking, propagating, (void)-discarding) must
-# compile. Usage: nodiscard_compile_test.sh <c++-compiler> <src-include-dir>.
+# compile. TARGAD_RETURN_NOT_OK must reject anything but a Status, and the
+# lock-rank table must reject two locks that share a rank.
+# Usage: nodiscard_compile_test.sh <c++-compiler> <src-include-dir>.
 set -u
 
 CXX="$1"
@@ -70,6 +72,57 @@ void Dropper() { targad::Status::InvalidArgument("ignored"); }
 EOF
 [ "$(compile "$WORK/drop_factory.cc")" -ne 0 ] \
   || fail "discarding a Status factory temporary compiled"
+
+# TARGAD_RETURN_NOT_OK takes a Status: a Result<T>, or the T that
+# ValueOrDie() returns, must not convert into one.
+cat > "$WORK/macro_result.cc" <<'EOF'
+#include "common/result.h"
+#include "common/status.h"
+targad::Result<int> MkResult();
+targad::Status Propagate() {
+  TARGAD_RETURN_NOT_OK(MkResult());
+  return targad::Status::OK();
+}
+EOF
+[ "$(compile "$WORK/macro_result.cc")" -ne 0 ] \
+  || fail "TARGAD_RETURN_NOT_OK accepted a Result<T>"
+
+cat > "$WORK/macro_value.cc" <<'EOF'
+#include "common/result.h"
+#include "common/status.h"
+targad::Status Propagate(targad::Result<int> r) {
+  TARGAD_RETURN_NOT_OK(r.ValueOrDie());
+  return targad::Status::OK();
+}
+EOF
+[ "$(compile "$WORK/macro_value.cc")" -ne 0 ] \
+  || fail "TARGAD_RETURN_NOT_OK accepted a ValueOrDie() value"
+
+# Two locks sharing a rank must not compile. A copy of common/lock_rank.h
+# that the include path finds before the real one gets the table's last
+# entry set to the first entry's rank. The unedited copy must compile, or
+# the failure below proves nothing.
+TABLE="$SRC/common/lock_rank.h"
+ENTRY=' *X(k[A-Za-z0-9]*, *'
+first=$(sed -n "s/^$ENTRY\([0-9]*\)) *\\\\\$/\1/p" "$TABLE" | head -n 1)
+[ -n "$first" ] || fail "no lock-rank table entry found in $TABLE"
+mkdir -p "$WORK/ranks/common"
+cp "$TABLE" "$WORK/ranks/common/lock_rank.h"
+echo '#include "common/lock_rank.h"' > "$WORK/ranks.cc"
+compile_ranks() {
+  "$CXX" -std=c++20 -fsyntax-only -I "$WORK/ranks" -I "$SRC" \
+    "$WORK/ranks.cc" >"$WORK/out.txt" 2>&1
+  echo $?
+}
+[ "$(compile_ranks)" -eq 0 ] \
+  || fail "the lock-rank table does not compile: $(cat "$WORK/out.txt")"
+sed "s/^\($ENTRY\)[0-9]*\() *\)\$/\1$first\2/" "$TABLE" \
+  > "$WORK/ranks/common/lock_rank.h"
+cmp -s "$TABLE" "$WORK/ranks/common/lock_rank.h" \
+  && fail "could not seed a duplicate rank into the lock-rank table"
+[ "$(compile_ranks)" -ne 0 ] || fail "two locks sharing a rank compiled"
+grep -q "share a rank" "$WORK/out.txt" \
+  || fail "duplicate rank rejected for the wrong reason: $(cat "$WORK/out.txt")"
 
 echo "nodiscard_compile_test PASSED"
 exit 0

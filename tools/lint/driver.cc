@@ -68,40 +68,6 @@ class Linter {
  public:
   explicit Linter(fs::path root) : root_(std::move(root)) {}
 
-  /// First pass over every file: collect the names of functions declared to
-  /// return Result<...> (and, separately, Status) for the
-  /// return-not-ok-result heuristic. A name declared with BOTH return types
-  /// somewhere in the tree is ambiguous (an overload set like Fit) and is
-  /// never flagged.
-  void CollectResultFunctions(const std::string& clean) {
-    const std::vector<std::string> lines = SplitLines(clean);
-    for (size_t i = 0; i < lines.size(); ++i) {
-      const std::string& line = lines[i];
-      size_t pos = FindWord(line, "Result");
-      while (pos != std::string::npos) {
-        size_t j = pos + 6;
-        if (j < line.size() && line[j] == '<') {
-          // Skip the template argument list (angle-bracket balanced).
-          int depth = 0;
-          while (j < line.size()) {
-            if (line[j] == '<') ++depth;
-            if (line[j] == '>' && --depth == 0) { ++j; break; }
-            ++j;
-          }
-          CollectDeclaredName(lines, i, line.substr(std::min(j, line.size())),
-                              &result_functions_);
-        }
-        pos = FindWord(line, "Result", pos + 1);
-      }
-      size_t spos = FindWord(line, "Status");
-      while (spos != std::string::npos) {
-        CollectDeclaredName(lines, i, line.substr(spos + 6),
-                            &status_functions_);
-        spos = FindWord(line, "Status", spos + 1);
-      }
-    }
-  }
-
   void CheckFile(const FileData& fd) {
     cur_toks_ = &fd.toks;
     const std::vector<std::string> clean_lines = SplitLines(fd.clean);
@@ -158,7 +124,6 @@ class Linter {
                "`throw` is banned; fallible APIs return Status/Result");
       }
 
-      CheckReturnNotOk(rel, ln, line);
       CheckRawMutexLock(rel, ln, line);
     }
 
@@ -166,7 +131,6 @@ class Linter {
       if (is_header) CheckMutexGuardedBy(rel, clean_lines);
       CheckRawDenseLoop(rel, clean_lines);
     }
-    CheckLockRankTable(rel, clean_lines);
     cur_toks_ = nullptr;
   }
 
@@ -289,28 +253,6 @@ class Linter {
   }
 
  private:
-  // Records the identifier a return type is declaring, given the text after
-  // the type on that line (or, when the type sits on its own line, the next
-  // line). The name must be an identifier immediately followed by '('.
-  static void CollectDeclaredName(const std::vector<std::string>& lines,
-                                  size_t i, std::string rest,
-                                  std::set<std::string>* out) {
-    if (rest.find_first_not_of(' ') == std::string::npos &&
-        i + 1 < lines.size()) {
-      rest = lines[i + 1];
-    }
-    const size_t k = rest.find_first_not_of(' ');
-    if (k == std::string::npos || !IsWordChar(rest[k]) ||
-        std::isdigit(static_cast<unsigned char>(rest[k]))) {
-      return;
-    }
-    size_t e = k;
-    while (e < rest.size() && IsWordChar(rest[e])) ++e;
-    size_t p = e;
-    while (p < rest.size() && rest[p] == ' ') ++p;
-    if (p < rest.size() && rest[p] == '(') out->insert(rest.substr(k, e - k));
-  }
-
   static std::string ExpectedGuard(const std::string& rel) {
     std::string macro = "TARGAD_";
     for (const char c : rel) {
@@ -353,37 +295,6 @@ class Linter {
              "expected include guard " + expected +
                  (got.empty() ? " (missing or #define mismatch)"
                               : ", found " + got));
-    }
-  }
-
-  void CheckReturnNotOk(const std::string& rel, int ln,
-                        const std::string& line) {
-    const size_t pos = FindWord(line, "TARGAD_RETURN_NOT_OK");
-    if (pos == std::string::npos) return;
-    // Skip the macro's own definition.
-    if (line.find("#define") != std::string::npos) return;
-    const size_t open = line.find('(', pos);
-    if (open == std::string::npos) return;
-    // The argument may run past this line; a line-bounded window is enough
-    // for the heuristics below.
-    const std::string arg = line.substr(open + 1);
-    if (arg.find("ValueOrDie") != std::string::npos) {
-      Report(rel, ln, "return-not-ok-result",
-             "TARGAD_RETURN_NOT_OK on a ValueOrDie() value — it takes a "
-             "Status; use TARGAD_ASSIGN_OR_RETURN");
-      return;
-    }
-    // `expr.status()` adapts a Result to its Status — always legal.
-    if (arg.find(".status()") != std::string::npos) return;
-    for (const std::string& fn : result_functions_) {
-      if (status_functions_.count(fn) > 0) continue;  // Ambiguous overload.
-      const size_t fp = FindWord(arg, fn);
-      if (fp != std::string::npos && IsCallAt(arg, fp, fn)) {
-        Report(rel, ln, "return-not-ok-result",
-               "TARGAD_RETURN_NOT_OK on Result-returning " + fn +
-                   "(); use TARGAD_ASSIGN_OR_RETURN");
-        return;
-      }
     }
   }
 
@@ -513,66 +424,6 @@ class Linter {
       i = end;
     }
     return std::string();
-  }
-
-  // lock-rank-table: parses every `#define TARGAD_LOCK_RANK_TABLE` X-macro
-  // body and reports duplicate lock names and duplicate integer ranks.
-  // Unique integer ranks form a total order, which makes the runtime
-  // acquire-ascending policy acyclic by construction — a duplicate rank
-  // would let two locks be taken in either order without detection.
-  void CheckLockRankTable(const std::string& rel,
-                          const std::vector<std::string>& clean_lines) {
-    for (size_t i = 0; i < clean_lines.size(); ++i) {
-      if (clean_lines[i].find("#define") == std::string::npos ||
-          clean_lines[i].find("TARGAD_LOCK_RANK_TABLE") == std::string::npos) {
-        continue;
-      }
-      std::map<std::string, int> name_line;       // entry name -> first line
-      std::map<long, std::string> rank_owner;     // rank value -> first name
-      size_t j = i;
-      bool continued = true;
-      while (j < clean_lines.size() && continued) {
-        const std::string& l = clean_lines[j];
-        const size_t last = l.find_last_not_of(" \t");
-        continued = last != std::string::npos && l[last] == '\\';
-        const int ln = static_cast<int>(j) + 1;
-        size_t p = 0;
-        while ((p = FindWord(l, "X", p)) != std::string::npos) {
-          const size_t open = p + 1;
-          ++p;
-          if (open >= l.size() || l[open] != '(') continue;
-          size_t k = l.find_first_not_of(' ', open + 1);
-          if (k == std::string::npos || !IsWordChar(l[k])) continue;
-          size_t name_end = k;
-          while (name_end < l.size() && IsWordChar(l[name_end])) ++name_end;
-          const std::string name = l.substr(k, name_end - k);
-          size_t v = l.find_first_not_of(" ,", name_end);
-          if (v == std::string::npos) continue;
-          size_t v_end = v;
-          if (v_end < l.size() && l[v_end] == '-') ++v_end;
-          while (v_end < l.size() &&
-                 std::isdigit(static_cast<unsigned char>(l[v_end]))) {
-            ++v_end;
-          }
-          if (v_end == v || v_end >= l.size() || l[v_end] != ')') continue;
-          const long value = std::stol(l.substr(v, v_end - v));
-          if (!name_line.emplace(name, ln).second) {
-            Report(rel, ln, "lock-rank-table",
-                   "duplicate lock-rank entry `" + name + "`");
-          }
-          const auto [owner, inserted] = rank_owner.emplace(value, name);
-          if (!inserted && owner->second != name) {
-            Report(rel, ln, "lock-rank-table",
-                   "rank " + std::to_string(value) + " assigned to both `" +
-                       owner->second + "` and `" + name +
-                       "`; ranks must be unique (a total order is what "
-                       "makes acquire-ascending deadlock-free)");
-          }
-        }
-        ++j;
-      }
-      i = j - 1;
-    }
   }
 
   // raw-dense-loop: flags multiply-accumulate lines over subscripted
@@ -763,8 +614,6 @@ class Linter {
 
   fs::path root_;
   const TokenFile* cur_toks_ = nullptr;
-  std::set<std::string> result_functions_;
-  std::set<std::string> status_functions_;
   std::vector<Finding> findings_;
 };
 
@@ -824,7 +673,6 @@ std::vector<Finding> RunLint(const fs::path& root,
     data.push_back(std::move(fd));
   }
   if (options.per_file) {
-    for (const FileData& fd : data) linter.CollectResultFunctions(fd.clean);
     for (const FileData& fd : data) linter.CheckFile(fd);
     linter.CheckIncludeTree(data);
   }

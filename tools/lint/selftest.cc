@@ -48,15 +48,6 @@ std::vector<SelfCase> Cases() {
         {"banned-io", 3},
         {"banned-io", 4},
         {"naked-throw", 5}}},
-      {"sub/retnotok.cc",
-       "Result<int> Load(int v);\n"
-       "Status A(int v) {\n"
-       "  TARGAD_RETURN_NOT_OK(Load(v));\n"
-       "  return Status::OK();\n}\n"
-       "Status B(Result<int> r) {\n"
-       "  TARGAD_RETURN_NOT_OK(r.ValueOrDie());\n"
-       "  return Status::OK();\n}\n",
-       {{"return-not-ok-result", 3}, {"return-not-ok-result", 7}}},
       // The escape hatch silences the named rule(s) on that line (same line
       // or the line directly above)...
       {"sub/allowed.cc",
@@ -115,15 +106,6 @@ std::vector<SelfCase> Cases() {
        {{"raw-mutex-lock", 2},
         {"raw-mutex-lock", 3},
         {"raw-mutex-lock", 4}}},
-      // lock-rank-table: kB reuses rank 10 (line 3), kA is declared twice
-      // (line 4); kC is a fresh name with a fresh rank and stays clean.
-      {"sub/ranks.cc",
-       "#define TARGAD_LOCK_RANK_TABLE(X) \\\n"
-       "  X(kA, 10)                       \\\n"
-       "  X(kB, 10)                       \\\n"
-       "  X(kA, 20)                       \\\n"
-       "  X(kC, 30)\n",
-       {{"lock-rank-table", 3}, {"lock-rank-table", 4}}},
       // raw-dense-loop: a hand-written triple-loop matmul fires (line 5, on
       // the accumulate line), as does a braceless nested accumulation over
       // At() (line 10); the escape hatch still works (line 13).
@@ -173,23 +155,12 @@ std::vector<SelfCase> Cases() {
        "  return dot;\n"
        "}\n",
        {}},
-      // Comments and strings never trip rules; snprintf is not printf; a
-      // legitimate TARGAD_RETURN_NOT_OK on a Status call is clean, as are
-      // the `.status()` adapter and an ambiguous Status/Result overload set.
+      // Comments and strings never trip rules; snprintf is not printf.
       {"sub/immune.cc",
        "// rand() and printf() and throw, discussed in prose.\n"
        "/* std::cout << rand(); */\n"
        "const char* s = \"printf(rand()) throw\";\n"
-       "int n = snprintf(buf, 4, \"x\");\n"
-       "Status DoIt();\n"
-       "Status Fit(int x);\n"
-       "Result<int> Fit(double x);\n"
-       "Result<int> MakeIt();\n"
-       "Status Run() {\n"
-       "  TARGAD_RETURN_NOT_OK(DoIt());\n"
-       "  TARGAD_RETURN_NOT_OK(Fit(1));\n"
-       "  TARGAD_RETURN_NOT_OK(MakeIt().status());\n"
-       "  return Status::OK();\n}\n",
+       "int n = snprintf(buf, 4, \"x\");\n",
        {}},
       // Raw strings are fully opaque to every rule — this is the false-
       // positive class the v3 blanking pass got wrong (it ended the string

@@ -18,16 +18,10 @@
 //                          pure formatting is fine).
 //   naked-throw            no `throw` — the library is exception-free at
 //                          its boundaries; fallible APIs return Status.
-//   return-not-ok-result   TARGAD_RETURN_NOT_OK takes a Status expression;
-//                          applying it to a Result<T>-returning call (or a
-//                          ValueOrDie() value) swallows or miscasts the
-//                          error.
 //   mutex-guarded-by       in a header, every member field declared after a
 //                          mutex member must carry TARGAD_GUARDED_BY.
 //   raw-mutex-lock         no .lock()/.unlock()/.try_lock() on a mutex-
 //                          named receiver — locking goes through MutexLock.
-//   lock-rank-table        TARGAD_LOCK_RANK_TABLE entries must have unique
-//                          names and unique integer ranks.
 //   raw-dense-loop         no hand-rolled dense math outside nn/kernels/.
 //
 // Include-tree passes:
@@ -64,8 +58,8 @@
 //                          buffer inside the unbounded loop without a
 //                          per-iteration reset.
 //
-// Library-code rules (banned-*, naked-throw, return-not-ok-result, mutex-
-// guarded-by, raw-mutex-lock, raw-dense-loop) apply to the src/ modules;
+// Library-code rules (banned-*, naked-throw, mutex-guarded-by,
+// raw-mutex-lock, raw-dense-loop) apply to the src/ modules;
 // tools/, bench/, tests/, and examples/ are leaf consumers where printf
 // tables and hand-rolled reference kernels are the point. lock-order and
 // the poll-thread-* rules also scope to src/ (tests seed inversions on
