@@ -2,12 +2,14 @@
 // isolation (FrameDecoder, ParseRequest, reply formatting, the shared CSV
 // row splitter, a Session's reply ring) and the full server over real
 // sockets — partial frames, unknown-model routing, forced admission
-// exhaustion ("ERR overloaded"), per-connection reply ordering, idle
-// timeout, connection caps, and graceful drain with rows still in flight
-// (the TSan-critical handshake).
+// exhaustion ("ERR overloaded"), per-connection reply ordering, several
+// connections sending and reading at once, idle timeout, connection caps,
+// and graceful drain with rows still in flight (the TSan-critical
+// handshake).
 
 #include "net/protocol.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -568,6 +570,72 @@ TEST(TcpServerTest, ManyRowsKeepPerConnectionOrder) {
     ASSERT_EQ(client.RecvLine().ValueOrDie(), OkScore(expected))
         << "row " << i;
   }
+}
+
+TEST(TcpServerTest, ScheduledConnectionsGetEveryReplyWhileSending) {
+  // Several connections score at once. Each sends on a fixed schedule from
+  // its own thread while another thread reads its replies, so replies are
+  // written back while later requests are still arriving. A LineClient's
+  // sending and receiving halves share only the socket.
+  serve::BatchScorerOptions scorer_options;
+  scorer_options.num_workers = 2;
+  scorer_options.max_batch_size = 8;
+  TestServer fixture({}, scorer_options);
+  constexpr int kConnections = 3;
+  constexpr int kRows = 300;
+  constexpr auto kInterval = std::chrono::microseconds(400);
+  auto request = [](int conn, int row) {
+    const char* model = (row % 3 == 0) ? "triple" : "default";
+    return "SCORE " + std::string(model) + " " +
+           std::to_string(1000 * conn + row) + ",0";
+  };
+  auto reply = [](int conn, int row) {
+    return OkScore(((row % 3 == 0) ? 3.0 : 2.0) * (1000 * conn + row));
+  };
+
+  std::vector<LineClient> clients;
+  clients.reserve(kConnections);
+  for (int c = 0; c < kConnections; ++c) clients.push_back(fixture.Connect());
+  std::vector<std::string> send_errors(kConnections);
+  std::vector<std::string> recv_errors(kConnections);
+  std::vector<int> received(kConnections, 0);
+  std::vector<std::thread> threads;
+  const auto start =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kRows; ++i) {
+        std::this_thread::sleep_until(start + i * kInterval);
+        const Status st = clients[c].SendLine(request(c, i));
+        if (!st.ok()) {
+          send_errors[c] = "row " + std::to_string(i) + ": " + st.ToString();
+          return;
+        }
+      }
+    });
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kRows; ++i) {
+        const Result<std::string> line = clients[c].RecvLine();
+        if (!line.ok() || *line != reply(c, i)) {
+          recv_errors[c] = "row " + std::to_string(i) + ": " +
+                           (line.ok() ? *line : line.status().ToString());
+          return;
+        }
+        ++received[c];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(send_errors[c], "") << "connection " << c;
+    EXPECT_EQ(recv_errors[c], "") << "connection " << c;
+    EXPECT_EQ(received[c], kRows) << "connection " << c;
+  }
+  const NetMetricsSnapshot snapshot = fixture.metrics().Snapshot();
+  EXPECT_EQ(snapshot.protocol_errors, 0u);
+  EXPECT_EQ(snapshot.shed, 0u);
+  EXPECT_EQ(snapshot.rows_in, static_cast<uint64_t>(kConnections * kRows));
 }
 
 TEST(TcpServerTest, PipelineBurstBeyondInflightCapAnswersEveryRequest) {
