@@ -71,8 +71,9 @@ enum class LockRank : int {
 
 namespace internal {
 
-// A duplicate name already fails to compile (it redeclares an enumerator);
-// a duplicate rank would not, so it is checked here.
+// A repeated name redeclares an enumerator. A repeated rank is caught
+// here, where the table is defined, and not only by LockRankName's switch
+// in lock_rank.cc (two equal case values).
 constexpr bool LockRanksAreUnique() {
   constexpr int kRanks[] = {
 #define TARGAD_LOCK_RANK_VALUE_ENTRY(name, value) value,
