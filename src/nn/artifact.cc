@@ -42,12 +42,15 @@ static_assert(sizeof(SectionDesc) == 24, "section descriptor must be 24 bytes");
 
 struct ArtifactFooter {
   uint64_t trailer_magic;
-  uint64_t checksum;  ///< FNV-1a 64 of bytes [0, file_size - 8).
+  uint64_t checksum;  ///< Of bytes [0, file_size - 8); see kFormatVersion.
 };
 static_assert(sizeof(ArtifactFooter) == 16, "footer must be 16 bytes");
 
 constexpr char kMagic[8] = {'T', 'A', 'R', 'G', 'A', 'D', '1', '\0'};
-constexpr uint32_t kFormatVersion = 1;
+// ArtifactWriter writes version 2 (XXH64 footer); version 1 files, whose
+// footer is FNV-1a, still load.
+constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFnvFormatVersion = 1;
 constexpr uint64_t kTrailerMagic = 0x31445A4747524154ull;  // "TARGGZD1"
 constexpr size_t kPayloadAlign = 64;
 
@@ -66,6 +69,36 @@ size_t AlignUp(size_t n, size_t align) {
   return (n + align - 1) / align * align;
 }
 
+// XXH64 primes and steps, as in the xxHash specification.
+constexpr uint64_t kPrime64_1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime64_2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime64_3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime64_4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime64_5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Rotl64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+// Native loads: the format is little-endian only.
+uint64_t Read64(const unsigned char* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint32_t Read32(const unsigned char* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t XxhRound(uint64_t acc, uint64_t input) {
+  return Rotl64(acc + input * kPrime64_2, 31) * kPrime64_1;
+}
+
+uint64_t XxhMerge(uint64_t acc, uint64_t lane) {
+  return (acc ^ XxhRound(0, lane)) * kPrime64_1 + kPrime64_4;
+}
+
 }  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size) {
@@ -75,6 +108,50 @@ uint64_t Fnv1a64(const void* data, size_t size) {
     h ^= p[i];
     h *= 1099511628211ull;
   }
+  return h;
+}
+
+uint64_t Xxh64(const void* data, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + size;
+  uint64_t h = kPrime64_5;  // Inputs shorter than one stripe start here.
+  if (size >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    uint64_t v1 = kPrime64_1 + kPrime64_2;
+    uint64_t v2 = kPrime64_2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kPrime64_1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxhRound(v1, Read64(p));
+      v2 = XxhRound(v2, Read64(p + 8));
+      v3 = XxhRound(v3, Read64(p + 16));
+      v4 = XxhRound(v4, Read64(p + 24));
+    }
+    h = Rotl64(v1, 1) + Rotl64(v2, 7) + Rotl64(v3, 12) + Rotl64(v4, 18);
+    h = XxhMerge(h, v1);
+    h = XxhMerge(h, v2);
+    h = XxhMerge(h, v3);
+    h = XxhMerge(h, v4);
+  }
+  h += size;
+  // The tail: 8-byte words, at most one 4-byte word, then single bytes.
+  for (; end - p >= 8; p += 8) {
+    h = Rotl64(h ^ XxhRound(0, Read64(p)), 27) * kPrime64_1 + kPrime64_4;
+  }
+  if (end - p >= 4) {
+    h = Rotl64(h ^ (uint64_t{Read32(p)} * kPrime64_1), 23) * kPrime64_2 +
+        kPrime64_3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = Rotl64(h ^ (uint64_t{*p} * kPrime64_5), 11) * kPrime64_1;
+  }
+  // Avalanche.
+  h ^= h >> 33;
+  h *= kPrime64_2;
+  h ^= h >> 29;
+  h *= kPrime64_3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -127,7 +204,7 @@ std::string ArtifactWriter::Serialize() const {
   footer.trailer_magic = kTrailerMagic;
   std::memcpy(buf.data() + cursor, &footer.trailer_magic,
               sizeof(footer.trailer_magic));
-  footer.checksum = Fnv1a64(buf.data(), file_size - sizeof(footer.checksum));
+  footer.checksum = Xxh64(buf.data(), file_size - sizeof(footer.checksum));
   std::memcpy(buf.data() + cursor + sizeof(footer.trailer_magic),
               &footer.checksum, sizeof(footer.checksum));
   return buf;
@@ -209,7 +286,8 @@ Result<std::shared_ptr<const LoadedArtifact>> LoadedArtifact::Load(
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("artifact: ", path, ": bad magic");
   }
-  if (header.version != kFormatVersion) {
+  if (header.version != kFormatVersion &&
+      header.version != kFnvFormatVersion) {
     return Status::InvalidArgument("artifact: ", path,
                                    ": unsupported format version ",
                                    header.version);
@@ -229,7 +307,10 @@ Result<std::shared_ptr<const LoadedArtifact>> LoadedArtifact::Load(
   if (footer.trailer_magic != kTrailerMagic) {
     return Status::InvalidArgument("artifact: ", path, ": bad trailer magic");
   }
-  const uint64_t computed = Fnv1a64(bytes, size - sizeof(footer.checksum));
+  const size_t covered = size - sizeof(footer.checksum);
+  const uint64_t computed = header.version == kFnvFormatVersion
+                                ? Fnv1a64(bytes, covered)
+                                : Xxh64(bytes, covered);
   if (computed != footer.checksum) {
     return Status::InvalidArgument("artifact: ", path,
                                    ": checksum mismatch (file corrupt?)");

@@ -19,8 +19,15 @@
 //   ...                      tensor payloads, each 64-byte aligned so a
 //                            pointer into the (64-byte-aligned) load buffer
 //                            is cache-line and SIMD aligned.
-//   [file_size-16, file_size)  ArtifactFooter: trailer magic + FNV-1a-64
-//                            checksum of every preceding byte.
+//   [file_size-16, file_size)  ArtifactFooter: trailer magic + checksum
+//                            of every preceding byte (the trailer magic
+//                            included). Format version 2, the only one
+//                            ArtifactWriter writes, uses XXH64 (seed 0);
+//                            version 1 files use FNV-1a-64 and still load.
+//                            The header's version picks the checksum.
+//
+// The checksum detects corruption, not a hostile writer: anyone can
+// recompute it, so everything past it is still bounds-checked.
 //
 // The format stores element bytes exactly as the writer's process held
 // them (native little-endian float32/float64), so a load is bit-identical
@@ -47,8 +54,14 @@ namespace nn {
 /// Canonical file extension for flat frozen artifacts.
 inline constexpr const char kArtifactExtension[] = ".tgz1";
 
-/// FNV-1a 64-bit over `size` bytes — the artifact footer checksum.
+/// FNV-1a 64-bit over `size` bytes — the footer checksum of format
+/// version 1.
 uint64_t Fnv1a64(const void* data, size_t size);
+
+/// XXH64 with seed 0 over `size` bytes, per the xxHash specification — the
+/// footer checksum of format version 2. Portable: every build computes the
+/// same value.
+uint64_t Xxh64(const void* data, size_t size);
 
 /// Accumulates dtype-homogeneous tensor sections plus one opaque meta blob
 /// and writes them as a single flat artifact file. Tensor data is borrowed:
@@ -102,10 +115,12 @@ class LoadedArtifact {
     const void* data = nullptr;  ///< 64-byte aligned, inside the buffer.
   };
 
-  /// Reads and validates `path`. Any structural defect — short file, bad
-  /// magic, unknown version or dtype, out-of-bounds section, checksum
-  /// mismatch — is InvalidArgument; an open, read or allocation failure
-  /// (including a file that shrinks while it is read) is IOError.
+  /// Reads and validates `path`, checking the footer with the checksum of
+  /// the header's format version (XXH64 for 2, FNV-1a for 1). Any
+  /// structural defect — short file, bad magic, unknown version or dtype,
+  /// out-of-bounds section, checksum mismatch — is InvalidArgument; an
+  /// open, read or allocation failure (including a file that shrinks while
+  /// it is read) is IOError.
   [[nodiscard]] static Result<std::shared_ptr<const LoadedArtifact>> Load(
       const std::string& path);
 

@@ -261,7 +261,19 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
     dirs = watched_dirs_;
   }
 
+  // A file that fails to load keeps its old snapshot and fails again at the
+  // next poll, so the pass goes on past it: one damaged file must not hold
+  // back the models after it. The first error is returned at the end.
   size_t republished = 0;
+  Status first_error;
+  const auto publish = [&](const std::string& name, const std::string& path) {
+    Status status = PublishFile(name, path);
+    if (status.ok()) {
+      ++republished;
+    } else if (first_error.ok()) {
+      first_error = std::move(status);
+    }
+  };
   for (const Polled& model : polled) {
     FileSignature now;
     // A vanished or unreadable artifact keeps its last good snapshot. The
@@ -269,8 +281,7 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
     // rewrite (coarse filesystem timestamps) is still caught when the
     // content size moved.
     if (!StatSignature(model.path, &now) || now == model.sig) continue;
-    TARGAD_RETURN_NOT_OK(PublishFile(model.name, model.path));
-    ++republished;
+    publish(model.name, model.path);
   }
 
   // The start-up scan again: a new stem joins the registry, and a ".tgz1"
@@ -288,10 +299,10 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
         stale = entry == nullptr || SupersededBy(entry->source, path);
       }
       if (!stale) continue;
-      TARGAD_RETURN_NOT_OK(PublishFile(name, path.string()));
-      ++republished;
+      publish(name, path.string());
     }
   }
+  if (!first_error.ok()) return first_error;
   return republished;
 }
 

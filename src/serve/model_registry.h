@@ -169,8 +169,9 @@ class ModelRegistry {
   /// text model a stem was loaded from in that directory are (re)loaded
   /// and hot-swapped; an entry published from anywhere else is never
   /// replaced by the scan. Vanished files keep their last good snapshot
-  /// registered. Returns the number of models (re)published, or the first
-  /// load error.
+  /// registered, and so do files that fail to load, which do not stop the
+  /// pass. Returns the number of models (re)published, or the first load
+  /// error once the pass is done.
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
   /// Serving snapshot for `name` (always a core::FrozenScorer), or

@@ -50,6 +50,23 @@ void WriteBytes(const fs::path& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// `bytes` with the header's format version (the u32 after the 8-byte magic)
+// set to `version` and the footer recomputed with `checksum` over every
+// byte before it: a file whose footer is valid for that checksum.
+std::string Resealed(std::string bytes, uint32_t version,
+                     uint64_t (*checksum)(const void*, size_t)) {
+  std::memcpy(&bytes[8], &version, sizeof(version));
+  const uint64_t sum = checksum(bytes.data(), bytes.size() - 8);
+  std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
+  return bytes;
+}
+
 // A writer holding two float32 tensors and a meta blob — the smallest
 // artifact that exercises every layout region.
 ArtifactWriter SmallWriter(const std::vector<float>& a,
@@ -71,7 +88,7 @@ TEST(ArtifactTest, WriteLoadRoundTripPreservesEverything) {
   auto loaded = LoadedArtifact::Load(path.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const LoadedArtifact& artifact = **loaded;
-  EXPECT_EQ(artifact.version(), 1u);
+  EXPECT_EQ(artifact.version(), 2u);
   EXPECT_EQ(artifact.dtype(), Dtype::kFloat32);
   EXPECT_EQ(artifact.meta(), "schema: toy");
   ASSERT_EQ(artifact.num_sections(), 2u);
@@ -159,12 +176,53 @@ TEST(ArtifactTest, LoadRejectsOutOfBoundsSectionEvenWithValidChecksum) {
   const size_t table_offset = (64 + 11 + 7) & ~size_t{7};
   uint64_t huge = 1ull << 40;
   std::memcpy(&bytes[table_offset], &huge, sizeof(huge));
-  const uint64_t checksum = Fnv1a64(bytes.data(), bytes.size() - 8);
-  std::memcpy(&bytes[bytes.size() - 8], &checksum, sizeof(checksum));
 
   const fs::path path = dir.path() / "oob.tgz1";
-  WriteBytes(path, bytes);
-  EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok());
+  WriteBytes(path, Resealed(bytes, 2, Xxh64));
+  auto loaded = LoadedArtifact::Load(path.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("section 0 truncated"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// Published XXH64 (seed 0) values. The last input is one 32-byte stripe
+// plus a 4-byte word and three single bytes, so it reaches every step.
+TEST(ArtifactTest, Xxh64MatchesKnownAnswers) {
+  const auto xxh = [](const std::string& s) {
+    return Xxh64(s.data(), s.size());
+  };
+  EXPECT_EQ(xxh(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xxh("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xxh("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+// Every byte of the file is covered: flipping any one bit — header, meta,
+// table, padding, payloads, trailer magic or the stored checksum — fails
+// the load. A checksum that skipped a tail byte would let one through.
+TEST(ArtifactTest, EveryBitFlipFailsToLoad) {
+  TempDir dir;
+  const std::vector<float> a = {1, 2, 3, 4, 5, 6};
+  const std::vector<float> b = {1, 2, 3, 4};
+  const std::string good = SmallWriter(a, b).Serialize();
+  ASSERT_EQ(good.size(), 224u);
+  const fs::path path = dir.path() / "flipped.tgz1";
+  size_t loaded = 0;
+  for (size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string bytes = good;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    WriteBytes(path, bytes);
+    if (LoadedArtifact::Load(path.string()).ok()) {
+      ADD_FAILURE() << "flipping bit " << bit % 8 << " of byte " << bit / 8
+                    << " still loads";
+      ++loaded;
+    }
+  }
+  EXPECT_EQ(loaded, 0u);
+  WriteBytes(path, good);
+  EXPECT_TRUE(LoadedArtifact::Load(path.string()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -246,6 +304,39 @@ TEST_P(ArtifactRoundTripTest, LoadArtifactScoresBitIdentically) {
   }
 }
 
+// Files written before format version 2 carry an FNV-1a footer under
+// version 1; they keep loading, and score as the scorer that wrote them.
+// The header's version alone picks the checksum: a footer of the other
+// kind is a mismatch.
+TEST_P(ArtifactRoundTripTest, Version1FileWithFnvFooterStillLoads) {
+  TempDir dir;
+  auto frozen = TrainPipeline(36).Freeze(GetParam()).ValueOrDie();
+  const fs::path v2 = dir.path() / "v2.tgz1";
+  ASSERT_TRUE(frozen.SaveArtifact(v2.string()).ok());
+  const std::string bytes = ReadBytes(v2);
+  // The writer seals version 2 with XXH64.
+  ASSERT_EQ(Resealed(bytes, 2, Xxh64), bytes);
+
+  const fs::path v1 = dir.path() / "v1.tgz1";
+  WriteBytes(v1, Resealed(bytes, 1, Fnv1a64));
+  EXPECT_EQ(LoadedArtifact::Load(v1.string()).ValueOrDie()->version(), 1u);
+  auto loaded = core::FrozenScorer::LoadArtifact(v1.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const data::RawTable rows = MakeScoringRows(37, 64);
+  EXPECT_EQ(loaded->Score(rows).ValueOrDie(), frozen.Score(rows).ValueOrDie());
+
+  const fs::path mixed = dir.path() / "mixed.tgz1";
+  for (const std::string& sealed :
+       {Resealed(bytes, 2, Fnv1a64), Resealed(bytes, 1, Xxh64)}) {
+    WriteBytes(mixed, sealed);
+    auto rejected = LoadedArtifact::Load(mixed.string());
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_NE(rejected.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Dtypes, ArtifactRoundTripTest,
                          ::testing::Values(Dtype::kFloat64, Dtype::kFloat32),
                          [](const ::testing::TestParamInfo<Dtype>& info) {
@@ -321,12 +412,7 @@ TEST(ArtifactTest, LoadArtifactRejectsTamperedScorerFile) {
   const fs::path path = dir.path() / "model.tgz1";
   ASSERT_TRUE(frozen.SaveArtifact(path.string()).ok());
 
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  std::string bytes = ReadBytes(path);
   ASSERT_GT(bytes.size(), 100u);
   bytes[bytes.size() / 3] ^= 0x40;
   WriteBytes(path, bytes);
@@ -405,8 +491,8 @@ TEST(ArtifactTest, InPlaceRewriteCannotReachALoadedScorer) {
 }
 
 // A meta blob is untrusted even when its checksum is valid: anyone can
-// recompute FNV-1a. A huge count or token length must be an error, never
-// an allocation sized from it (which aborts the process).
+// recompute the footer. A huge count or token length must be an error,
+// never an allocation sized from it (which aborts the process).
 TEST(ArtifactTest, HugeMetaCountsAreInvalidArgument) {
   TempDir dir;
   const fs::path good = dir.path() / "good.tgz1";

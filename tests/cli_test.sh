@@ -125,7 +125,7 @@ head -1 data_test.csv | cat - bad_route.csv > bad_routed_test.csv
 "$CLI" freeze --model m.model --out m.tgz1 --dtype float32 || fail "freeze"
 [ -s m.tgz1 ] || fail "frozen artifact empty"
 inspect_out=$("$CLI" inspect --artifact m.tgz1) || fail "inspect"
-echo "$inspect_out" | grep -q "targad flat artifact v1" \
+echo "$inspect_out" | grep -q "targad flat artifact v2" \
   || fail "inspect missing format line"
 echo "$inspect_out" | grep -q "dtype float32" || fail "inspect missing dtype"
 echo "$inspect_out" | grep -q "checksum ok" || fail "inspect missing checksum"

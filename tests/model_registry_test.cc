@@ -462,6 +462,51 @@ TEST(ModelRegistryTest, RefreshNeverReplacesModelsPublishedElsewhere) {
   EXPECT_EQ(registry.GetScorer("b")->get(), pinned.get());
 }
 
+// Regression: the refresh returned at the first file that failed to load.
+// That file keeps its old signature, so it failed again at every poll, and
+// no model after it in name order — nor any new stem of the re-scan —
+// ever refreshed. The pass now finishes and reports the first error.
+TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
+  TempDir dir;
+  const auto save = [&dir](uint64_t seed, const char* file) {
+    return TrainScorer(seed, nn::Dtype::kFloat32)
+        ->SaveArtifact((dir.path() / file).string())
+        .ok();
+  };
+  const fs::path a = dir.path() / "a.tgz1";
+  const fs::path b = dir.path() / "b.tgz1";
+  ASSERT_TRUE(save(40, "a.tgz1"));
+  ASSERT_TRUE(save(41, "b.tgz1"));
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
+
+  // `a` is truncated, `b` validly redeployed; the re-scan finds a damaged
+  // new stem `c` and a good new stem `d` after it.
+  fs::resize_file(a, fs::file_size(a) / 2);
+  ASSERT_TRUE(save(42, "b.tgz1"));
+  fs::last_write_time(b, fs::last_write_time(b) + std::chrono::seconds(2));
+  {
+    std::ofstream out(dir.path() / "c.tgz1");
+    out << "not an artifact";
+  }
+  ASSERT_TRUE(save(43, "d.tgz1"));
+
+  for (int poll = 0; poll < 2; ++poll) {
+    SCOPED_TRACE(poll);
+    auto refreshed = registry.RefreshIfChanged();
+    ASSERT_FALSE(refreshed.ok());
+    EXPECT_EQ(refreshed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refreshed.status().message().find(a.string()), std::string::npos)
+        << refreshed.status().ToString();
+    EXPECT_EQ(registry.Info("a")->version, 1u);
+    EXPECT_EQ(registry.Info("b")->version, 2u);
+    EXPECT_FALSE(registry.Info("c").ok());
+    ASSERT_TRUE(registry.Info("d").ok());
+    EXPECT_EQ(registry.Info("d")->version, 1u);
+  }
+  EXPECT_TRUE(registry.GetScorer("a").ok());  // The last good snapshot.
+}
+
 TEST(ModelRegistryTest, ConcurrentPublishAndGetKeepSnapshotsIntact) {
   ModelRegistry registry;
   auto scorer_a = TrainScorer(4);

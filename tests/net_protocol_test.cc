@@ -9,8 +9,10 @@
 
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/scorer.h"
 #include "net/client.h"
@@ -154,6 +157,216 @@ TEST(FormattingTest, WireCodeMapsStatusCodes) {
   EXPECT_STREQ(WireCode(StatusCode::kOutOfRange), kErrBadRequest);
   EXPECT_STREQ(WireCode(StatusCode::kFailedPrecondition), kErrUnavailable);
   EXPECT_STREQ(WireCode(StatusCode::kInternal), kErrInternal);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation pass: request streams built from this file's request
+// lines, mutated with a fixed seed and budget, framed by a FrameDecoder fed
+// in random chunks and parsed by ParseRequest, each compared with a simple
+// oracle. Under check-asan and check-ubsan it is a fuzz pass.
+
+// The frames a decoder must produce from `wire`: the whole buffer split on
+// '\n', one trailing '\r' stripped per line. A line longer than `limit`
+// (counting its '\r'), or an unterminated tail longer than `limit`, poisons
+// the decoder, and nothing after it is framed.
+struct Frames {
+  std::vector<std::string> lines;
+  bool oversized = false;
+  size_t tail = 0;  ///< Unterminated bytes left over, unless oversized.
+};
+
+Frames ReferenceFrames(const std::string& wire, size_t limit) {
+  Frames frames;
+  size_t begin = 0;
+  for (size_t nl = wire.find('\n'); nl != std::string::npos;
+       nl = wire.find('\n', begin)) {
+    if (nl - begin > limit) {
+      frames.oversized = true;
+      return frames;
+    }
+    const size_t end = nl > begin && wire[nl - 1] == '\r' ? nl - 1 : nl;
+    frames.lines.push_back(wire.substr(begin, end - begin));
+    begin = nl + 1;
+  }
+  const size_t tail = wire.size() - begin;
+  frames.oversized = tail > limit;
+  if (!frames.oversized) frames.tail = tail;
+  return frames;
+}
+
+// `wire` through a FrameDecoder, appended in chunks of 1 byte to 8 KiB
+// (log-uniform, so short chunks are common), draining after each.
+Frames DecodeInChunks(const std::string& wire, size_t limit, Rng* rng) {
+  FrameDecoder decoder(limit);
+  Frames frames;
+  std::string line;
+  for (size_t at = 0; at < wire.size() && !frames.oversized;) {
+    const size_t cap = size_t{1} << rng->UniformInt(14);
+    const size_t n = std::min(wire.size() - at, 1 + rng->UniformInt(cap));
+    decoder.Append(wire.data() + at, n);
+    at += n;
+    FrameDecoder::Outcome outcome;
+    while ((outcome = decoder.ReadLine(&line)) ==
+           FrameDecoder::Outcome::kLine) {
+      frames.lines.push_back(line);
+    }
+    frames.oversized = outcome == FrameDecoder::Outcome::kOversized;
+  }
+  if (!frames.oversized) frames.tail = decoder.buffered();
+  return frames;
+}
+
+// ParseRequest as written when this pass was added, kept verbatim as the
+// parse oracle.
+Result<Request> ReferenceParseRequest(const std::string& line) {
+  if (line.empty()) {
+    return Status::InvalidArgument("empty request line");
+  }
+  const size_t first_space = line.find(' ');
+  const std::string command = line.substr(0, first_space);
+  if (command == "PING" || command == "STATS" || command == "QUIT") {
+    if (first_space != std::string::npos) {
+      return Status::InvalidArgument(command, " takes no arguments");
+    }
+    Request request;
+    request.kind = command == "PING"    ? Request::Kind::kPing
+                   : command == "STATS" ? Request::Kind::kStats
+                                        : Request::Kind::kQuit;
+    return request;
+  }
+  if (command == "SCORE") {
+    if (first_space == std::string::npos) {
+      return Status::InvalidArgument("SCORE requires a model and a CSV row");
+    }
+    const size_t model_begin = first_space + 1;
+    const size_t second_space = line.find(' ', model_begin);
+    if (second_space == std::string::npos || second_space == model_begin) {
+      return Status::InvalidArgument(
+          "SCORE requires two arguments: SCORE <model> <csv-cells>");
+    }
+    Request request;
+    request.kind = Request::Kind::kScore;
+    request.model = line.substr(model_begin, second_space - model_begin);
+    request.cells_csv = line.substr(second_space + 1);
+    if (request.cells_csv.empty()) {
+      return Status::InvalidArgument("SCORE row has no cells");
+    }
+    return request;
+  }
+  return Status::InvalidArgument("unknown command '", command,
+                                 "' (SCORE|PING|STATS|QUIT)");
+}
+
+// A request stream: 1-12 of this file's request lines, each ended by "\n"
+// or "\r\n", then 1-6 insertions, deletions or replacements of
+// protocol-significant bytes at random offsets.
+std::string MutatedStream(Rng* rng) {
+  static const std::vector<std::string> kLines = {
+      "PING", "STATS", "QUIT", "SCORE default 1.5,2.5",
+      "SCORE fraud-v2 1.5,\"a,b\",3", "SCORE default model=triple,2,0",
+      "SCORE nosuch 1,0", "SCORE default 4.5,0", "SCORE", "SCORE model-only",
+      "SCORE  1,2", "NOPE 1,2", "ping", "PING now"};
+  static const std::vector<std::string> kPieces = {
+      "\r", "\n", "\r\n", " ", "  ", std::string(1, '\0'), "SCORE", "SCORE ",
+      "PING", "model=", "model=alt,", ",", "\"", "QUIT", "STATS"};
+  std::string wire;
+  const size_t lines = 1 + rng->UniformInt(12);
+  for (size_t i = 0; i < lines; ++i) {
+    wire += kLines[rng->UniformInt(kLines.size())];
+    wire += rng->UniformInt(2) == 0 ? "\n" : "\r\n";
+  }
+  const size_t edits = 1 + rng->UniformInt(6);
+  for (size_t e = 0; e < edits; ++e) {
+    std::string piece = kPieces[rng->UniformInt(kPieces.size())];
+    if (rng->UniformInt(6) == 0) {  // A long run of one byte.
+      const char run[] = {'x', ' ', '\r', ',', '\0'};
+      piece.assign(1 + rng->UniformInt(600), run[rng->UniformInt(5)]);
+    }
+    const size_t at = rng->UniformInt(wire.size() + 1);
+    const size_t span = std::min(wire.size() - at, 1 + rng->UniformInt(16));
+    switch (rng->UniformInt(3)) {
+      case 0:
+        wire.insert(at, piece);
+        break;
+      case 1:
+        wire.erase(at, span);
+        break;
+      default:
+        wire.replace(at, span, piece);
+        break;
+    }
+  }
+  return wire;
+}
+
+// A line limit near the length of one of the stream's raw lines (its '\r'
+// included) half the time, so the off-by-one boundary is hit; otherwise
+// anywhere up to 1 KiB.
+size_t PickLimit(const std::string& wire, Rng* rng) {
+  if (rng->UniformInt(2) == 0) return rng->UniformInt(1025);
+  std::vector<size_t> lengths;
+  size_t begin = 0;
+  for (size_t nl = wire.find('\n'); nl != std::string::npos;
+       nl = wire.find('\n', begin)) {
+    lengths.push_back(nl - begin);
+    begin = nl + 1;
+  }
+  lengths.push_back(wire.size() - begin);
+  const size_t length = lengths[rng->UniformInt(lengths.size())];
+  return length + rng->UniformInt(3) - std::min<size_t>(length, 1);
+}
+
+constexpr int kMutationBudget = 3000;
+
+TEST(ProtocolMutationTest, ChunkedFramingMatchesWholeBufferSplit) {
+  Rng rng(20261019);
+  size_t oversized = 0;
+  size_t lines = 0;
+  for (int round = 0; round < kMutationBudget; ++round) {
+    const std::string wire = MutatedStream(&rng);
+    const size_t limit = PickLimit(wire, &rng);
+    const Frames expected = ReferenceFrames(wire, limit);
+    const Frames actual = DecodeInChunks(wire, limit, &rng);
+    ASSERT_EQ(actual.oversized, expected.oversized)
+        << "round " << round << ", limit " << limit;
+    ASSERT_EQ(actual.lines, expected.lines)
+        << "round " << round << ", limit " << limit;
+    ASSERT_EQ(actual.tail, expected.tail)
+        << "round " << round << ", limit " << limit;
+    oversized += expected.oversized ? 1 : 0;
+    lines += expected.lines.size();
+  }
+  // The budget reaches both outcomes, not only one.
+  EXPECT_GT(oversized, static_cast<size_t>(kMutationBudget) / 10);
+  EXPECT_LT(oversized, static_cast<size_t>(kMutationBudget) * 9 / 10);
+  EXPECT_GT(lines, static_cast<size_t>(kMutationBudget));
+}
+
+TEST(ProtocolMutationTest, ParseMatchesReferenceParser) {
+  Rng rng(20261020);
+  size_t scores = 0;
+  size_t errors = 0;
+  for (int round = 0; round < kMutationBudget; ++round) {
+    for (const std::string& line :
+         ReferenceFrames(MutatedStream(&rng), SIZE_MAX).lines) {
+      const Result<Request> expected = ReferenceParseRequest(line);
+      const Result<Request> actual = ParseRequest(line);
+      ASSERT_EQ(actual.ok(), expected.ok()) << "line '" << line << "'";
+      if (!expected.ok()) {
+        ++errors;
+        EXPECT_EQ(actual.status().code(), expected.status().code());
+        EXPECT_EQ(actual.status().message(), expected.status().message());
+        continue;
+      }
+      scores += expected->kind == Request::Kind::kScore ? 1 : 0;
+      EXPECT_EQ(actual->kind, expected->kind) << "line '" << line << "'";
+      EXPECT_EQ(actual->model, expected->model) << "line '" << line << "'";
+      EXPECT_EQ(actual->cells_csv, expected->cells_csv)
+          << "line '" << line << "'";
+    }
+  }
+  EXPECT_GT(scores, static_cast<size_t>(kMutationBudget));
+  EXPECT_GT(errors, static_cast<size_t>(kMutationBudget));
 }
 
 // ---------------------------------------------------------------------------
