@@ -201,7 +201,8 @@ TEST(ArtifactTest, Xxh64MatchesKnownAnswers) {
 
 // Every byte of the file is covered: flipping any one bit — header, meta,
 // table, padding, payloads, trailer magic or the stored checksum — fails
-// the load. A checksum that skipped a tail byte would let one through.
+// the load. A checksum that skipped a payload byte (say, the last 8-byte
+// word of its tail) would let one through.
 TEST(ArtifactTest, EveryBitFlipFailsToLoad) {
   TempDir dir;
   const std::vector<float> a = {1, 2, 3, 4, 5, 6};
@@ -209,18 +210,13 @@ TEST(ArtifactTest, EveryBitFlipFailsToLoad) {
   const std::string good = SmallWriter(a, b).Serialize();
   ASSERT_EQ(good.size(), 224u);
   const fs::path path = dir.path() / "flipped.tgz1";
-  size_t loaded = 0;
   for (size_t bit = 0; bit < good.size() * 8; ++bit) {
     std::string bytes = good;
     bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
     WriteBytes(path, bytes);
-    if (LoadedArtifact::Load(path.string()).ok()) {
-      ADD_FAILURE() << "flipping bit " << bit % 8 << " of byte " << bit / 8
-                    << " still loads";
-      ++loaded;
-    }
+    EXPECT_FALSE(LoadedArtifact::Load(path.string()).ok())
+        << "flipping bit " << bit % 8 << " of byte " << bit / 8;
   }
-  EXPECT_EQ(loaded, 0u);
   WriteBytes(path, good);
   EXPECT_TRUE(LoadedArtifact::Load(path.string()).ok());
 }
