@@ -4,8 +4,7 @@
 
 namespace targad {
 
-ThreadPool::ThreadPool(size_t num_threads, size_t max_queue)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
@@ -21,17 +20,12 @@ ThreadPool::~ThreadPool() {
     shutting_down_ = true;
   }
   task_available_.notify_all();
-  space_available_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 bool ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
-    while (max_queue_ != 0 && queue_.size() >= max_queue_ &&
-           !shutting_down_) {
-      space_available_.wait(lock);
-    }
     // A task enqueued after shutdown began could outlive every worker
     // (each exits once the queue is empty): it would wait in the queue
     // forever and strand in_flight_ above zero. Reject instead.
@@ -41,23 +35,6 @@ bool ThreadPool::Submit(std::function<void()> task) {
   }
   task_available_.notify_one();
   return true;
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    if (shutting_down_) return false;
-    if (max_queue_ != 0 && queue_.size() >= max_queue_) return false;
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-  return true;
-}
-
-size_t ThreadPool::queue_depth() const {
-  MutexLock lock(&mu_);
-  return queue_.size();
 }
 
 void ThreadPool::Wait() {
@@ -78,7 +55,6 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    space_available_.notify_one();
     task();
     {
       MutexLock lock(&mu_);

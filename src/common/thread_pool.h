@@ -1,6 +1,6 @@
-// Fixed-size worker pool used to train the k cluster autoencoders in
-// parallel (Algorithm 1, lines 2-5) and to fan out independent model runs in
-// the benchmark harness.
+// Fixed-size worker pool. It trains the k cluster autoencoders in parallel
+// (Algorithm 1, lines 2-5, through ParallelFor) and runs BatchScorer's
+// scoring workers.
 
 #ifndef TARGAD_COMMON_THREAD_POOL_H_
 #define TARGAD_COMMON_THREAD_POOL_H_
@@ -17,47 +17,30 @@
 
 namespace targad {
 
-/// A minimal fixed-size thread pool. Tasks are void() callables; exceptions
-/// must not escape tasks (the library is exception-free at its boundaries).
+/// A minimal fixed-size thread pool with an unbounded queue. Tasks are
+/// void() callables; exceptions must not escape tasks (the library is
+/// exception-free at its boundaries).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>=1; 0 means hardware_concurrency).
-  /// `max_queue` bounds the number of tasks waiting to run (0 = unbounded):
-  /// when full, Submit blocks for space (backpressure) and TrySubmit
-  /// rejects. Tasks already running do not count against the bound.
-  explicit ThreadPool(size_t num_threads = 0, size_t max_queue = 0);
+  explicit ThreadPool(size_t num_threads = 0);
 
-  /// Drains every task already accepted, then joins the workers. A Submit
-  /// blocked on backpressure when shutdown begins is woken and REJECTED —
-  /// its task is never enqueued, so it cannot sit in a queue no worker will
-  /// ever drain (and a concurrent Wait cannot hang on its in-flight count).
+  /// Drains every task already accepted, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for asynchronous execution; blocks while the queue is
-  /// at max_queue. Returns true if the task was accepted; false only when
-  /// the pool began shutting down while this call was blocked (the task is
-  /// destroyed without running). Unsafe to call from inside a pool task
-  /// when bounded (a full queue would deadlock the worker) — use TrySubmit
-  /// there.
+  /// Enqueues a task for asynchronous execution. Returns true if the task
+  /// was accepted; false only when the pool is shutting down (a task that
+  /// submits more work while the destructor drains), in which case the
+  /// task is destroyed without running.
   bool Submit(std::function<void()> task) TARGAD_EXCLUDES(mu_);
-
-  /// Enqueues unless the queue is at max_queue or the pool is shutting
-  /// down; returns false on rejection.
-  bool TrySubmit(std::function<void()> task) TARGAD_EXCLUDES(mu_);
 
   /// Blocks until every submitted task has finished.
   void Wait() TARGAD_EXCLUDES(mu_);
 
   size_t num_threads() const { return workers_.size(); }
-
-  /// Queue bound (0 = unbounded).
-  size_t max_queue() const { return max_queue_; }
-
-  /// Tasks currently waiting to run (racy snapshot, for monitoring).
-  size_t queue_depth() const TARGAD_EXCLUDES(mu_);
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
   /// fn must be safe to invoke concurrently for distinct i.
@@ -67,17 +50,14 @@ class ThreadPool {
  private:
   void WorkerLoop() TARGAD_EXCLUDES(mu_);
 
-  // Immutable after construction / externally serialized — declared ABOVE
-  // the mutex (the project convention: everything below a mutex is guarded
-  // by it). workers_ is written in the constructor and joined in the
-  // destructor only; the workers themselves never touch it.
-  const size_t max_queue_;
+  // Written in the constructor and joined in the destructor only; the
+  // workers themselves never touch it. Declared ABOVE the mutex (the
+  // project convention: everything below a mutex is guarded by it).
   std::vector<std::thread> workers_;
 
-  mutable RankedMutex mu_{LockRank::kThreadPool};
+  RankedMutex mu_{LockRank::kThreadPool};
   std::condition_variable_any task_available_;
   std::condition_variable_any all_done_;
-  std::condition_variable_any space_available_;
   std::deque<std::function<void()>> queue_ TARGAD_GUARDED_BY(mu_);
   size_t in_flight_ TARGAD_GUARDED_BY(mu_) = 0;
   bool shutting_down_ TARGAD_GUARDED_BY(mu_) = false;

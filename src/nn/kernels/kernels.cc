@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <latch>
 #include <string>
-#include <thread>
 #include <type_traits>
-#include <vector>
 
 #include "common/env.h"
 #include "common/hot_path.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "nn/kernels/kernels_internal.h"
 
 namespace targad {
@@ -34,7 +29,6 @@ struct DispatchState {
   // Both null in scalar mode.
   const internal::FloatKernels* f32 = nullptr;
   const internal::DoubleKernels* f64 = nullptr;
-  TilingConfig tiling;
 };
 
 bool Avx2Compiled() {
@@ -71,17 +65,10 @@ DispatchState MakeState() {
     state.backend = avx2_usable ? Backend::kAvx2 : Backend::kScalar;
   }
   UseBackend(state.backend, &state);
-
-  const int threads = GetEnvInt("TARGAD_KERNEL_THREADS", 0);
-  state.tiling.threads =
-      threads > 0 ? static_cast<size_t>(threads)
-                  : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const int min_flops = GetEnvInt("TARGAD_KERNEL_MIN_TILE_FLOPS", 0);
-  if (min_flops > 0) state.tiling.min_flops = static_cast<size_t>(min_flops);
   return state;
 }
 
-// Selected once on first kernel use; the test hooks below mutate it from a
+// Selected once on first kernel use; the test hook below mutates it from a
 // single thread before concurrent use (documented in kernels.h).
 //
 // TARGAD_HOT_PATH_TRUSTED: MakeState() builds strings, reads the
@@ -95,61 +82,6 @@ TARGAD_HOT_PATH_TRUSTED DispatchState& State() {
   return state;
 }
 
-// The tiling pool is created at the first call that actually tiles, sized
-// from the tiling config in force at that moment. Intentionally leaked:
-// destroying it from a static destructor would lock its mutex after the
-// main thread's thread_local lock-rank bookkeeping is already gone, and the
-// pool must outlive any late kernel call anyway. Still reachable from this
-// static, so leak checkers stay quiet.
-//
-// TARGAD_HOT_PATH_TRUSTED: the `new` runs exactly once, inside the
-// function-local static's initialization; steady-state calls return the
-// cached reference without allocating. Audited first-use amortization the
-// token-level purity scanner cannot prove.
-TARGAD_HOT_PATH_TRUSTED ThreadPool& Pool() {
-  static ThreadPool* pool = new ThreadPool(State().tiling.threads);
-  return *pool;
-}
-
-// Runs fn(begin, end) over [0, rows), fanning contiguous row chunks across
-// the pool when the call is large enough to pay for it. Each output row is
-// touched by exactly one thread, so accumulation order per element is the
-// same as the single-threaded run.
-void ParallelRows(size_t rows, size_t flops,
-                  const std::function<void(size_t, size_t)>& fn) {
-  const TilingConfig& tiling = State().tiling;
-  if (tiling.threads <= 1 || flops < tiling.min_flops ||
-      rows < 2 * tiling.min_rows_per_tile) {
-    fn(0, rows);
-    return;
-  }
-  const size_t chunks =
-      std::min(tiling.threads, rows / tiling.min_rows_per_tile);
-  const size_t base = rows / chunks;
-  const size_t extra = rows % chunks;
-  // Chunk c covers [c*base + min(c, extra), ...): the first `extra` chunks
-  // take one extra row. Closed-form bounds — no range buffer to allocate,
-  // which keeps this dispatcher within the hot-path purity contract.
-  const auto chunk_begin = [base, extra](size_t c) {
-    return c * base + std::min(c, extra);
-  };
-  std::latch done(static_cast<std::ptrdiff_t>(chunks - 1));
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t b = chunk_begin(c);
-    const size_t e = chunk_begin(c + 1);
-    if (!Pool().TrySubmit([&fn, b, e, &done] {
-          fn(b, e);
-          done.count_down();
-        })) {
-      // Pool saturated or shutting down: run the chunk inline.
-      fn(b, e);
-      done.count_down();
-    }
-  }
-  fn(0, chunk_begin(1));
-  done.wait();
-}
-
 // ---- Scalar baselines -----------------------------------------------------
 // These reproduce the pre-kernel-layer MatrixT loops exactly: same loop
 // order, same zero-skips, same expression shapes. They are the scalar
@@ -157,17 +89,16 @@ void ParallelRows(size_t rows, size_t flops,
 // the reference the AVX2 double kernels must match bit for bit.
 
 // C(m x n) = A^T * B with A stored k x m and B stored k x n (k is the
-// shared dimension), rows [r0, r1) of C. The historical full-matrix form
-// walked the shared dimension outermost; here each output row kk walks the
-// shared dimension itself, which visits the exact same per-element
-// contributions (a[i*m + kk] * b_row[j], i ascending, zero-skip on the A
-// element) in the exact same order — so tiling output rows across threads
-// leaves every element's accumulation order, and therefore its bits,
-// unchanged. This is the dW = x^T g GEMM of Linear::Backward.
+// shared dimension). The historical form walked the shared dimension
+// outermost; here each output row kk walks the shared dimension itself,
+// which visits the exact same per-element contributions (a[i*m + kk] *
+// b_row[j], i ascending, zero-skip on the A element) in the exact same
+// order, and so gives the same bits. This is the dW = x^T g GEMM of
+// Linear::Backward.
 template <typename T>
-void GemmTaRange(size_t r0, size_t r1, size_t n, size_t k, size_t m,
-                 const T* a, const T* b, T* c) {
-  for (size_t kk = r0; kk < r1; ++kk) {
+void ScalarGemmTa(size_t m, size_t n, size_t k, const T* a, const T* b,
+                  T* c) {
+  for (size_t kk = 0; kk < m; ++kk) {
     T* c_row = c + kk * n;
     std::fill(c_row, c_row + n, T(0));
     for (size_t i = 0; i < k; ++i) {
@@ -182,29 +113,15 @@ void GemmTaRange(size_t r0, size_t r1, size_t n, size_t k, size_t m,
 // C = A * B^T. B is stored n x k, C is m x n; a straight dot product per
 // element, k ascending — MatrixT::MatMulTranspose.
 template <typename T>
-void GemmTbRange(size_t r0, size_t r1, size_t n, size_t k, const T* a,
-                 const T* b, T* c) {
-  for (size_t i = r0; i < r1; ++i) {
+void ScalarGemmTb(size_t m, size_t n, size_t k, const T* a, const T* b,
+                  T* c) {
+  for (size_t i = 0; i < m; ++i) {
     const T* a_row = a + i * k;
     T* c_row = c + i * n;
     for (size_t j = 0; j < n; ++j) {
       const T* b_row = b + j * k;
       T acc = T(0);
       for (size_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b_row[kk];
-      c_row[j] = acc;
-    }
-  }
-}
-
-// C = A^T * B^T (no in-tree call site; kept for API completeness).
-template <typename T>
-void GemmTtFull(size_t m, size_t n, size_t k, const T* a, const T* b, T* c) {
-  for (size_t i = 0; i < m; ++i) {
-    T* c_row = c + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const T* b_row = b + j * k;
-      T acc = T(0);
-      for (size_t kk = 0; kk < k; ++kk) acc += a[kk * m + i] * b_row[kk];
       c_row[j] = acc;
     }
   }
@@ -243,13 +160,13 @@ void ApplyActivationRow(Act act, T leaky_slope, size_t n, T* row) {
   }
 }
 
-// Y = act(X * W + bias), rows [r0, r1); also Gemm NN (bias null, kNone).
-// i-k-j order streams both operands row-major; the zero-skip keeps
-// ReLU-sparse activations cheap and matches the old MatrixT::MatMul bits.
+// Y = act(X * W + bias); also Gemm NN (bias null, kNone). i-k-j order
+// streams both operands row-major; the zero-skip keeps ReLU-sparse
+// activations cheap and matches the old MatrixT::MatMul bits.
 template <typename T>
-void AffineRange(size_t r0, size_t r1, size_t n, size_t k, const T* x,
-                 const T* w, const T* bias, Act act, T leaky_slope, T* y) {
-  for (size_t i = r0; i < r1; ++i) {
+void ScalarAffine(size_t m, size_t n, size_t k, const T* x, const T* w,
+                  const T* bias, Act act, T leaky_slope, T* y) {
+  for (size_t i = 0; i < m; ++i) {
     const T* x_row = x + i * k;
     T* y_row = y + i * n;
     std::fill(y_row, y_row + n, T(0));
@@ -284,10 +201,9 @@ T SquaredDistancePair(size_t d, const T* a, const T* b, const T* weights) {
 }
 
 template <typename T>
-void SquaredDistancesRange(size_t r0, size_t r1, size_t d, size_t k,
-                           const T* x, const T* centers, const T* weights,
-                           T* out) {
-  for (size_t i = r0; i < r1; ++i) {
+void ScalarSquaredDistances(size_t n, size_t d, size_t k, const T* x,
+                            const T* centers, const T* weights, T* out) {
+  for (size_t i = 0; i < n; ++i) {
     const T* x_row = x + i * d;
     T* out_row = out + i * k;
     for (size_t c = 0; c < k; ++c) {
@@ -295,16 +211,6 @@ void SquaredDistancesRange(size_t r0, size_t r1, size_t d, size_t k,
           SquaredDistancePair(d, x_row, centers + c * d,
                               weights == nullptr ? nullptr : weights + c * d);
     }
-  }
-}
-
-// Resolves the float table once per call site; null for double.
-template <typename T>
-const internal::FloatKernels* FloatTable() {
-  if constexpr (std::is_same_v<T, float>) {
-    return State().f32;
-  } else {
-    return nullptr;
   }
 }
 
@@ -322,7 +228,10 @@ const char* BackendName(Backend backend) {
 
 const char* BackendName() { return BackendName(ActiveBackend()); }
 
-const TilingConfig& Tiling() { return State().tiling; }
+const TilingConfig& Tiling() {
+  static const TilingConfig config;
+  return config;
+}
 
 bool SetBackendForTest(Backend backend) {
   if (backend == Backend::kAvx2 && !(Avx2Compiled() && CpuHasAvx2Fma())) {
@@ -332,72 +241,57 @@ bool SetBackendForTest(Backend backend) {
   return true;
 }
 
-void SetTilingForTest(const TilingConfig& config) { State().tiling = config; }
-
 template <typename T>
 TARGAD_HOT_PATH void Gemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
           const T* a, const T* b, T* c) {
+  TARGAD_CHECK(trans_a == Trans::kNo || trans_b == Trans::kNo)
+      << "Gemm does not transpose both operands";
   if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
     FusedAffineActivation(m, n, k, a, b, static_cast<const T*>(nullptr),
                           Act::kNone, T(0), c);
     return;
   }
-  const internal::DoubleKernels* d = State().f64;
-  if (trans_a == Trans::kYes && trans_b == Trans::kNo) {
-    ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
-      if constexpr (std::is_same_v<T, double>) {
-        if (d != nullptr) {
-          d->gemm_ta(r1 - r0, n, k, m, a + r0, b, c + r0 * n);
-          return;
-        }
+  if constexpr (std::is_same_v<T, double>) {
+    if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+      if (trans_a == Trans::kYes) {
+        d->gemm_ta(m, n, k, a, b, c);
+      } else {
+        d->gemm_tb(m, n, k, a, b, c);
       }
-      GemmTaRange(r0, r1, n, k, m, a, b, c);
-    });
-    return;
+      return;
+    }
   }
-  if (trans_a == Trans::kNo && trans_b == Trans::kYes) {
-    ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
-      if constexpr (std::is_same_v<T, double>) {
-        if (d != nullptr) {
-          d->gemm_tb(r1 - r0, n, k, a + r0 * k, b, c + r0 * n);
-          return;
-        }
-      }
-      GemmTbRange(r0, r1, n, k, a, b, c);
-    });
-    return;
+  if (trans_a == Trans::kYes) {
+    ScalarGemmTa(m, n, k, a, b, c);
+  } else {
+    ScalarGemmTb(m, n, k, a, b, c);
   }
-  GemmTtFull(m, n, k, a, b, c);
 }
 
 template <typename T>
 TARGAD_HOT_PATH void FusedAffineActivation(size_t m, size_t n, size_t k, const T* x,
                            const T* w, const T* bias, Act act, T leaky_slope,
                            T* y) {
-  const internal::FloatKernels* f = FloatTable<T>();
-  const internal::DoubleKernels* d = State().f64;
-  ParallelRows(m, 2 * m * n * k, [&](size_t r0, size_t r1) {
-    if constexpr (std::is_same_v<T, float>) {
-      if (f != nullptr && f->affine != nullptr) {
-        f->affine(r1 - r0, n, k, x + r0 * k, w, bias, act, leaky_slope,
-                  y + r0 * n);
-        return;
-      }
-    } else {
-      if (d != nullptr) {
-        d->affine(r1 - r0, n, k, x + r0 * k, w, bias, y + r0 * n);
-        ApplyActivationRow(act, leaky_slope, (r1 - r0) * n, y + r0 * n);
-        return;
-      }
+  if constexpr (std::is_same_v<T, float>) {
+    const internal::FloatKernels* f = State().f32;
+    if (f != nullptr && f->affine != nullptr) {
+      f->affine(m, n, k, x, w, bias, act, leaky_slope, y);
+      return;
     }
-    AffineRange(r0, r1, n, k, x, w, bias, act, leaky_slope, y);
-  });
+  } else {
+    if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+      d->affine(m, n, k, x, w, bias, y);
+      ApplyActivationRow(act, leaky_slope, m * n, y);
+      return;
+    }
+  }
+  ScalarAffine(m, n, k, x, w, bias, act, leaky_slope, y);
 }
 
 template <typename T>
 TARGAD_HOT_PATH void Axpy(size_t n, T alpha, const T* x, T* y) {
   if constexpr (std::is_same_v<T, float>) {
-    const internal::FloatKernels* f = FloatTable<T>();
+    const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->axpy != nullptr) {
       f->axpy(n, alpha, x, y);
       return;
@@ -409,7 +303,7 @@ TARGAD_HOT_PATH void Axpy(size_t n, T alpha, const T* x, T* y) {
 template <typename T>
 TARGAD_HOT_PATH void Scale(size_t n, T alpha, T* x) {
   if constexpr (std::is_same_v<T, float>) {
-    const internal::FloatKernels* f = FloatTable<T>();
+    const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->scale != nullptr) {
       f->scale(n, alpha, x);
       return;
@@ -535,7 +429,7 @@ TARGAD_HOT_PATH T ReduceSum(size_t n, const T* x) {
 template <typename T>
 TARGAD_HOT_PATH T Dot(size_t n, const T* a, const T* b) {
   if constexpr (std::is_same_v<T, float>) {
-    const internal::FloatKernels* f = FloatTable<T>();
+    const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->dot != nullptr) return f->dot(n, a, b);
   }
   T acc = T(0);
@@ -552,12 +446,10 @@ TARGAD_HOT_PATH T SquaredDistance(size_t d, const T* a, const T* b,
 template <typename T>
 TARGAD_HOT_PATH void RowwiseSquaredDistances(size_t m, size_t n, const T* a, const T* b,
                              T* out) {
-  ParallelRows(m, 3 * m * n, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      out[i] = SquaredDistancePair(n, a + i * n, b + i * n,
-                                   static_cast<const T*>(nullptr));
-    }
-  });
+  for (size_t i = 0; i < m; ++i) {
+    out[i] = SquaredDistancePair(n, a + i * n, b + i * n,
+                                 static_cast<const T*>(nullptr));
+  }
 }
 
 template <typename T>
@@ -576,16 +468,14 @@ template <typename T>
 TARGAD_HOT_PATH void SquaredDistances(size_t n, size_t d, size_t k, const T* x,
                       const T* centers, const std::type_identity_t<T>* weights,
                       T* out) {
-  const internal::FloatKernels* f = FloatTable<T>();
-  ParallelRows(n, 3 * n * d * k, [&](size_t r0, size_t r1) {
+  if constexpr (std::is_same_v<T, float>) {
+    const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->sqdists != nullptr) {
-      if constexpr (std::is_same_v<T, float>) {
-        f->sqdists(r1 - r0, d, k, x + r0 * d, centers, weights, out + r0 * k);
-        return;
-      }
+      f->sqdists(n, d, k, x, centers, weights, out);
+      return;
     }
-    SquaredDistancesRange(r0, r1, d, k, x, centers, weights, out);
-  });
+  }
+  ScalarSquaredDistances(n, d, k, x, centers, weights, out);
 }
 
 // The library computes in exactly these two dtypes (see nn/matrix.h).

@@ -11,15 +11,15 @@
 // and transposed-B (kernels_avx2_double.cc, AVX2 without FMA). The backend is
 // selected ONCE, on first kernel use, for both dtypes:
 // TARGAD_KERNEL_BACKEND=scalar|avx2 overrides the default of "AVX2 when the
-// CPU supports it". BackendName() reports the selection (the serve
-// benchmark records it in serve_throughput.json).
+// CPU supports it". BackendName() reports the selection (targad_bench's
+// fingerprint records it as kernel_backend).
 //
-// Determinism contract. double results are bit-identical on every backend,
-// at every thread count and on every machine. The scalar baseline's
-// per-element accumulation order and expression shapes reproduce the
-// pre-kernel-layer loops exactly, and each lane of an AVX2 double kernel
-// computes one output element with the same separately rounded multiplies
-// and adds in the same order, the zero-skip included
+// Determinism contract. double results are bit-identical on every backend
+// and on every machine. The scalar baseline's per-element accumulation order
+// and expression shapes reproduce the pre-kernel-layer loops exactly, and
+// each lane of an AVX2 double kernel computes one output element with the
+// same separately rounded multiplies and adds in the same order, the
+// zero-skip included
 // (tests/training_bitexact_test.cc pins golden bit patterns;
 // tests/kernels_test.cc compares the backends bit for bit). The build
 // compiles src/ with -ffp-contract=off so no compiler fuses a double
@@ -28,10 +28,10 @@
 // order change low-order float bits, which the serving calibration bounds
 // (<1e-4 score drift) absorb.
 //
-// Thread tiling. Calls whose flop count crosses Tiling().min_flops fan
-// their output rows across a lazily created common::ThreadPool. Row tiling
-// assigns each output row to exactly one thread, so per-element accumulation
-// order — and therefore the double bit-identity contract — is unchanged.
+// Threads. Every primitive runs on the calling thread and allocates nothing.
+// Training's parallelism is one level up: the k cluster autoencoders train
+// on ThreadPool::ParallelFor (core/candidate_selection.cc), so a kernel-level
+// pool would only compete with it for the same cores.
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_H_
 #define TARGAD_NN_KERNELS_KERNELS_H_
@@ -62,30 +62,24 @@ enum class Trans { kNo, kYes };
 /// this header stays free of layer-stack dependencies.
 enum class Act { kNone, kReLU, kLeakyReLU, kSigmoid, kTanh };
 
-/// Row-tiling policy. threads == 1 disables the pool entirely; a call is
-/// tiled only when its flop estimate reaches min_flops AND it has at least
-/// 2 * min_rows_per_tile output rows.
+/// Kept only for targad_bench's fingerprint, which prints Tiling().threads
+/// as kernel_threads: the kernels run on the calling thread, so it is 1.
 struct TilingConfig {
   size_t threads = 1;
-  size_t min_flops = size_t{1} << 22;
-  size_t min_rows_per_tile = 16;
 };
-
-/// The active tiling policy (TARGAD_KERNEL_THREADS env override; default
-/// hardware concurrency).
 const TilingConfig& Tiling();
 
-/// Test hooks — NOT thread-safe; call before any concurrent kernel use.
-/// SetBackendForTest returns false (and changes nothing) when the requested
-/// backend is not available on this machine/build.
+/// Test hook — NOT thread-safe; call before any concurrent kernel use.
+/// Returns false (and changes nothing) when the requested backend is not
+/// available on this machine/build.
 bool SetBackendForTest(Backend backend);
-void SetTilingForTest(const TilingConfig& config);
 
 // ---- Matrix multiply ------------------------------------------------------
 
 /// C(m x n) = op(A) * op(B), all row-major, C fully overwritten.
 /// op(A) is m x k and op(B) is k x n; A is stored m x k when trans_a is kNo
-/// and k x m when kYes (similarly B: k x n vs n x k).
+/// and k x m when kYes (similarly B: k x n vs n x k). Transposing both
+/// operands is not supported (TARGAD_CHECK).
 ///
 /// Scalar accumulation orders (the bit-identity contract):
 ///   kNo/kNo:  per element, k ascending, zero-skip on the A element
@@ -131,7 +125,7 @@ void ApplyActivation(Act act, T leaky_slope, size_t n, T* x);
 /// expression shapes of the layer backward passes. `ref` is the forward
 /// INPUT for kReLU/kLeakyReLU and the forward OUTPUT for kSigmoid/kTanh
 /// (whose derivatives are cheapest in terms of the output). kNone is the
-/// identity. Element-wise, so row tiling cannot reorder any accumulation.
+/// identity.
 template <typename T>
 void ActivationBackward(Act act, T leaky_slope, size_t n, const T* ref, T* g);
 
@@ -204,7 +198,7 @@ void SquaredDistances(size_t n, size_t d, size_t k, const T* x,
 
 /// out[i] = ||row i of a - row i of b||^2 for two m x n matrices (the
 /// per-row reconstruction errors of Eq. 2). Per-row accumulation in
-/// ascending column order; rows tile independently.
+/// ascending column order.
 template <typename T>
 void RowwiseSquaredDistances(size_t m, size_t n, const T* a, const T* b,
                              T* out);
@@ -212,7 +206,7 @@ void RowwiseSquaredDistances(size_t m, size_t n, const T* a, const T* b,
 /// Fused MSE loss + gradient: grad[i] = 2*(pred[i]-target[i])*inv_n and the
 /// return value is sum_i (pred[i]-target[i])^2, accumulated in FLAT element
 /// order across row boundaries — the one fixed global reduction order the
-/// bit-exactness goldens pin, so this kernel never tiles.
+/// bit-exactness goldens pin.
 template <typename T>
 T MseLossGrad(size_t n, const T* pred, const T* target, T inv_n, T* grad);
 

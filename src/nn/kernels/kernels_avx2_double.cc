@@ -147,9 +147,9 @@ void Affine(size_t m, size_t n, size_t k, const double* x, const double* w,
   SkipGemm(m, n, k, x, /*a_row=*/k, /*a_k=*/1, w, bias, y);
 }
 
-void GemmTa(size_t m, size_t n, size_t k, size_t lda, const double* a,
-            const double* b, double* c) {
-  SkipGemm(m, n, k, a, /*a_row=*/1, /*a_k=*/lda, b, /*bias=*/nullptr, c);
+void GemmTa(size_t m, size_t n, size_t k, const double* a, const double* b,
+            double* c) {
+  SkipGemm(m, n, k, a, /*a_row=*/1, /*a_k=*/m, b, /*bias=*/nullptr, c);
 }
 
 // Loads the 4 x 4 block at b (row stride ldb) and transposes it in

@@ -40,9 +40,8 @@ struct DoubleKernels {
   /// activation: the dispatcher runs the scalar activation pass after it.
   void (*affine)(size_t m, size_t n, size_t k, const double* x,
                  const double* w, const double* bias, double* y);
-  /// C(m x n) = A^T * B: A element (i, r) at a[i * lda + r] for i < k, B
-  /// stored k x n.
-  void (*gemm_ta)(size_t m, size_t n, size_t k, size_t lda, const double* a,
+  /// C(m x n) = A^T * B with A stored k x m and B stored k x n.
+  void (*gemm_ta)(size_t m, size_t n, size_t k, const double* a,
                   const double* b, double* c);
   /// C(m x n) = A(m x k) * B^T with B stored n x k.
   void (*gemm_tb)(size_t m, size_t n, size_t k, const double* a,

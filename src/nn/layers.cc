@@ -7,11 +7,10 @@
 #include "nn/kernels/kernels.h"
 
 // Every dense op here — forward GEMMs, backward GEMMs, bias reductions,
-// activation derivatives, mask application — routes through nn/kernels, so
-// the row-tiled thread pool applies to the whole training path. The kernel
-// expression shapes reproduce the historical layer loops exactly; the
-// double bit-identity contract (training_bitexact_test) therefore holds at
-// any thread count and on any backend.
+// activation derivatives, mask application — routes through nn/kernels. The
+// kernel expression shapes reproduce the historical layer loops exactly; the
+// double bit-identity contract (training_bitexact_test) therefore holds on
+// any backend.
 
 namespace targad {
 namespace nn {
@@ -131,9 +130,9 @@ Matrix Dropout::Forward(RowBlock x) {
   }
   const double keep = 1.0 - rate_;
   const double scale = 1.0 / keep;
-  // Single serial pre-pass: the whole mask is drawn in flat index order
-  // BEFORE any (potentially tiled) arithmetic touches the batch, so the RNG
-  // stream — and with it the golden bits — cannot depend on tiling.
+  // Single pre-pass: the whole mask is drawn in flat index order before any
+  // arithmetic touches the batch, so the RNG stream — and with it the golden
+  // bits — does not depend on how the kernels walk the batch.
   mask_ = Matrix(x.rows(), x.cols());
   for (size_t i = 0; i < mask_.size(); ++i) {
     mask_.data()[i] = rng_.Bernoulli(keep) ? scale : 0.0;

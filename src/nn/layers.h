@@ -135,9 +135,8 @@ class Dropout : public Layer {
   /// rate in [0, 1).
   Dropout(double rate, uint64_t seed);
 
-  /// Training mode draws the whole Bernoulli mask in one serial pre-pass
-  /// (fixed RNG order, independent of kernel tiling), then applies it
-  /// through the Hadamard kernel.
+  /// Training mode draws the whole Bernoulli mask in one pre-pass (fixed,
+  /// flat RNG order), then applies it through the Hadamard kernel.
   Matrix Forward(RowBlock x) override;
   /// Identity: inference always behaves as eval mode.
   Matrix Infer(RowBlock x) const override { return x.ToMatrix(); }

@@ -109,6 +109,7 @@ MetricsSnapshot ServeMetrics::Snapshot() const {
   s.registry_hits = registry_hits_.load(std::memory_order_relaxed);
   s.registry_misses = registry_misses_.load(std::memory_order_relaxed);
   s.registry_evictions = registry_evictions_.load(std::memory_order_relaxed);
+  s.registry_refreshes = registry_refreshes_.load(std::memory_order_relaxed);
   s.registry_loads = registry_loads_.load(std::memory_order_relaxed);
   s.registry_load_p50_us = registry_load_us_.PercentileUpperBound(0.50);
   s.registry_load_p99_us = registry_load_us_.PercentileUpperBound(0.99);

@@ -66,10 +66,12 @@ struct MetricsSnapshot {
   uint64_t latency_p99_us = 0;
   /// Model-registry tiering counters (zero when no registry is attached):
   /// warm-tier lookups, cold-tier promotions (each one a disk load),
-  /// demotions, and the latency distribution of the loads themselves.
+  /// demotions, models RefreshIfChanged republished, and the latency
+  /// distribution of the loads themselves.
   uint64_t registry_hits = 0;
   uint64_t registry_misses = 0;
   uint64_t registry_evictions = 0;
+  uint64_t registry_refreshes = 0;
   uint64_t registry_loads = 0;
   uint64_t registry_load_p50_us = 0;
   uint64_t registry_load_p99_us = 0;
@@ -112,6 +114,9 @@ class ServeMetrics {
   void RecordRegistryHit() { Add(&registry_hits_); }
   void RecordRegistryMiss() { Add(&registry_misses_); }
   void RecordRegistryEviction() { Add(&registry_evictions_); }
+  /// One model republished by RefreshIfChanged, counted even when another
+  /// model in the same pass fails to load.
+  void RecordRegistryRefresh() { Add(&registry_refreshes_); }
 
   /// One disk load of a model (cold promotion, publish, or refresh) and its
   /// wall time — for a ".tgz1" artifact a read, a checksum and a pointer
@@ -138,6 +143,7 @@ class ServeMetrics {
   std::atomic<uint64_t> registry_hits_{0};
   std::atomic<uint64_t> registry_misses_{0};
   std::atomic<uint64_t> registry_evictions_{0};
+  std::atomic<uint64_t> registry_refreshes_{0};
   std::atomic<uint64_t> registry_loads_{0};
   Pow2Histogram batch_sizes_;
   Pow2Histogram latencies_us_;

@@ -251,6 +251,7 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
   };
   std::vector<Polled> polled;
   std::vector<std::string> dirs;
+  ServeMetrics* metrics;
   {
     MutexLock lock(&mu_);
     for (const auto& [name, entry] : models_) {
@@ -259,17 +260,20 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
       }
     }
     dirs = watched_dirs_;
+    metrics = metrics_;
   }
 
   // A file that fails to load keeps its old snapshot and fails again at the
   // next poll, so the pass goes on past it: one damaged file must not hold
-  // back the models after it. The first error is returned at the end.
+  // back the models after it. The first error is returned at the end, which
+  // drops the count, so each republish is also recorded in the metrics.
   size_t republished = 0;
   Status first_error;
   const auto publish = [&](const std::string& name, const std::string& path) {
     Status status = PublishFile(name, path);
     if (status.ok()) {
       ++republished;
+      if (metrics != nullptr) metrics->RecordRegistryRefresh();
     } else if (first_error.ok()) {
       first_error = std::move(status);
     }

@@ -171,7 +171,8 @@ class ModelRegistry {
   /// replaced by the scan. Vanished files keep their last good snapshot
   /// registered, and so do files that fail to load, which do not stop the
   /// pass. Returns the number of models (re)published, or the first load
-  /// error once the pass is done.
+  /// error once the pass is done; the metrics sink counts every republish
+  /// either way (MetricsSnapshot::registry_refreshes).
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
   /// Serving snapshot for `name` (always a core::FrozenScorer), or

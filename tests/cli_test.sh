@@ -91,6 +91,31 @@ awk '/refreshes:/ {polls=$2; repub=$4;
      exit !(polls >= 1 && repub >= 1)}' refresh_metrics.txt \
   || fail "refresh timer never republished the touched artifact"
 
+# A poll that republishes one model and fails on another still counts the
+# republish. A damaged broken.targad lands in the watched directory
+# mid-stream, so every later poll reports its error; default.targad is
+# touched after it and must still show up in the republished count.
+mkdir refresh_dir
+cp m.model refresh_dir/default.targad
+{
+  head -1 data_test.csv
+  tail -n +2 data_test.csv | head -10
+  sleep 0.3
+  echo "not a model" > refresh_dir/broken.targad
+  sleep 0.3
+  touch refresh_dir/default.targad
+  sleep 0.3
+  tail -n +12 data_test.csv
+} | "$CLI" serve --models refresh_dir --refresh-ms 20 \
+  > refresh_mixed_scores.csv 2>refresh_mixed_metrics.txt \
+  || fail "serve --refresh-ms beside a broken model"
+diff -q scores.csv refresh_mixed_scores.csv \
+  || fail "refresh serve scores differ beside a broken model"
+awk 'BEGIN {ok = 0}
+     /refreshes:/ {ok = ($4 >= 1 && $6 >= 1)}
+     END {exit !ok}' refresh_mixed_metrics.txt \
+  || fail "a poll that failed on one model lost another's republish"
+
 # A non-positive refresh interval is rejected up front.
 "$CLI" serve --model m.model --refresh-ms 0 --in data_test.csv \
   --out /dev/null >/dev/null 2>&1 && fail "refresh-ms 0 accepted"

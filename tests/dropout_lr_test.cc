@@ -1,10 +1,7 @@
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include <gtest/gtest.h>
 
-#include "nn/kernels/kernels.h"
 #include "nn/layers.h"
 #include "nn/lr_schedule.h"
 #include "nn/sequential.h"
@@ -74,38 +71,6 @@ TEST(DropoutTest, ZeroRateIsAlwaysIdentity) {
 TEST(DropoutDeathTest, RejectsBadRate) {
   EXPECT_DEATH({ Dropout dropout(1.0, 1); }, "rate");
   EXPECT_DEATH({ Dropout dropout(-0.1, 1); }, "rate");
-}
-
-// The Bernoulli mask is drawn in ONE serial flat-order pre-pass before any
-// (potentially tiled) arithmetic touches the batch, so the training-mode
-// output bits must not depend on the kernel tiling config. Pinned here as a
-// regression test: interleaving RNG draws into a row-tiled loop would make
-// the mask depend on thread count.
-TEST(DropoutTest, TrainingMaskBitsInvariantUnderTiling) {
-  const kernels::TilingConfig saved = kernels::Tiling();
-  Matrix x(64, 32);
-  Rng rng(12);
-  for (auto& v : x.data()) v = rng.Normal(0.0, 1.0);
-
-  auto run = [&](size_t threads) {
-    kernels::TilingConfig tiling;
-    tiling.threads = threads;
-    tiling.min_flops = 1;
-    tiling.min_rows_per_tile = 1;
-    kernels::SetTilingForTest(tiling);
-    Dropout dropout(0.5, /*seed=*/21);
-    return dropout.Forward(x);
-  };
-  const Matrix y1 = run(1);
-  const Matrix y8 = run(8);
-  kernels::SetTilingForTest(saved);
-
-  ASSERT_EQ(y1.size(), y8.size());
-  for (size_t i = 0; i < y1.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(y1.data()[i]),
-              std::bit_cast<uint64_t>(y8.data()[i]))
-        << "flat index " << i;
-  }
 }
 
 TEST(DropoutTest, SequentialSetTrainingDispatches) {

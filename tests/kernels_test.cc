@@ -1,8 +1,8 @@
 // Golden-parity suite for the dense kernel layer: every primitive is checked
 // against a naive reference over a shape sweep (empty, 1xN, non-multiples of
-// the SIMD tile), on every backend available in this build, and with thread
-// tiling forced on. Runs under check-asan/check-ubsan (full suite) and, via
-// the "serve" label, under check-tsan, which exercises the pool tiling path.
+// the SIMD tile), on every backend available in this build. Runs under
+// check-asan/check-ubsan (full suite) and, via the "serve" label, under
+// check-tsan.
 
 #include "nn/kernels/kernels.h"
 
@@ -84,22 +84,23 @@ const Shape kShapes[] = {{0, 0, 0}, {0, 5, 3},  {1, 1, 1},   {1, 16, 8},
                          {1, 17, 3}, {3, 7, 5},  {4, 16, 16}, {5, 8, 2},
                          {7, 19, 11}, {8, 32, 4}, {13, 33, 17}, {16, 64, 24}};
 
+// The three Gemm forms; transposing both operands is rejected.
+const std::pair<Trans, Trans> kGemmForms[] = {{Trans::kNo, Trans::kNo},
+                                              {Trans::kYes, Trans::kNo},
+                                              {Trans::kNo, Trans::kYes}};
+
 // Value-parameterized over the backends available in this build; restores
 // the dispatch state after each test.
 class KernelsBackendTest : public ::testing::TestWithParam<Backend> {
  public:
   void SetUp() override {
     saved_backend_ = ActiveBackend();
-    saved_tiling_ = Tiling();
     if (!SetBackendForTest(GetParam())) {
       GTEST_SKIP() << "backend " << BackendName(GetParam())
                    << " not available in this build/CPU";
     }
   }
-  void TearDown() override {
-    SetBackendForTest(saved_backend_);
-    SetTilingForTest(saved_tiling_);
-  }
+  void TearDown() override { SetBackendForTest(saved_backend_); }
   // Exact for scalar (same accumulation order as the reference); relative
   // tolerance for AVX2 float whose FMA/lane order differs.
   template <typename T>
@@ -121,25 +122,22 @@ class KernelsBackendTest : public ::testing::TestWithParam<Backend> {
 
  private:
   Backend saved_backend_ = Backend::kScalar;
-  TilingConfig saved_tiling_;
 };
 
 template <typename T>
 void RunGemmSweep(KernelsBackendTest* fixture) {
   Rng rng(17);
   for (const Shape& s : kShapes) {
-    for (Trans ta : {Trans::kNo, Trans::kYes}) {
-      for (Trans tb : {Trans::kNo, Trans::kYes}) {
-        const auto a = FillRandom<T>(s.m * s.k, &rng, /*sparsity=*/0.3);
-        const auto b = FillRandom<T>(s.k * s.n, &rng);
-        std::vector<T> c(s.m * s.n, T(-1));
-        Gemm<T>(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
-        const auto expected = RefGemm<T>(ta, tb, s.m, s.n, s.k, a, b);
-        SCOPED_TRACE(::testing::Message()
-                     << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta="
-                     << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes));
-        fixture->ExpectClose(expected, c);
-      }
+    for (const auto& [ta, tb] : kGemmForms) {
+      const auto a = FillRandom<T>(s.m * s.k, &rng, /*sparsity=*/0.3);
+      const auto b = FillRandom<T>(s.k * s.n, &rng);
+      std::vector<T> c(s.m * s.n, T(-1));
+      Gemm<T>(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
+      const auto expected = RefGemm<T>(ta, tb, s.m, s.n, s.k, a, b);
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta="
+                   << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes));
+      fixture->ExpectClose(expected, c);
     }
   }
 }
@@ -147,16 +145,6 @@ void RunGemmSweep(KernelsBackendTest* fixture) {
 using KernelsSweepTest = KernelsBackendTest;
 
 TEST_P(KernelsSweepTest, GemmMatchesReferenceAcrossShapes) {
-  RunGemmSweep<float>(this);
-  RunGemmSweep<double>(this);
-}
-
-TEST_P(KernelsSweepTest, GemmMatchesReferenceWithForcedTiling) {
-  TilingConfig tiling;
-  tiling.threads = 4;
-  tiling.min_flops = 1;  // Tile everything with >= 2 rows.
-  tiling.min_rows_per_tile = 1;
-  SetTilingForTest(tiling);
   RunGemmSweep<float>(this);
   RunGemmSweep<double>(this);
 }
@@ -196,16 +184,6 @@ void RunAffineSweep(KernelsSweepTest* fixture) {
 }
 
 TEST_P(KernelsSweepTest, FusedAffineActivationMatchesReference) {
-  RunAffineSweep<float>(this);
-  RunAffineSweep<double>(this);
-}
-
-TEST_P(KernelsSweepTest, FusedAffineActivationMatchesReferenceTiled) {
-  TilingConfig tiling;
-  tiling.threads = 4;
-  tiling.min_flops = 1;
-  tiling.min_rows_per_tile = 1;
-  SetTilingForTest(tiling);
   RunAffineSweep<float>(this);
   RunAffineSweep<double>(this);
 }
@@ -444,11 +422,6 @@ TEST_P(KernelsSweepTest, SgdMomentumUpdateMatchesReferenceLoop) {
 
 TEST_P(KernelsSweepTest, RowwiseSquaredDistancesMatchesReference) {
   Rng rng(83);
-  TilingConfig tiling;
-  tiling.threads = 4;
-  tiling.min_flops = 1;
-  tiling.min_rows_per_tile = 1;
-  SetTilingForTest(tiling);
   for (const Shape& s : kShapes) {
     const auto a = FillRandom<double>(s.m * s.n, &rng);
     const auto b = FillRandom<double>(s.m * s.n, &rng);
@@ -546,39 +519,29 @@ HostileOperands MakeHostileOperands(Trans ta, Trans tb, const Shape& s,
   return ops;
 }
 
-// Runs `kernel` (which writes `count` doubles) on the scalar backend with
-// one thread, then on `backend` untiled and with forced 4-thread tiling, and
-// requires the same bits each time.
+// Runs `kernel` (which writes `count` doubles) on the scalar backend, then
+// on `backend`, and requires the same bits.
 template <typename Kernel>
 void ExpectScalarBits(Backend backend, size_t count, const Kernel& kernel) {
   std::vector<double> want(count, -1.0);
   ASSERT_TRUE(SetBackendForTest(Backend::kScalar));
-  SetTilingForTest(TilingConfig{});
   kernel(want.data());
   ASSERT_TRUE(SetBackendForTest(backend));
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    TilingConfig tiling;
-    tiling.threads = threads;
-    tiling.min_flops = 1;
-    tiling.min_rows_per_tile = 1;
-    SetTilingForTest(tiling);
-    std::vector<double> got(count, -1.0);
-    kernel(got.data());
-    for (size_t i = 0; i < count; ++i) {
-      if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0) {
-        ADD_FAILURE() << "threads=" << threads << " index " << i << ": "
-                      << std::bit_cast<uint64_t>(want[i]) << " vs "
-                      << std::bit_cast<uint64_t>(got[i]);
-        break;
-      }
+  std::vector<double> got(count, -1.0);
+  kernel(got.data());
+  for (size_t i = 0; i < count; ++i) {
+    if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0) {
+      ADD_FAILURE() << "index " << i << ": "
+                    << std::bit_cast<uint64_t>(want[i]) << " vs "
+                    << std::bit_cast<uint64_t>(got[i]);
+      break;
     }
   }
 }
 
-// The double bit-identity contract: every backend, at every thread count,
-// returns the scalar baseline's exact bits for every Gemm form and the fused
-// affine, on the kShapes sweep plus shapes that leave m % 4, n % 8, n % 4
-// and k % 4 tails.
+// The double bit-identity contract: every backend returns the scalar
+// baseline's exact bits for every Gemm form and the fused affine, on the
+// kShapes sweep plus shapes that leave m % 4, n % 8, n % 4 and k % 4 tails.
 TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
   const Shape kTailShapes[] = {{5, 12, 5},  {6, 13, 6},   {7, 14, 7},
                                {9, 15, 9},  {10, 23, 10}, {4, 3, 4},
@@ -587,12 +550,9 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
   shapes.insert(shapes.end(), std::begin(kTailShapes), std::end(kTailShapes));
   const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
                        Act::kTanh};
-  const std::pair<Trans, Trans> kForms[] = {{Trans::kNo, Trans::kNo},
-                                            {Trans::kYes, Trans::kNo},
-                                            {Trans::kNo, Trans::kYes}};
   Rng rng(61);
   for (const Shape& s : shapes) {
-    for (const auto& [ta, tb] : kForms) {
+    for (const auto& [ta, tb] : kGemmForms) {
       const HostileOperands ops = MakeHostileOperands(ta, tb, s, &rng);
       SCOPED_TRACE(::testing::Message()
                    << "Gemm m=" << s.m << " n=" << s.n << " k=" << s.k
@@ -630,7 +590,15 @@ TEST(KernelsDispatchTest, BackendNameIsConsistent) {
   const Backend b = ActiveBackend();
   EXPECT_TRUE(b == Backend::kScalar || b == Backend::kAvx2);
   EXPECT_STREQ(BackendName(), BackendName(b));
-  EXPECT_GE(Tiling().threads, size_t{1});
+  EXPECT_EQ(Tiling().threads, size_t{1});
+}
+
+TEST(KernelsDeathTest, GemmRejectsBothOperandsTransposed) {
+  const double a[4] = {1, 2, 3, 4};
+  const double b[4] = {5, 6, 7, 8};
+  double c[4] = {};
+  EXPECT_DEATH(Gemm<double>(Trans::kYes, Trans::kYes, 2, 2, 2, a, b, c),
+               "does not transpose both operands");
 }
 
 }  // namespace

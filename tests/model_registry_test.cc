@@ -1,5 +1,6 @@
 #include "serve/model_registry.h"
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -202,6 +203,101 @@ TEST(ModelRegistryTest, PublishFileRejectsHostileCountsInTextModels) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   }
   EXPECT_EQ(registry.GetScorer("bad").status().code(), StatusCode::kNotFound);
+}
+
+// Seeded mutations of a saved text model, published through the registry
+// (TargAdPipeline::Load into nn::ReadParams, then Freeze): every publish
+// returns ok() or an error status, and a model that publishes also scores a
+// record. Under ASan/UBSan (the serve label) this is the text reader's fuzz
+// pass.
+TEST(ModelRegistryTest, MutatedTextModelsPublishOrFailCleanly) {
+  TempDir dir;
+  const std::string saved = SavedArtifact(9);
+  // The model as alternating separator / token pieces, so a mutation
+  // replaces whole tokens and keeps the layout around them.
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i < saved.size();) {
+    const bool space = std::isspace(static_cast<unsigned char>(saved[i])) != 0;
+    size_t j = i;
+    while (j < saved.size() &&
+           (std::isspace(static_cast<unsigned char>(saved[j])) != 0) == space) {
+      ++j;
+    }
+    tokens.push_back(saved.substr(i, j - i));
+    i = j;
+  }
+  // Weights and statistics are most of the tokens, and changing one is
+  // harmless. Keywords, names and counts are what the reader trusts, so
+  // most edits aim at them: any token that is not a decimal fraction.
+  std::vector<size_t> structural;
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    if (std::isspace(static_cast<unsigned char>(tokens[t][0])) == 0 &&
+        tokens[t].find('.') == std::string::npos) {
+      structural.push_back(t);
+    }
+  }
+  ASSERT_GT(structural.size(), 10u);
+  const std::vector<std::string> replacements = {
+      "0", "1", "-1", "2", "3", "64", "2147483647", "2147483648", "4294967296",
+      "1099511627776", "18446744073709551615", "99999999999999999999",
+      "1e308", "nan", "inf", "-0", "0.5", "f64", "f32", "f16", "matrix",
+      "params", "hidden", "0:", "1:", "5:x", "2:x 2:y", "", "onehot-v1",
+      "minmax-v1", "targad-v1", "targad-pipeline-v1"};
+
+  Rng rng(36);
+  const fs::path path = dir.path() / "mutant.targad";
+  const std::vector<core::RowScorer::Record> record = {{"0.5,0.5", -1}};
+  ModelRegistry registry;
+  size_t published = 0;
+  constexpr int kBudget = 300;
+  for (int round = 0; round < kBudget; ++round) {
+    std::vector<std::string> mutant = tokens;
+    const int edits = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int e = 0; e < edits; ++e) {
+      std::string& token =
+          rng.UniformInt(4) == 0
+              ? mutant[rng.UniformInt(mutant.size())]
+              : mutant[structural[rng.UniformInt(structural.size())]];
+      switch (rng.UniformInt(4)) {
+        case 0:  // A boundary value, a huge count or a wrong keyword.
+          token = replacements[rng.UniformInt(replacements.size())];
+          break;
+        case 1:  // One digit changed, or any byte if there is no digit.
+          if (!token.empty()) {
+            char& c = token[rng.UniformInt(token.size())];
+            c = std::isdigit(static_cast<unsigned char>(c)) != 0
+                    ? static_cast<char>('0' + rng.UniformInt(10))
+                    : static_cast<char>(33 + rng.UniformInt(94));
+          }
+          break;
+        case 2:  // Deleted.
+          token.clear();
+          break;
+        default:  // A token inserted before it.
+          token = replacements[rng.UniformInt(replacements.size())] + " " +
+                  token;
+          break;
+      }
+    }
+    std::string text;
+    for (const std::string& token : mutant) text += token;
+    if (rng.UniformInt(8) == 0) {  // Cut short.
+      text.resize(rng.UniformInt(text.size() + 1));
+    }
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << text;
+    }
+    if (!registry.PublishFile("m", path.string()).ok()) continue;
+    ++published;
+    auto scorer = registry.GetScorer("m");
+    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+    EXPECT_EQ((*scorer)->ScoreRecords(record).size(), 1u);
+  }
+  // Some mutations are harmless (a renamed column, a changed statistic):
+  // the loop reached the freeze and the scorer, not only parse errors.
+  EXPECT_GT(published, 0u);
+  EXPECT_LT(published, static_cast<size_t>(kBudget));
 }
 
 TEST(ModelRegistryTest, LoadDirectoryOnMissingDirIsNotFound) {
@@ -477,7 +573,9 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
   const fs::path b = dir.path() / "b.tgz1";
   ASSERT_TRUE(save(40, "a.tgz1"));
   ASSERT_TRUE(save(41, "b.tgz1"));
+  ServeMetrics metrics;
   ModelRegistry registry;
+  registry.set_metrics(&metrics);
   ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
 
   // `a` is truncated, `b` validly redeployed; the re-scan finds a damaged
@@ -503,6 +601,9 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
     EXPECT_FALSE(registry.Info("c").ok());
     ASSERT_TRUE(registry.Info("d").ok());
     EXPECT_EQ(registry.Info("d")->version, 1u);
+    // The failed passes return no count; the metrics keep the first pass's
+    // two republishes, `b` and `d`.
+    EXPECT_EQ(metrics.Snapshot().registry_refreshes, 2u);
   }
   EXPECT_TRUE(registry.GetScorer("a").ok());  // The last good snapshot.
 }

@@ -180,39 +180,24 @@ TEST_P(LossIdentityTest, CrossEntropyGradSumsToZeroPerRow) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LossIdentityTest,
                          ::testing::Values(11, 22, 33, 44, 55));
 
-// Backend x thread-count sweep: analytic gradients stay correct AND the
-// double backward-pass bits are invariant across every (backend, threads)
-// combination — the kernel-dispatch half of the determinism contract that
-// training_bitexact_test pins end-to-end.
-struct KernelConfigParam {
-  kernels::Backend backend;
-  size_t threads;
-};
-
+// Backend sweep: analytic gradients stay correct AND the double
+// backward-pass bits are invariant across backends — the kernel-dispatch
+// half of the determinism contract that training_bitexact_test pins
+// end-to-end.
 class KernelConfigGradCheckTest
-    : public ::testing::TestWithParam<KernelConfigParam> {
+    : public ::testing::TestWithParam<kernels::Backend> {
  public:
   void SetUp() override {
     saved_backend_ = kernels::ActiveBackend();
-    saved_tiling_ = kernels::Tiling();
-    if (!kernels::SetBackendForTest(GetParam().backend)) {
-      GTEST_SKIP() << "backend " << kernels::BackendName(GetParam().backend)
+    if (!kernels::SetBackendForTest(GetParam())) {
+      GTEST_SKIP() << "backend " << kernels::BackendName(GetParam())
                    << " not available in this build/CPU";
     }
-    kernels::TilingConfig tiling;
-    tiling.threads = GetParam().threads;
-    tiling.min_flops = 1;  // Tile even these small probes.
-    tiling.min_rows_per_tile = 1;
-    kernels::SetTilingForTest(tiling);
   }
-  void TearDown() override {
-    kernels::SetBackendForTest(saved_backend_);
-    kernels::SetTilingForTest(saved_tiling_);
-  }
+  void TearDown() override { kernels::SetBackendForTest(saved_backend_); }
 
  private:
   kernels::Backend saved_backend_ = kernels::Backend::kScalar;
-  kernels::TilingConfig saved_tiling_;
 };
 
 // One backward pass over a fixed net/batch; returns every parameter
@@ -249,33 +234,25 @@ TEST_P(KernelConfigGradCheckTest, GradCheckPassesUnderConfig) {
 TEST_P(KernelConfigGradCheckTest, DoubleBackwardBitsInvariant) {
   const std::vector<double> probe = BackwardGradProbe();
 
-  // Reference: scalar backend, no tiling.
-  const kernels::TilingConfig active = kernels::Tiling();
+  // Reference: scalar backend.
   ASSERT_TRUE(kernels::SetBackendForTest(kernels::Backend::kScalar));
-  kernels::SetTilingForTest(kernels::TilingConfig{});
   const std::vector<double> reference = BackwardGradProbe();
-  kernels::SetBackendForTest(GetParam().backend);
-  kernels::SetTilingForTest(active);
+  kernels::SetBackendForTest(GetParam());
 
   ASSERT_EQ(probe.size(), reference.size());
   for (size_t i = 0; i < probe.size(); ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(probe[i]),
               std::bit_cast<uint64_t>(reference[i]))
         << "gradient element " << i << " drifted under backend "
-        << kernels::BackendName(GetParam().backend) << ", "
-        << GetParam().threads << " threads";
+        << kernels::BackendName(GetParam());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BackendsByThreads, KernelConfigGradCheckTest,
-    ::testing::Values(KernelConfigParam{kernels::Backend::kScalar, 1},
-                      KernelConfigParam{kernels::Backend::kScalar, 4},
-                      KernelConfigParam{kernels::Backend::kAvx2, 1},
-                      KernelConfigParam{kernels::Backend::kAvx2, 4}),
+    Backends, KernelConfigGradCheckTest,
+    ::testing::Values(kernels::Backend::kScalar, kernels::Backend::kAvx2),
     [](const auto& info) {
-      return std::string(kernels::BackendName(info.param.backend)) +
-             "_threads" + std::to_string(info.param.threads);
+      return std::string(kernels::BackendName(info.param));
     });
 
 }  // namespace

@@ -60,8 +60,8 @@ TEST(ThreadPoolTest, TasksCanSubmitMoreTasks) {
   EXPECT_EQ(counter.load(), 11);
 }
 
-// Parks the pool's single worker until Release() is called, so tests can
-// fill the queue deterministically.
+// Parks the pool's single worker until Release() is called, so a test can
+// queue work behind it deterministically.
 class WorkerGate {
  public:
   void Block() {
@@ -88,109 +88,14 @@ class WorkerGate {
   bool released_ = false;
 };
 
-TEST(BoundedThreadPoolTest, TrySubmitRejectsWhenQueueFull) {
-  ThreadPool pool(1, /*max_queue=*/2);
-  EXPECT_EQ(pool.max_queue(), 2u);
-  WorkerGate gate;
-  std::atomic<int> counter{0};
-  pool.Submit([&gate, &counter] {
-    gate.Block();
-    counter.fetch_add(1);
-  });
-  gate.WaitUntilBlocked();  // Worker parked; queue now empty.
-
-  EXPECT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-  EXPECT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-  EXPECT_EQ(pool.queue_depth(), 2u);
-  // Queue is at its bound: further TrySubmits are rejected without running.
-  EXPECT_FALSE(pool.TrySubmit([&counter] { counter.fetch_add(100); }));
-  EXPECT_FALSE(pool.TrySubmit([&counter] { counter.fetch_add(100); }));
-
-  gate.Release();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-  // Space freed up: admission works again.
-  EXPECT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 4);
-}
-
-TEST(BoundedThreadPoolTest, SubmitAppliesBackpressureInsteadOfRejecting) {
-  ThreadPool pool(1, /*max_queue=*/1);
-  WorkerGate gate;
-  std::atomic<int> counter{0};
-  pool.Submit([&gate, &counter] {
-    gate.Block();
-    counter.fetch_add(1);
-  });
-  gate.WaitUntilBlocked();
-  pool.Submit([&counter] { counter.fetch_add(1); });  // Fills the queue.
-
-  // This Submit must block until the worker frees a slot — it may not drop
-  // the task or return before the queue has space.
-  std::atomic<bool> third_admitted{false};
-  std::thread blocked_submitter([&] {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-    third_admitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_admitted.load());  // Still held back.
-
-  gate.Release();
-  blocked_submitter.join();
-  EXPECT_TRUE(third_admitted.load());
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-// Regression test for shutdown ordering: a Submit blocked on backpressure
-// when the destructor runs must be woken and rejected — its task may not be
-// pushed into a queue no worker will ever drain. Tasks already accepted
-// (running or queued) must still all execute.
-TEST(BoundedThreadPoolTest, ShutdownRejectsBlockedSubmitWithoutLeakingTasks) {
-  std::atomic<int> ran{0};
-  std::atomic<bool> rejected_submit_returned{false};
-  std::atomic<bool> rejected_submit_accepted{true};
-  WorkerGate gate;
-  std::thread blocked_submitter;
-  {
-    ThreadPool pool(1, /*max_queue=*/1);
-    pool.Submit([&gate, &ran] {
-      gate.Block();
-      ran.fetch_add(1);
-    });
-    gate.WaitUntilBlocked();                 // Worker parked on the gate.
-    pool.Submit([&ran] { ran.fetch_add(1); });  // Queued; fills the bound.
-
-    blocked_submitter = std::thread([&] {
-      // Blocks on backpressure: the queue stays full until the gated task
-      // finishes, and the gate only opens after this call returns. The
-      // destructor below is what unblocks it — by rejecting it.
-      const bool accepted = pool.Submit([&ran] { ran.fetch_add(100); });
-      rejected_submit_accepted.store(accepted);
-      rejected_submit_returned.store(true);
-      gate.Release();  // Now let the worker drain and the dtor join.
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(rejected_submit_returned.load());  // Genuinely blocked.
-  }  // ~ThreadPool: wakes the submitter, rejects its task, drains, joins.
-  blocked_submitter.join();
-
-  EXPECT_TRUE(rejected_submit_returned.load());
-  EXPECT_FALSE(rejected_submit_accepted.load());
-  // The gated task and the queued task ran; the rejected one never did.
-  EXPECT_EQ(ran.load(), 2);
-}
-
-// A pool that is shutting down (or already shut down from the caller's
-// perspective mid-destruction) also refuses TrySubmit instead of enqueueing
-// into a dead queue.
-TEST(BoundedThreadPoolTest, DestructorDrainsQueuedButUnstartedWork) {
+// Work that is queued but not yet started when the destructor begins must
+// still run: the destructor drains the queue before it joins the workers.
+TEST(ThreadPoolTest, DestructorDrainsQueuedButUnstartedWork) {
   std::atomic<int> ran{0};
   WorkerGate gate;
   std::thread releaser;
   {
-    ThreadPool pool(1, /*max_queue=*/8);
+    ThreadPool pool(1);
     pool.Submit([&gate, &ran] {
       gate.Block();
       ran.fetch_add(1);
@@ -198,10 +103,10 @@ TEST(BoundedThreadPoolTest, DestructorDrainsQueuedButUnstartedWork) {
     gate.WaitUntilBlocked();
     // Eight tasks sit queued-but-unstarted behind the parked worker.
     for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+      EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
     }
     // Open the gate only after the destructor has begun, so destruction
-    // genuinely races a full queue of unstarted work.
+    // genuinely races a queue of unstarted work.
     releaser = std::thread([&gate] {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       gate.Release();
@@ -209,17 +114,6 @@ TEST(BoundedThreadPoolTest, DestructorDrainsQueuedButUnstartedWork) {
   }  // Destructor must run all nine accepted tasks before joining.
   releaser.join();
   EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(BoundedThreadPoolTest, UnboundedPoolNeverRejects) {
-  ThreadPool pool(2);  // Default max_queue = 0 = unbounded.
-  EXPECT_EQ(pool.max_queue(), 0u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 500);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

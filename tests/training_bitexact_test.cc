@@ -3,7 +3,7 @@
 // std::bit_cast<uint64_t> — not within a tolerance — so any change to
 // accumulation order, expression shape, or multiply-add fusion on the
 // double path (whose AVX2 kernels must round exactly as the scalar ones)
-// fails here, on any backend and with thread tiling active.
+// fails here, on any backend.
 
 #include <bit>
 #include <cstdint>
@@ -128,41 +128,23 @@ TEST(TrainingBitExactTest, FullPipelineTrainingMatchesSeedBits) {
                  std::size(kPipelineGolden));
 }
 
-// The row-tiled parallel training contract: every output row is owned by
-// exactly one thread and reductions keep a fixed order, so the SAME golden
-// bits must come out at every thread count, with tiling thresholds forced
-// to zero so even these small probes actually fan out, on every backend
-// available in the build: the scalar loops and the AVX2 double GEMMs, whose
-// lanes each compute one element in the scalar order, unfused.
-struct SweepParam {
-  nn::kernels::Backend backend;
-  size_t threads;
-};
-
-class TrainingBitExactSweepTest : public ::testing::TestWithParam<SweepParam> {
+// The SAME golden bits must come out on every backend available in the
+// build: the scalar loops and the AVX2 double GEMMs, whose lanes each
+// compute one element in the scalar order, unfused.
+class TrainingBitExactSweepTest
+    : public ::testing::TestWithParam<nn::kernels::Backend> {
  public:
   void SetUp() override {
     saved_backend_ = nn::kernels::ActiveBackend();
-    saved_tiling_ = nn::kernels::Tiling();
-    if (!nn::kernels::SetBackendForTest(GetParam().backend)) {
-      GTEST_SKIP() << "backend "
-                   << nn::kernels::BackendName(GetParam().backend)
+    if (!nn::kernels::SetBackendForTest(GetParam())) {
+      GTEST_SKIP() << "backend " << nn::kernels::BackendName(GetParam())
                    << " not available in this build/CPU";
     }
-    nn::kernels::TilingConfig tiling;
-    tiling.threads = GetParam().threads;
-    tiling.min_flops = 1;
-    tiling.min_rows_per_tile = 1;
-    nn::kernels::SetTilingForTest(tiling);
   }
-  void TearDown() override {
-    nn::kernels::SetBackendForTest(saved_backend_);
-    nn::kernels::SetTilingForTest(saved_tiling_);
-  }
+  void TearDown() override { nn::kernels::SetBackendForTest(saved_backend_); }
 
  private:
   nn::kernels::Backend saved_backend_ = nn::kernels::Backend::kScalar;
-  nn::kernels::TilingConfig saved_tiling_;
 };
 
 TEST_P(TrainingBitExactSweepTest, MlpGoldenBitsInvariant) {
@@ -175,18 +157,11 @@ TEST_P(TrainingBitExactSweepTest, PipelineGoldenBitsInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsByBackend, TrainingBitExactSweepTest,
-    ::testing::Values(SweepParam{nn::kernels::Backend::kScalar, 1},
-                      SweepParam{nn::kernels::Backend::kScalar, 2},
-                      SweepParam{nn::kernels::Backend::kScalar, 4},
-                      SweepParam{nn::kernels::Backend::kScalar, 8},
-                      SweepParam{nn::kernels::Backend::kAvx2, 1},
-                      SweepParam{nn::kernels::Backend::kAvx2, 2},
-                      SweepParam{nn::kernels::Backend::kAvx2, 4},
-                      SweepParam{nn::kernels::Backend::kAvx2, 8}),
+    Backends, TrainingBitExactSweepTest,
+    ::testing::Values(nn::kernels::Backend::kScalar,
+                      nn::kernels::Backend::kAvx2),
     [](const auto& info) {
-      return std::string(nn::kernels::BackendName(info.param.backend)) +
-             "_threads" + std::to_string(info.param.threads);
+      return std::string(nn::kernels::BackendName(info.param));
     });
 
 }  // namespace

@@ -506,7 +506,6 @@ int CmdServe(const Flags& flags) {
   // already submitted keep the snapshot they started with.
   const int refresh_ms = flags.GetInt("refresh-ms", 0);
   std::atomic<uint64_t> refresh_polls{0};
-  std::atomic<uint64_t> refresh_republished{0};
   std::atomic<uint64_t> refresh_errors{0};
   std::mutex refresh_mu;
   std::condition_variable refresh_cv;
@@ -560,9 +559,7 @@ int CmdServe(const Flags& flags) {
         lock.unlock();
         auto refreshed = registry.RefreshIfChanged();
         refresh_polls.fetch_add(1);
-        if (refreshed.ok()) {
-          refresh_republished.fetch_add(*refreshed);
-        } else {
+        if (!refreshed.ok()) {
           refresh_errors.fetch_add(1);
           std::fprintf(stderr, "refresh: %s\n",
                        refreshed.status().ToString().c_str());
@@ -580,13 +577,15 @@ int CmdServe(const Flags& flags) {
     refresh_cv.notify_all();
     refresher.join();
   };
+  // The republish count comes from the metrics: a pass that republishes
+  // one model and fails on another returns only the error.
   auto report_refreshes = [&] {
     if (refresh_ms <= 0) return;
-    std::fprintf(stderr,
-                 "refreshes: %llu polls, %llu republished, %llu errors\n",
-                 static_cast<unsigned long long>(refresh_polls.load()),
-                 static_cast<unsigned long long>(refresh_republished.load()),
-                 static_cast<unsigned long long>(refresh_errors.load()));
+    std::fprintf(
+        stderr, "refreshes: %llu polls, %llu republished, %llu errors\n",
+        static_cast<unsigned long long>(refresh_polls.load()),
+        static_cast<unsigned long long>(metrics.Snapshot().registry_refreshes),
+        static_cast<unsigned long long>(refresh_errors.load()));
   };
 
   if (tcp_mode) {
