@@ -30,8 +30,8 @@
 //
 // Threads. Every primitive runs on the calling thread and allocates nothing.
 // Training's parallelism is one level up: the k cluster autoencoders train
-// on ThreadPool::ParallelFor (core/candidate_selection.cc), so a kernel-level
-// pool would only compete with it for the same cores.
+// as ThreadPool::ParallelFor tasks (core/candidate_selection.cc), and a
+// kernel-level pool would compete with them for the same cores.
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_H_
 #define TARGAD_NN_KERNELS_KERNELS_H_
