@@ -1,8 +1,8 @@
 // Golden-parity suite for the dense kernel layer: every primitive is checked
 // against a naive reference over a shape sweep (empty, 1xN, non-multiples of
 // the SIMD tile), on every backend available in this build. Runs under
-// check-asan/check-ubsan (full suite) and, via the "serve" label, under
-// check-tsan.
+// check-asan/check-ubsan (full suite); it starts no thread, so check-tsan
+// leaves it out.
 
 #include "nn/kernels/kernels.h"
 

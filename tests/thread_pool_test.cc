@@ -116,6 +116,45 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedButUnstartedWork) {
   EXPECT_EQ(ran.load(), 9);
 }
 
+// A task that submits more work after the destructor has begun is refused:
+// once the queue drains every worker exits, so a task queued then could
+// never run. Whatever the pool accepted before that still runs, and the
+// destructor returns.
+TEST(ThreadPoolTest, SubmitDuringShutdownIsRefused) {
+  std::atomic<int> probes_ran{0};
+  int probes_accepted = 0;
+  bool refused = false;
+  WorkerGate gate;
+  std::thread releaser;
+  {
+    ThreadPool pool(1);
+    pool.Submit([&] {
+      gate.Block();
+      // The gate opens 50 ms into the destructor, so the first Submit is
+      // normally refused. Should the destructor start later, each probe
+      // accepted before it does queues behind this task and still runs;
+      // the bound turns a Submit that never refuses into a failure rather
+      // than a hang.
+      for (int attempt = 0; attempt < 5000 && !refused; ++attempt) {
+        if (pool.Submit([&probes_ran] { probes_ran.fetch_add(1); })) {
+          ++probes_accepted;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        } else {
+          refused = true;
+        }
+      }
+    });
+    gate.WaitUntilBlocked();
+    releaser = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate.Release();
+    });
+  }  // ~ThreadPool: refuses the task's Submit, drains the probes, joins.
+  releaser.join();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(probes_ran.load(), probes_accepted);
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
   ThreadPool::ParallelFor(64, [&hits](size_t i) { hits[i].fetch_add(1); }, 4);
