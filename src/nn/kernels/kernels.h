@@ -31,7 +31,9 @@
 // Threads. Every primitive runs on the calling thread and allocates nothing.
 // Training's parallelism is one level up: the k cluster autoencoders train
 // as ThreadPool::ParallelFor tasks (core/candidate_selection.cc), and a
-// kernel-level pool would compete with them for the same cores.
+// kernel-level pool would compete with them for the same cores. Scoring a
+// whole table (TargAD::Score, FrozenScorer::Score) runs on one core too;
+// DESIGN.md §12 records what that costs.
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_H_
 #define TARGAD_NN_KERNELS_KERNELS_H_
