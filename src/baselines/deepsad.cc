@@ -115,7 +115,7 @@ Status DeepSad::Fit(const data::TrainingSet& train) {
         }
       }
       ae_->encoder().ZeroGrads();
-      ae_->encoder().Backward(grad);
+      ae_->encoder().BackwardParams(grad);
       optimizer.Step();
     }
   }

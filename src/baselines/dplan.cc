@@ -174,7 +174,7 @@ Status Dplan::Fit(const data::TrainingSet& train) {
         grad.At(i, a) = 2.0 * (q_cur.At(i, a) - target) * inv_b;
       }
       q_net_.ZeroGrads();
-      q_net_.Backward(grad);
+      q_net_.BackwardParams(grad);
       optimizer_->Step();
     }
 

@@ -72,7 +72,7 @@ Status DualMgan::Fit(const data::TrainingSet& train) {
     nn::LossResult bce = nn::BinaryCrossEntropyWithLogits(
         logits, targets, {}, static_cast<double>(disc_batch.rows()));
     aug_discriminator_.ZeroGrads();
-    aug_discriminator_.Backward(bce.grad);
+    aug_discriminator_.BackwardParams(bce.grad);
     aug_disc_opt_->Step();
 
     // Generator: fool the discriminator.
@@ -84,7 +84,7 @@ Status DualMgan::Fit(const data::TrainingSet& train) {
     aug_discriminator_.ZeroGrads();
     nn::Matrix grad_out = aug_discriminator_.Backward(gen_bce.grad);
     aug_generator_.ZeroGrads();
-    aug_generator_.Backward(grad_out);
+    aug_generator_.BackwardParams(grad_out);
     aug_gen_opt_->Step();
   }
 
@@ -129,7 +129,7 @@ Status DualMgan::Fit(const data::TrainingSet& train) {
       nn::LossResult bce = nn::BinaryCrossEntropyWithLogits(
           logits, targets, {}, static_cast<double>(batch.rows()));
       det_discriminator_.ZeroGrads();
-      det_discriminator_.Backward(bce.grad);
+      det_discriminator_.BackwardParams(bce.grad);
       det_disc_opt_->Step();
     }
   }

@@ -79,7 +79,7 @@ Status Piawal::Fit(const data::TrainingSet& train) {
       nn::LossResult bce = nn::BinaryCrossEntropyWithLogits(
           logits, targets, {}, static_cast<double>(disc_batch.rows()));
       discriminator_.ZeroGrads();
-      discriminator_.Backward(bce.grad);
+      discriminator_.BackwardParams(bce.grad);
       disc_optimizer_->Step();
 
       // --- Generator step: make the discriminator call generated instances
@@ -102,7 +102,7 @@ Status Piawal::Fit(const data::TrainingSet& train) {
       discriminator_.ZeroGrads();
       nn::Matrix grad_gen_out = discriminator_.Backward(gen_bce.grad);
       generator_.ZeroGrads();
-      generator_.Backward(grad_gen_out);
+      generator_.BackwardParams(grad_gen_out);
       gen_optimizer_->Step();
     }
   }

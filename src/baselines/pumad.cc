@@ -138,7 +138,7 @@ Status Pumad::Fit(const data::TrainingSet& train) {
         }
       }
       net_.ZeroGrads();
-      net_.Backward(grad);
+      net_.BackwardParams(grad);
       optimizer_->Step();
     }
   }

@@ -125,7 +125,7 @@ Status Repen::Fit(const data::TrainingSet& train) {
         }
       }
       net_.ZeroGrads();
-      net_.Backward(grad);
+      net_.BackwardParams(grad);
       optimizer_->Step();
     }
   }

@@ -24,9 +24,12 @@ struct ElbowResult {
 /// Runs k-means for k in [k_min, k_max] and picks the elbow: the candidate
 /// maximizing the second difference of the inertia curve (the point where
 /// adding a cluster stops paying off). With fewer than three candidates the
-/// smallest k is returned.
+/// smallest k is returned. The range stops at x.rows(). The fits (k-means
+/// seeded `seed + k`) run as ThreadPool::ParallelFor tasks, or inline on
+/// the calling thread when `parallel` is false; either way the result is
+/// bit-identical, and a failure reports the lowest failing k's error.
 [[nodiscard]] Result<ElbowResult> SelectKByElbow(const nn::Matrix& x, int k_min, int k_max,
-                                   uint64_t seed = 0);
+                                   uint64_t seed = 0, bool parallel = true);
 
 }  // namespace cluster
 }  // namespace targad

@@ -31,7 +31,8 @@ Result<CandidateSelection> SelectCandidates(const nn::Matrix& unlabeled,
     TARGAD_ASSIGN_OR_RETURN(
         cluster::ElbowResult elbow,
         cluster::SelectKByElbow(unlabeled, config.elbow_k_min,
-                                config.elbow_k_max, config.seed));
+                                config.elbow_k_max, config.seed,
+                                config.parallel));
     k = elbow.k;
   }
   if (static_cast<size_t>(k) > unlabeled.rows()) {
@@ -86,11 +87,8 @@ Result<CandidateSelection> SelectCandidates(const nn::Matrix& unlabeled,
       selection.recon_error[cluster_rows[i][r]] = errs[r];
     }
   };
-  if (config.parallel && k > 1) {
-    ThreadPool::ParallelFor(static_cast<size_t>(k), train_one);
-  } else {
-    for (size_t i = 0; i < static_cast<size_t>(k); ++i) train_one(i);
-  }
+  ThreadPool::ParallelFor(static_cast<size_t>(k), train_one,
+                          config.parallel ? 0 : 1);
   for (const Status& st : statuses) TARGAD_RETURN_NOT_OK(st);
 
   // Lines 6-7: rank by reconstruction error; top alpha% -> D_U^A.

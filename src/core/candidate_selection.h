@@ -35,8 +35,10 @@ struct CandidateSelectionConfig {
   double alpha = 0.05;
   /// Per-cluster autoencoder settings (input_dim/seed filled in per run).
   SadAutoencoderConfig autoencoder;
-  /// Train the k autoencoders on a thread pool (Algorithm 1 trains them
-  /// "in parallel"). Threads = min(k, hardware threads).
+  /// Run the elbow's k-means fits and train the k autoencoders on a thread
+  /// pool (Algorithm 1 trains them "in parallel"), each loop with
+  /// min(tasks, hardware threads) threads; false runs both inline on the
+  /// calling thread. The result is bit-identical either way.
   bool parallel = true;
   uint64_t seed = 0;
 };

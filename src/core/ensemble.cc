@@ -28,7 +28,8 @@ Status TargAdEnsemble::Fit(const data::TrainingSet& train,
   auto fit_one = [&](size_t i) {
     TargADConfig member_config = config_.base;
     member_config.seed = config_.base.seed + i;
-    // Member autoencoders must not nest-parallelize inside the pool.
+    // Members must not start a nested pool (elbow fits or autoencoders)
+    // inside this one.
     if (config_.parallel && config_.size > 1) {
       member_config.selection.parallel = false;
     }
@@ -43,11 +44,7 @@ Status TargAdEnsemble::Fit(const data::TrainingSet& train,
                       : members_[i]->Fit(train);
   };
 
-  if (config_.parallel && config_.size > 1) {
-    ThreadPool::ParallelFor(members_.size(), fit_one);
-  } else {
-    for (size_t i = 0; i < members_.size(); ++i) fit_one(i);
-  }
+  ThreadPool::ParallelFor(members_.size(), fit_one, config_.parallel ? 0 : 1);
   for (const Status& st : statuses) TARGAD_RETURN_NOT_OK(st);
   // Logit averaging needs a consistent m + k across members. Differently
   // seeded elbow selections can disagree on k; insist on agreement and

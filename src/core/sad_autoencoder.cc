@@ -75,7 +75,7 @@ std::vector<double> SadAutoencoder::Fit(const nn::Matrix& unlabeled,
         nn::Matrix recon_u = ae_->Reconstruct(batch);
         nn::LossResult mse = nn::MseLoss(recon_u, batch);
         nn::Matrix g_code = ae_->decoder().Backward(mse.grad);
-        ae_->encoder().Backward(g_code);
+        ae_->encoder().BackwardParams(g_code);
 
         // Pass 2 — second term: eta * mean INVERSE reconstruction error of
         // labeled target anomalies (pushes them to reconstruct poorly).
@@ -83,7 +83,7 @@ std::vector<double> SadAutoencoder::Fit(const nn::Matrix& unlabeled,
         nn::LossResult inv = nn::InverseErrorLoss(recon_l, lab_batch);
         inv.grad.MulInPlace(config_.eta);
         nn::Matrix g_code_l = ae_->decoder().Backward(inv.grad);
-        ae_->encoder().Backward(g_code_l);
+        ae_->encoder().BackwardParams(g_code_l);
 
         ae_->optimizer().Step();
         step_loss = mse.loss + config_.eta * inv.loss;

@@ -42,7 +42,7 @@ void Autoencoder::StepOnReconstructionGrad(const Matrix& grad_recon) {
   encoder_.ZeroGrads();
   decoder_.ZeroGrads();
   Matrix g = decoder_.Backward(grad_recon);
-  encoder_.Backward(g);
+  encoder_.BackwardParams(g);
   optimizer_->Step();
 }
 

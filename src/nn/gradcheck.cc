@@ -21,7 +21,7 @@ double MaxParamGradError(Sequential* net, const Matrix& x,
   net->ZeroGrads();
   Matrix out = net->Forward(x);
   LossResult lr = loss_fn(out);
-  net->Backward(lr.grad);
+  net->BackwardParams(lr.grad);
 
   std::vector<Matrix*> params = net->Params();
   std::vector<Matrix*> grads = net->Grads();

@@ -17,8 +17,8 @@ namespace nn {
 /// parameters except through the output.
 using OutputLossFn = std::function<LossResult(const Matrix& output)>;
 
-/// Verifies dLoss/dParams of `net` under `loss_fn` at input `x` against
-/// central finite differences with step `h`. Returns the maximum relative
+/// Verifies dLoss/dParams of `net` (from Sequential::BackwardParams) under
+/// `loss_fn` at input `x` against central finite differences with step `h`. Returns the maximum relative
 /// error max(|analytic - numeric| / max(1e-8, |analytic| + |numeric|)) over
 /// all parameters (or a deterministic subsample of `max_checks` of them).
 double MaxParamGradError(Sequential* net, const Matrix& x,

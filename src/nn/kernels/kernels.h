@@ -29,10 +29,11 @@
 // (<1e-4 score drift) absorb.
 //
 // Threads. Every primitive runs on the calling thread and allocates nothing.
-// Training's parallelism is one level up: the k cluster autoencoders train
-// as ThreadPool::ParallelFor tasks (core/candidate_selection.cc), and a
+// Training's parallelism is one level up: the elbow's k-means fits
+// (cluster/elbow.cc) and the k cluster autoencoders
+// (core/candidate_selection.cc) run as ThreadPool::ParallelFor tasks, and a
 // kernel-level pool would compete with them for the same cores. Scoring a
-// whole table (TargAD::Score, FrozenScorer::Score) runs on one core too;
+// whole table (TargAD::Score, FrozenScorer::Score) runs on one core;
 // DESIGN.md §12 records what that costs.
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_H_

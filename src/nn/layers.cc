@@ -44,14 +44,18 @@ Matrix Linear::Infer(RowBlock x) const {
   return y;
 }
 
-Matrix Linear::Backward(const Matrix& grad_out) {
-  // dW += x^T g ; db += colsum(g) ; dx = g W^T.
+void Linear::BackwardParams(const Matrix& grad_out) {
+  // dW += x^T g ; db += colsum(g).
   gw_.AddInPlace(input_.TransposeMatMul(grad_out));
   std::vector<double> col_sums(grad_out.cols(), 0.0);
   kernels::ColReduceSum(grad_out.rows(), grad_out.cols(),
                         grad_out.data().data(), col_sums.data());
   kernels::Axpy(col_sums.size(), 1.0, col_sums.data(), gb_.data().data());
-  return grad_out.MatMulTranspose(w_);
+}
+
+Matrix Linear::Backward(const Matrix& grad_out) {
+  BackwardParams(grad_out);
+  return grad_out.MatMulTranspose(w_);  // dx = g W^T.
 }
 
 Matrix ReLU::Forward(RowBlock x) {

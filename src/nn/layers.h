@@ -43,6 +43,11 @@ class Layer {
   /// Maps dLoss/dOutput to dLoss/dInput; accumulates parameter grads.
   virtual Matrix Backward(const Matrix& grad_out) = 0;
 
+  /// Accumulates the same parameter grads as Backward, bit for bit, without
+  /// computing dLoss/dInput (Sequential::BackwardParams calls it on a
+  /// stack's first layer with parameters).
+  virtual void BackwardParams(const Matrix& grad_out) { (void)Backward(grad_out); }
+
   /// Trainable parameters (empty for activations).
   virtual std::vector<Matrix*> Params() { return {}; }
 
@@ -69,6 +74,7 @@ class Linear : public Layer {
   Matrix Forward(RowBlock x) override;
   Matrix Infer(RowBlock x) const override;
   Matrix Backward(const Matrix& grad_out) override;
+  void BackwardParams(const Matrix& grad_out) override;
   std::vector<Matrix*> Params() override { return {&w_, &b_}; }
   std::vector<Matrix*> Grads() override { return {&gw_, &gb_}; }
   std::string name() const override { return "Linear"; }

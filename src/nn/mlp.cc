@@ -14,7 +14,7 @@ Mlp::Mlp(const MlpConfig& config) : config_(config) {
 
 void Mlp::StepOnGrad(const Matrix& grad_out) {
   net_.ZeroGrads();
-  net_.Backward(grad_out);
+  net_.BackwardParams(grad_out);
   optimizer_->Step();
 }
 

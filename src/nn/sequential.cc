@@ -60,6 +60,17 @@ Matrix Sequential::Backward(const Matrix& grad_out) {
   return g;
 }
 
+void Sequential::BackwardParams(const Matrix& grad_out) {
+  size_t first = 0;
+  while (first < layers_.size() && layers_[first]->Params().empty()) ++first;
+  if (first == layers_.size()) return;  // Nothing to train.
+  Matrix g = grad_out;
+  for (size_t i = layers_.size() - 1; i > first; --i) {
+    g = layers_[i]->Backward(g);
+  }
+  layers_[first]->BackwardParams(g);
+}
+
 std::vector<Matrix*> Sequential::Params() {
   std::vector<Matrix*> out;
   for (auto& layer : layers_) {

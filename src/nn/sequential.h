@@ -50,6 +50,12 @@ class Sequential {
   /// parameter gradients in each layer.
   Matrix Backward(const Matrix& grad_out);
 
+  /// Backward for callers that discard dLoss/dInput: accumulates the same
+  /// parameter gradients, bit for bit, and stops after the weight and bias
+  /// gradients of the first layer that has parameters, so neither that
+  /// layer's input-gradient product nor any layer below it runs.
+  void BackwardParams(const Matrix& grad_out);
+
   /// All trainable parameters, in layer order.
   std::vector<Matrix*> Params();
 

@@ -146,6 +146,7 @@ uint64_t ModelRegistry::InstallLocked(const std::string& name,
   entry.file_backed = loaded.stat_ok;
   entry.warm = true;
   entry.last_used = ++use_clock_;
+  failed_loads_.erase(name);
   if (entry.file_backed && !was_candidate) {
     warm_files_.push_back(&entry);
   } else if (!entry.file_backed && was_candidate) {
@@ -263,20 +264,35 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
     metrics = metrics_;
   }
 
-  // A file that fails to load keeps its old snapshot and fails again at the
-  // next poll, so the pass goes on past it: one damaged file must not hold
-  // back the models after it. The first error is returned at the end, which
-  // drops the count, so each republish is also recorded in the metrics.
+  // A file that fails to load keeps its old snapshot, and the pass goes on
+  // past it: one damaged file must not hold back the models after it. The
+  // failed file's signature is remembered, so later polls do not re-read
+  // the same bytes (nor report the same error) until it changes. The first
+  // error is returned at the end, which drops the count, so each republish
+  // is also recorded in the metrics.
   size_t republished = 0;
   Status first_error;
-  const auto publish = [&](const std::string& name, const std::string& path) {
+  const auto publish = [&](const std::string& name, const std::string& path,
+                           const FileSignature& sig) {
+    {
+      MutexLock lock(&mu_);
+      const auto failed = failed_loads_.find(name);
+      if (failed != failed_loads_.end() && failed->second.path == path &&
+          failed->second.sig == sig) {
+        return;
+      }
+    }
     Status status = PublishFile(name, path);
     if (status.ok()) {
       ++republished;
       if (metrics != nullptr) metrics->RecordRegistryRefresh();
-    } else if (first_error.ok()) {
-      first_error = std::move(status);
+      return;
     }
+    {
+      MutexLock lock(&mu_);
+      failed_loads_[name] = FailedLoad{path, sig};
+    }
+    if (first_error.ok()) first_error = std::move(status);
   };
   for (const Polled& model : polled) {
     FileSignature now;
@@ -285,7 +301,7 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
     // rewrite (coarse filesystem timestamps) is still caught when the
     // content size moved.
     if (!StatSignature(model.path, &now) || now == model.sig) continue;
-    publish(model.name, model.path);
+    publish(model.name, model.path, now);
   }
 
   // The start-up scan again: a new stem joins the registry, and a ".tgz1"
@@ -302,8 +318,10 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
         const Entry* entry = FindLocked(name);
         stale = entry == nullptr || SupersededBy(entry->source, path);
       }
-      if (!stale) continue;
-      publish(name, path.string());
+      FileSignature now;
+      // A file that vanished since the scan is skipped, as above.
+      if (!stale || !StatSignature(path.string(), &now)) continue;
+      publish(name, path.string(), now);
     }
   }
   if (!first_error.ok()) return first_error;
@@ -405,6 +423,7 @@ Status ModelRegistry::Remove(const std::string& name) {
     ForgetWarmFileLocked(&it->second);
   }
   models_.erase(it);
+  failed_loads_.erase(name);
   return Status::OK();
 }
 

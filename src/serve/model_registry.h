@@ -45,7 +45,8 @@
 // caught. Cold entries are skipped: they are re-read from disk at
 // promotion time anyway. It also re-scans LoadDirectory directories with
 // the start-up scan, so new stems join and a ".tgz1" dropped beside a
-// served text model takes over from it.
+// served text model takes over from it. A file that fails to load is
+// remembered by its signature and not read again until it changes.
 //
 // Registry metrics (hits/misses/evictions and a load-latency histogram) are
 // recorded into an optional ServeMetrics sink (set_metrics) and surface in
@@ -170,9 +171,11 @@ class ModelRegistry {
   /// and hot-swapped; an entry published from anywhere else is never
   /// replaced by the scan. Vanished files keep their last good snapshot
   /// registered, and so do files that fail to load, which do not stop the
-  /// pass. Returns the number of models (re)published, or the first load
-  /// error once the pass is done; the metrics sink counts every republish
-  /// either way (MetricsSnapshot::registry_refreshes).
+  /// pass. A file that failed to load is not read again until its stat
+  /// signature changes (or the name loads from elsewhere or is removed).
+  /// Returns the number of models (re)published, or the first load error
+  /// once the pass is done; the metrics sink counts every republish either
+  /// way (MetricsSnapshot::registry_refreshes).
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
   /// Serving snapshot for `name` (always a core::FrozenScorer), or
@@ -198,7 +201,8 @@ class ModelRegistry {
   /// unknown-model error's "available:" list.
   std::vector<std::string> ListNames() const;
 
-  /// Removes `name`; outstanding snapshots stay valid. NotFound if absent.
+  /// Removes `name`, and forgets a failed refresh load under it;
+  /// outstanding snapshots stay valid. NotFound if absent.
   [[nodiscard]] Status Remove(const std::string& name);
 
   size_t size() const TARGAD_EXCLUDES(mu_);
@@ -226,6 +230,12 @@ class ModelRegistry {
     /// use_clock_ at the entry's last lookup or install: the eviction
     /// tie-break.
     uint64_t last_used = 0;
+  };
+
+  /// The file whose last RefreshIfChanged load under a name failed.
+  struct FailedLoad {
+    std::string path;
+    FileSignature sig{};
   };
 
   /// What one disk load produced; installed under the lock afterwards.
@@ -282,6 +292,9 @@ class ModelRegistry {
   uint64_t aging_period_ TARGAD_GUARDED_BY(mu_) = 0;
   uint64_t period_lookups_ TARGAD_GUARDED_BY(mu_) = 0;
   std::vector<std::string> watched_dirs_ TARGAD_GUARDED_BY(mu_);
+  /// By model name; RefreshIfChanged skips these until the file changes.
+  /// An install or Remove of the name drops its record.
+  std::map<std::string, FailedLoad> failed_loads_ TARGAD_GUARDED_BY(mu_);
   nn::Dtype serve_dtype_ TARGAD_GUARDED_BY(mu_) = nn::Dtype::kFloat64;
   size_t warm_capacity_ TARGAD_GUARDED_BY(mu_) = 0;
   ServeMetrics* metrics_ TARGAD_GUARDED_BY(mu_) = nullptr;

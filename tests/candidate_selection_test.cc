@@ -1,7 +1,9 @@
 #include "core/candidate_selection.h"
-#include <cmath>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,28 @@ class CandidateSelectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     bundle_ = targad::testing::TinyBundle(11, /*contamination=*/0.08);
+  }
+
+  // Same seeds per cluster and per elbow fit -> the same selection, bit for
+  // bit, with or without the thread pools.
+  void ExpectSequentialMatchesParallel(CandidateSelectionConfig config) {
+    config.parallel = true;
+    auto par = SelectCandidates(bundle_.train.unlabeled_x,
+                                bundle_.train.labeled_x, config)
+                   .ValueOrDie();
+    config.parallel = false;
+    auto seq = SelectCandidates(bundle_.train.unlabeled_x,
+                                bundle_.train.labeled_x, config)
+                   .ValueOrDie();
+    EXPECT_EQ(par.k, seq.k);
+    EXPECT_EQ(par.cluster, seq.cluster);
+    ASSERT_EQ(par.recon_error.size(), seq.recon_error.size());
+    for (size_t i = 0; i < par.recon_error.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(par.recon_error[i]),
+                std::bit_cast<uint64_t>(seq.recon_error[i]))
+          << "row " << i;
+    }
+    EXPECT_EQ(par.anomaly_candidates, seq.anomaly_candidates);
   }
 
   CandidateSelectionConfig FastConfig() {
@@ -115,21 +139,15 @@ TEST_F(CandidateSelectionTest, ElbowSelectionRuns) {
 }
 
 TEST_F(CandidateSelectionTest, SequentialMatchesParallel) {
+  ExpectSequentialMatchesParallel(FastConfig());
+}
+
+TEST_F(CandidateSelectionTest, SequentialMatchesParallelWithElbow) {
   CandidateSelectionConfig config = FastConfig();
-  config.parallel = true;
-  auto par = SelectCandidates(bundle_.train.unlabeled_x, bundle_.train.labeled_x,
-                              config)
-                 .ValueOrDie();
-  config.parallel = false;
-  auto seq = SelectCandidates(bundle_.train.unlabeled_x, bundle_.train.labeled_x,
-                              config)
-                 .ValueOrDie();
-  // Same seeds per cluster -> identical reconstruction errors either way.
-  ASSERT_EQ(par.recon_error.size(), seq.recon_error.size());
-  for (size_t i = 0; i < par.recon_error.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par.recon_error[i], seq.recon_error[i]);
-  }
-  EXPECT_EQ(par.anomaly_candidates, seq.anomaly_candidates);
+  config.k = 0;  // Elbow over [2, 6].
+  config.elbow_k_min = 2;
+  config.elbow_k_max = 6;
+  ExpectSequentialMatchesParallel(config);
 }
 
 TEST_F(CandidateSelectionTest, RejectsBadInputs) {

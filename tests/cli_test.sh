@@ -91,18 +91,21 @@ awk '/refreshes:/ {polls=$2; repub=$4;
      exit !(polls >= 1 && repub >= 1)}' refresh_metrics.txt \
   || fail "refresh timer never republished the touched artifact"
 
-# A poll that republishes one model and fails on another still counts the
-# republish. A damaged broken.targad lands in the watched directory
-# mid-stream, so every later poll reports its error; default.targad is
-# touched after it and must still show up in the republished count.
+# A damaged model file is read once, not at every poll, and a failing
+# poll still counts another model's republish. A damaged broken.targad is
+# moved into the watched directory mid-stream (whole, so no poll sees it
+# half written) and default.targad is touched right after it. The first
+# poll that sees broken.targad reports its error; later polls skip the
+# unchanged file, so exactly one refresh: error line is printed, and the
+# touched default.targad shows up in the republished count.
 mkdir refresh_dir
 cp m.model refresh_dir/default.targad
 {
   head -1 data_test.csv
   tail -n +2 data_test.csv | head -10
   sleep 0.3
-  echo "not a model" > refresh_dir/broken.targad
-  sleep 0.3
+  echo "not a model" > broken_model.tmp
+  mv broken_model.tmp refresh_dir/broken.targad
   touch refresh_dir/default.targad
   sleep 0.3
   tail -n +12 data_test.csv
@@ -111,6 +114,8 @@ cp m.model refresh_dir/default.targad
   || fail "serve --refresh-ms beside a broken model"
 diff -q scores.csv refresh_mixed_scores.csv \
   || fail "refresh serve scores differ beside a broken model"
+[ "$(grep -c '^refresh: ' refresh_mixed_metrics.txt)" -eq 1 ] \
+  || fail "an unchanged broken model was reported more than once (or never)"
 awk 'BEGIN {ok = 0}
      /refreshes:/ {ok = ($4 >= 1 && $6 >= 1)}
      END {exit !ok}' refresh_mixed_metrics.txt \

@@ -1,6 +1,8 @@
 #include "cluster/kmeans.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -143,6 +145,58 @@ TEST(ElbowTest, InertiasRecordedPerCandidate) {
   auto elbow = SelectKByElbow(x, 2, 5).ValueOrDie();
   EXPECT_EQ(elbow.candidates.size(), 4u);
   EXPECT_EQ(elbow.inertias.size(), 4u);
+}
+
+// The elbow's fits run as ThreadPool tasks; the result must equal the
+// inline scan (parallel = false) bit for bit, and each inertia must be that
+// of a lone KMeans fit seeded `seed + k`.
+void ExpectParallelMatchesInline(const nn::Matrix& x, int k_min, int k_max,
+                                 uint64_t seed) {
+  auto par = SelectKByElbow(x, k_min, k_max, seed, /*parallel=*/true);
+  auto seq = SelectKByElbow(x, k_min, k_max, seed, /*parallel=*/false);
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  EXPECT_EQ(par->k, seq->k);
+  EXPECT_EQ(par->candidates, seq->candidates);
+  ASSERT_EQ(par->inertias.size(), par->candidates.size());
+  ASSERT_EQ(seq->inertias.size(), par->inertias.size());
+  for (size_t i = 0; i < par->inertias.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(par->inertias[i]),
+              std::bit_cast<uint64_t>(seq->inertias[i]))
+        << "k = " << par->candidates[i];
+    KMeansConfig config;
+    config.k = par->candidates[i];
+    config.seed = seed + static_cast<uint64_t>(config.k);
+    EXPECT_EQ(std::bit_cast<uint64_t>(par->inertias[i]),
+              std::bit_cast<uint64_t>(KMeans(x, config)->inertia))
+        << "k = " << par->candidates[i];
+  }
+}
+
+TEST(ElbowTest, ParallelMatchesInline) {
+  ExpectParallelMatchesInline(ThreeBlobs(60, 9), 1, 8, 10);
+  ExpectParallelMatchesInline(ThreeBlobs(40, 13), 2, 8, 0);
+}
+
+TEST(ElbowTest, ParallelMatchesInlineWhereRowsCutTheRange) {
+  const nn::Matrix x = ThreeBlobs(2, 12);  // 6 rows: k stops at 6.
+  ExpectParallelMatchesInline(x, 2, 8, 14);
+  EXPECT_EQ(SelectKByElbow(x, 2, 8, 14)->candidates,
+            (std::vector<int>{2, 3, 4, 5, 6}));
+}
+
+TEST(ElbowTest, FailureIsTheSameEitherWay) {
+  // Every fit fails on 0-column data: the lowest k's error either way.
+  const nn::Matrix no_columns(10, 0);
+  // Fewer rows than k_min: no fit runs.
+  const nn::Matrix few_rows = ThreeBlobs(1, 15);
+  for (const nn::Matrix* x : {&no_columns, &few_rows}) {
+    auto par = SelectKByElbow(*x, 4, 8, 3, /*parallel=*/true);
+    auto seq = SelectKByElbow(*x, 4, 8, 3, /*parallel=*/false);
+    ASSERT_FALSE(par.ok());
+    ASSERT_FALSE(seq.ok());
+    EXPECT_EQ(par.status().ToString(), seq.status().ToString());
+  }
 }
 
 TEST(ElbowTest, RejectsBadRange) {

@@ -1,6 +1,9 @@
 #include "nn/layers.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +159,114 @@ TEST(LayerTest, BackwardAccumulatesAcrossCalls) {
   for (size_t i = 0; i < g1.size(); ++i) {
     EXPECT_NEAR(g2.data()[i], 2.0 * g1.data()[i], 1e-10);
   }
+}
+
+// Sequential::BackwardParams must leave every parameter gradient bit-equal
+// to Backward's. Stacks 1 and 2 start with a layer that has no parameters
+// (an activation, Dropout), so the pass stops at the second layer; two
+// batches without ZeroGrads cover accumulation.
+Sequential BackwardParamsStack(int stack) {
+  Rng rng(51);
+  if (stack == 0) {
+    return Sequential::MakeMlp({5, 7, 4, 3}, Activation::kReLU,
+                               Activation::kSigmoid, &rng);
+  }
+  Sequential net;
+  if (stack == 1) net.Add(std::make_unique<ReLU>());
+  if (stack == 2) net.Add(std::make_unique<Dropout>(0.3, 52));
+  net.Add(std::make_unique<Linear>(5, 6, &rng));
+  net.Add(std::make_unique<LeakyReLU>());
+  net.Add(std::make_unique<Dropout>(0.2, 53));
+  net.Add(std::make_unique<Linear>(6, 3, &rng));
+  return net;
+}
+
+class BackwardParamsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BackwardParamsTest, ParamGradsBitEqualToBackward) {
+  Sequential full = BackwardParamsStack(GetParam());
+  Sequential params_only = BackwardParamsStack(GetParam());
+  for (uint64_t batch = 0; batch < 2; ++batch) {
+    const Matrix x = RandomBatch(6, 5, 60 + batch);
+    const Matrix g = RandomBatch(6, 3, 70 + batch);
+    full.Forward(x);
+    params_only.Forward(x);
+    full.Backward(g);
+    params_only.BackwardParams(g);
+  }
+  const std::vector<Matrix*> want = full.Grads();
+  const std::vector<Matrix*> got = params_only.Grads();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->size(), want[i]->size());
+    for (size_t j = 0; j < got[i]->size(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i]->data()[j]),
+                std::bit_cast<uint64_t>(want[i]->data()[j]))
+          << "grad " << i << " element " << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, BackwardParamsTest, ::testing::Values(0, 1, 2));
+
+// Counts the backward calls a stack makes into it; an identity layer.
+class CallCounter : public Layer {
+ public:
+  CallCounter(bool has_params, int* backward, int* params_only)
+      : has_params_(has_params), backward_(backward), params_only_(params_only) {}
+  Matrix Forward(RowBlock x) override { return x.ToMatrix(); }
+  Matrix Infer(RowBlock x) const override { return x.ToMatrix(); }
+  Matrix Backward(const Matrix& grad_out) override {
+    ++*backward_;
+    return grad_out;
+  }
+  void BackwardParams(const Matrix& grad_out) override {
+    (void)grad_out;
+    ++*params_only_;
+  }
+  std::vector<Matrix*> Params() override {
+    return has_params_ ? std::vector<Matrix*>{&p_} : std::vector<Matrix*>{};
+  }
+  std::vector<Matrix*> Grads() override {
+    return has_params_ ? std::vector<Matrix*>{&g_} : std::vector<Matrix*>{};
+  }
+  std::string name() const override { return "CallCounter"; }
+
+ private:
+  bool has_params_;
+  int* backward_;
+  int* params_only_;
+  Matrix p_{1, 1, 0.0}, g_{1, 1, 0.0};
+};
+
+TEST(BackwardParamsTest, StopsAtTheFirstLayerWithParameters) {
+  // Layers bottom to top: no params, params, no params, params.
+  int backward[4] = {0, 0, 0, 0};
+  int params_only[4] = {0, 0, 0, 0};
+  Sequential net;
+  for (int i = 0; i < 4; ++i) {
+    net.Add(std::make_unique<CallCounter>(i % 2 == 1, &backward[i],
+                                          &params_only[i]));
+  }
+  net.Forward(Matrix(2, 3, 1.0));
+  net.BackwardParams(Matrix(2, 3, 1.0));
+  EXPECT_EQ(backward[3], 1);
+  EXPECT_EQ(backward[2], 1);
+  EXPECT_EQ(backward[1], 0);
+  EXPECT_EQ(params_only[1], 1);
+  EXPECT_EQ(backward[0] + params_only[0], 0);
+  EXPECT_EQ(params_only[2] + params_only[3], 0);
+
+  // A stack with no parameters at all runs nothing.
+  int none_backward = 0, none_params_only = 0;
+  Sequential activations;
+  activations.Add(
+      std::make_unique<CallCounter>(false, &none_backward, &none_params_only));
+  activations.Add(std::make_unique<Tanh>());
+  activations.Forward(Matrix(2, 3, 1.0));
+  activations.BackwardParams(Matrix(2, 3, 1.0));
+  EXPECT_EQ(none_backward + none_params_only, 0);
 }
 
 }  // namespace

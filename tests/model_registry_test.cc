@@ -561,7 +561,9 @@ TEST(ModelRegistryTest, RefreshNeverReplacesModelsPublishedElsewhere) {
 // Regression: the refresh returned at the first file that failed to load.
 // That file keeps its old signature, so it failed again at every poll, and
 // no model after it in name order — nor any new stem of the re-scan —
-// ever refreshed. The pass now finishes and reports the first error.
+// ever refreshed. The pass now finishes and reports the first error. A
+// file that failed is then not read again until its signature changes, so
+// an unchanged damaged file costs later polls nothing and reports nothing.
 TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
   TempDir dir;
   const auto save = [&dir](uint64_t seed, const char* file) {
@@ -571,6 +573,7 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
   };
   const fs::path a = dir.path() / "a.tgz1";
   const fs::path b = dir.path() / "b.tgz1";
+  const fs::path c = dir.path() / "c.tgz1";
   ASSERT_TRUE(save(40, "a.tgz1"));
   ASSERT_TRUE(save(41, "b.tgz1"));
   ServeMetrics metrics;
@@ -584,28 +587,53 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
   ASSERT_TRUE(save(42, "b.tgz1"));
   fs::last_write_time(b, fs::last_write_time(b) + std::chrono::seconds(2));
   {
-    std::ofstream out(dir.path() / "c.tgz1");
+    std::ofstream out(c);
     out << "not an artifact";
   }
   ASSERT_TRUE(save(43, "d.tgz1"));
 
-  for (int poll = 0; poll < 2; ++poll) {
-    SCOPED_TRACE(poll);
-    auto refreshed = registry.RefreshIfChanged();
-    ASSERT_FALSE(refreshed.ok());
-    EXPECT_EQ(refreshed.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(refreshed.status().message().find(a.string()), std::string::npos)
-        << refreshed.status().ToString();
-    EXPECT_EQ(registry.Info("a")->version, 1u);
-    EXPECT_EQ(registry.Info("b")->version, 2u);
-    EXPECT_FALSE(registry.Info("c").ok());
-    ASSERT_TRUE(registry.Info("d").ok());
-    EXPECT_EQ(registry.Info("d")->version, 1u);
-    // The failed passes return no count; the metrics keep the first pass's
-    // two republishes, `b` and `d`.
-    EXPECT_EQ(metrics.Snapshot().registry_refreshes, 2u);
-  }
+  auto refreshed = registry.RefreshIfChanged();
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_EQ(refreshed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refreshed.status().message().find(a.string()), std::string::npos)
+      << refreshed.status().ToString();
+  EXPECT_EQ(registry.Info("a")->version, 1u);
+  EXPECT_EQ(registry.Info("b")->version, 2u);
+  EXPECT_FALSE(registry.Info("c").ok());
+  ASSERT_TRUE(registry.Info("d").ok());
+  EXPECT_EQ(registry.Info("d")->version, 1u);
+  // The failed pass returns no count; the metrics keep its two
+  // republishes, `b` and `d`.
+  EXPECT_EQ(metrics.Snapshot().registry_refreshes, 2u);
+
+  // Nothing changed: the damaged `a` and `c` are not read again.
+  refreshed = registry.RefreshIfChanged();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(*refreshed, 0u);
+  EXPECT_EQ(registry.Info("a")->version, 1u);
+  EXPECT_FALSE(registry.Info("c").ok());
+  EXPECT_EQ(metrics.Snapshot().registry_refreshes, 2u);
   EXPECT_TRUE(registry.GetScorer("a").ok());  // The last good snapshot.
+
+  // A valid rewrite of `a` is picked up at the next poll.
+  ASSERT_TRUE(save(44, "a.tgz1"));
+  fs::last_write_time(a, fs::last_write_time(a) + std::chrono::seconds(4));
+  refreshed = registry.RefreshIfChanged();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(*refreshed, 1u);
+  EXPECT_EQ(registry.Info("a")->version, 2u);
+
+  // New garbage in `c`, of another size, is read and fails again.
+  {
+    std::ofstream out(c);
+    out << "still not an artifact";
+  }
+  refreshed = registry.RefreshIfChanged();
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_NE(refreshed.status().message().find(c.string()), std::string::npos)
+      << refreshed.status().ToString();
+  EXPECT_FALSE(registry.Info("c").ok());
+  EXPECT_EQ(metrics.Snapshot().registry_refreshes, 3u);
 }
 
 TEST(ModelRegistryTest, ConcurrentPublishAndGetKeepSnapshotsIntact) {

@@ -201,8 +201,8 @@ class KernelConfigGradCheckTest
 };
 
 // One backward pass over a fixed net/batch; returns every parameter
-// gradient, flattened.
-std::vector<double> BackwardGradProbe() {
+// gradient, flattened. `params_only` takes Sequential::BackwardParams.
+std::vector<double> BackwardGradProbe(bool params_only = false) {
   Rng rng(29);
   Sequential net = Sequential::MakeMlp({6, 9, 5, 4}, Activation::kLeakyReLU,
                                        Activation::kNone, &rng);
@@ -211,7 +211,11 @@ std::vector<double> BackwardGradProbe() {
   net.ZeroGrads();
   Matrix out = net.Forward(x);
   const LossResult ce = WeightedSoftCrossEntropy(out, targets, {}, 7.0);
-  net.Backward(ce.grad);
+  if (params_only) {
+    net.BackwardParams(ce.grad);
+  } else {
+    net.Backward(ce.grad);
+  }
   std::vector<double> flat = {ce.loss};
   for (Matrix* g : net.Grads()) {
     flat.insert(flat.end(), g->data().begin(), g->data().end());
@@ -233,6 +237,7 @@ TEST_P(KernelConfigGradCheckTest, GradCheckPassesUnderConfig) {
 
 TEST_P(KernelConfigGradCheckTest, DoubleBackwardBitsInvariant) {
   const std::vector<double> probe = BackwardGradProbe();
+  const std::vector<double> params_only = BackwardGradProbe(true);
 
   // Reference: scalar backend.
   ASSERT_TRUE(kernels::SetBackendForTest(kernels::Backend::kScalar));
@@ -240,10 +245,15 @@ TEST_P(KernelConfigGradCheckTest, DoubleBackwardBitsInvariant) {
   kernels::SetBackendForTest(GetParam());
 
   ASSERT_EQ(probe.size(), reference.size());
+  ASSERT_EQ(params_only.size(), reference.size());
   for (size_t i = 0; i < probe.size(); ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(probe[i]),
               std::bit_cast<uint64_t>(reference[i]))
         << "gradient element " << i << " drifted under backend "
+        << kernels::BackendName(GetParam());
+    EXPECT_EQ(std::bit_cast<uint64_t>(params_only[i]),
+              std::bit_cast<uint64_t>(reference[i]))
+        << "BackwardParams gradient element " << i << " drifted under backend "
         << kernels::BackendName(GetParam());
   }
 }

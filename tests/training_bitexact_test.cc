@@ -70,7 +70,9 @@ void ExpectBitExact(const std::vector<double>& probe, const uint64_t* golden,
   }
 }
 
-std::vector<double> RunMlpProbe() {
+// `params_only` trains through Sequential::BackwardParams, which skips the
+// first layer's input gradient; the parameter bits must not move.
+std::vector<double> RunMlpProbe(bool params_only = false) {
   Rng rng(42);
   nn::Sequential net = nn::Sequential::MakeMlp(
       {5, 8, 4, 3}, nn::Activation::kReLU, nn::Activation::kSigmoid, &rng);
@@ -85,7 +87,11 @@ std::vector<double> RunMlpProbe() {
     const nn::Matrix pred = net.Forward(x);
     const nn::LossResult loss = nn::MseLoss(pred, y);
     last_loss = loss.loss;
-    net.Backward(loss.grad);
+    if (params_only) {
+      net.BackwardParams(loss.grad);
+    } else {
+      net.Backward(loss.grad);
+    }
     opt.Step();
   }
   std::vector<double> probe = {last_loss};
@@ -149,6 +155,11 @@ class TrainingBitExactSweepTest
 
 TEST_P(TrainingBitExactSweepTest, MlpGoldenBitsInvariant) {
   ExpectBitExact(RunMlpProbe(), kNetGolden, std::size(kNetGolden));
+}
+
+TEST_P(TrainingBitExactSweepTest, MlpGoldenBitsInvariantWithoutInputGrad) {
+  ExpectBitExact(RunMlpProbe(/*params_only=*/true), kNetGolden,
+                 std::size(kNetGolden));
 }
 
 TEST_P(TrainingBitExactSweepTest, PipelineGoldenBitsInvariant) {
