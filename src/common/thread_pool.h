@@ -1,6 +1,6 @@
-// Fixed-size worker pool. It trains the k cluster autoencoders in parallel
-// (Algorithm 1, lines 2-5, through ParallelFor) and runs BatchScorer's
-// scoring workers.
+// Fixed-size worker pool. Through ParallelFor it runs the elbow's k-means
+// fits and trains the k cluster autoencoders in parallel (Algorithm 1,
+// lines 2-5); it also runs BatchScorer's scoring workers.
 
 #ifndef TARGAD_COMMON_THREAD_POOL_H_
 #define TARGAD_COMMON_THREAD_POOL_H_
@@ -43,7 +43,9 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// fn must be safe to invoke concurrently for distinct i.
+  /// fn must be safe to invoke concurrently for distinct i. With one thread
+  /// or one task no pool is started: fn runs inline on the calling thread,
+  /// in index order (callers pass num_threads = 1 to run serially).
   static void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                           size_t num_threads = 0);
 
