@@ -281,7 +281,7 @@ TARGAD_HOT_PATH void FusedAffineActivation(size_t m, size_t n, size_t k, const T
   } else {
     if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
       d->affine(m, n, k, x, w, bias, y);
-      ApplyActivationRow(act, leaky_slope, m * n, y);
+      ApplyActivation(act, leaky_slope, m * n, y);
       return;
     }
   }
@@ -294,6 +294,11 @@ TARGAD_HOT_PATH void Axpy(size_t n, T alpha, const T* x, T* y) {
     const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->axpy != nullptr) {
       f->axpy(n, alpha, x, y);
+      return;
+    }
+  } else {
+    if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+      d->axpy(n, alpha, x, y);
       return;
     }
   }
@@ -327,6 +332,13 @@ TARGAD_HOT_PATH void AddRowVector(size_t m, size_t n, const T* v, T* a) {
 
 template <typename T>
 TARGAD_HOT_PATH void ApplyActivation(Act act, T leaky_slope, size_t n, T* x) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (const internal::DoubleKernels* d = State().f64;
+        d != nullptr && act == Act::kReLU) {
+      d->relu(n, x);
+      return;
+    }
+  }
   ApplyActivationRow(act, leaky_slope, n, x);
 }
 
@@ -339,6 +351,12 @@ TARGAD_HOT_PATH void ActivationBackward(Act act, T leaky_slope, size_t n, const 
     case Act::kReLU:
       // The multiply-by-{0,1} form (not an assignment to zero) preserves
       // the legacy mask-Hadamard bits: 0.0 * g keeps g's sign on the zero.
+      if constexpr (std::is_same_v<T, double>) {
+        if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+          d->relu_backward(n, ref, g);
+          return;
+        }
+      }
       for (size_t i = 0; i < n; ++i) g[i] *= ref[i] > T(0) ? T(1) : T(0);
       return;
     case Act::kLeakyReLU:
@@ -371,6 +389,12 @@ TARGAD_HOT_PATH void AdamUpdate(size_t n, T lr, T beta1, T beta2, T eps, T bias_
                 const T* g, T* m, T* v, T* p) {
   // Expression shapes match the historical optimizer loop exactly (see the
   // header comment on why this cannot be decomposed into Scale/Axpy).
+  if constexpr (std::is_same_v<T, double>) {
+    if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+      d->adam(n, lr, beta1, beta2, eps, bias_c1, bias_c2, g, m, v, p);
+      return;
+    }
+  }
   for (size_t j = 0; j < n; ++j) {
     m[j] = beta1 * m[j] + (T(1) - beta1) * g[j];
     v[j] = beta2 * v[j] + (T(1) - beta2) * g[j] * g[j];
@@ -412,6 +436,12 @@ TARGAD_HOT_PATH void RowReduce(RowReduceOp op, size_t m, size_t n, const T* a, T
 
 template <typename T>
 TARGAD_HOT_PATH void ColReduceSum(size_t m, size_t n, const T* a, T* out) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (const internal::DoubleKernels* d = State().f64; d != nullptr) {
+      d->col_sum(m, n, a, out);
+      return;
+    }
+  }
   std::fill(out, out + n, T(0));
   for (size_t i = 0; i < m; ++i) {
     const T* row = a + i * n;
@@ -472,6 +502,12 @@ TARGAD_HOT_PATH void SquaredDistances(size_t n, size_t d, size_t k, const T* x,
     const internal::FloatKernels* f = State().f32;
     if (f != nullptr && f->sqdists != nullptr) {
       f->sqdists(n, d, k, x, centers, weights, out);
+      return;
+    }
+  } else {
+    if (const internal::DoubleKernels* dk = State().f64;
+        dk != nullptr && weights == nullptr) {
+      dk->sqdists(n, d, k, x, centers, out);
       return;
     }
   }

@@ -1,7 +1,9 @@
-// AVX2 double GEMMs for the float64 training path, bit-identical to the
-// scalar baselines in kernels.cc. Each vector lane computes exactly one
-// output element, with the scalar loop's multiplies and adds in the scalar
-// loop's order. Two build rules keep it that way:
+// AVX2 double kernels for the float64 training path (the GEMMs, ReLU and
+// its derivative, Axpy, the column sum, Adam and the k-means distances),
+// bit-identical to the scalar baselines in kernels.cc. Each vector lane
+// computes exactly one output element, with the scalar loop's multiplies,
+// adds, divides and square roots in the scalar loop's order. Two build
+// rules keep it that way:
 //
 //   - This TU is compiled with -mavx2 -ffp-contract=off and WITHOUT -mfma
 //     (src/CMakeLists.txt). With -mfma, GCC contracts
@@ -31,7 +33,7 @@ namespace {
 // Output rows per register tile; each tile spans 4 or 8 columns.
 constexpr size_t kTileRows = 4;
 
-// Lanes [0, count) of a column tail, count < 4.
+// Lanes [0, count) of a vector that ends past the data, count < 4.
 __m256i TailMask(size_t count) {
   return _mm256_setr_epi64x(count > 0 ? -1 : 0, count > 1 ? -1 : 0,
                             count > 2 ? -1 : 0, 0);
@@ -51,22 +53,25 @@ void StoreCols(double* p, bool masked, __m256i tail, __m256d v) {
 
 // R rows x 4V columns of C = op(A) * B (+ bias), the i-k-j loop of the
 // scalar NN/affine and transposed-A baselines. A element (r, kk) is
-// a[r * a_row + kk * a_k]; B is k x n with row stride ldb. Per lane:
+// a[r * a_row + kk * a_k]; B is k x n with row stride ldb. Per lane the
+// scalar loop computes
 //
 //   acc = +0; for kk ascending: if (A(r, kk) != 0) acc += A(r, kk) * B(kk, j);
 //   if (bias) acc += bias[j];
 //
-// The skip is a lane mask: _CMP_NEQ_UQ keeps a NaN A element, as the scalar
-// `av == 0` test does, and a skipped term adds +0. A sum that starts at +0
-// can never become -0, so adding +0 leaves its bits unchanged, whatever B
-// holds under the zero (inf and NaN included). With kTail the last column
-// vector covers only the lanes set in `tail`.
-template <size_t R, size_t V, bool kTail>
-void SkipTile(size_t k, const double* a, size_t a_row, size_t a_k,
-              const double* b, size_t ldb, const double* bias, __m256i tail,
-              double* c, size_t ldc) {
+// The tile first accumulates every product, skip or not. A zero A element
+// times a finite B element is +0 or -0, and adding a signed zero to a sum
+// that started at +0 changes no bit (such a sum is never -0). So the two
+// loops can differ only where a zero meets an inf or NaN in B, and that
+// leaves a NaN in the tile: a tile whose sums hold any NaN is recomputed
+// with the skip as a lane mask (_CMP_NEQ_UQ keeps a NaN A element, as the
+// scalar `av == 0` test does, and a skipped term adds +0). With kTail the
+// last column vector covers only the lanes set in `tail`.
+template <size_t R, size_t V, bool kTail, bool kSkip>
+void AccumulateTile(size_t k, const double* a, size_t a_row, size_t a_k,
+                    const double* b, size_t ldb, __m256i tail,
+                    __m256d (&acc)[R][V]) {
   const __m256d zero = _mm256_setzero_pd();
-  __m256d acc[R][V];
 #pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 2
@@ -81,13 +86,49 @@ void SkipTile(size_t k, const double* a, size_t a_row, size_t a_k,
 #pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r) {
       const __m256d av = _mm256_broadcast_sd(a + r * a_row + kk * a_k);
-      const __m256d keep = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
+      if constexpr (kSkip) {
+        const __m256d keep = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
 #pragma GCC unroll 2
-      for (size_t v = 0; v < V; ++v) {
-        acc[r][v] = _mm256_add_pd(
-            acc[r][v], _mm256_and_pd(_mm256_mul_pd(av, bv[v]), keep));
+        for (size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_add_pd(
+              acc[r][v], _mm256_and_pd(_mm256_mul_pd(av, bv[v]), keep));
+        }
+      } else {
+#pragma GCC unroll 2
+        for (size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+        }
       }
     }
+  }
+}
+
+// True when a live lane of the tile holds a NaN.
+template <size_t R, size_t V, bool kTail>
+bool TileHasNan(const __m256d (&acc)[R][V], __m256i tail) {
+  __m256d nan = _mm256_setzero_pd();
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      __m256d lane = _mm256_cmp_pd(acc[r][v], acc[r][v], _CMP_UNORD_Q);
+      if (kTail && v + 1 == V) {
+        lane = _mm256_and_pd(lane, _mm256_castsi256_pd(tail));
+      }
+      nan = _mm256_or_pd(nan, lane);
+    }
+  }
+  return _mm256_movemask_pd(nan) != 0;
+}
+
+template <size_t R, size_t V, bool kTail>
+void GemmTile(size_t k, const double* a, size_t a_row, size_t a_k,
+              const double* b, size_t ldb, const double* bias, __m256i tail,
+              double* c, size_t ldc) {
+  __m256d acc[R][V];
+  AccumulateTile<R, V, kTail, false>(k, a, a_row, a_k, b, ldb, tail, acc);
+  if (TileHasNan<R, V, kTail>(acc, tail)) {
+    AccumulateTile<R, V, kTail, true>(k, a, a_row, a_k, b, ldb, tail, acc);
   }
   if (bias != nullptr) {
 #pragma GCC unroll 2
@@ -109,47 +150,47 @@ void SkipTile(size_t k, const double* a, size_t a_row, size_t a_k,
 }
 
 template <size_t R>
-void SkipRows(size_t n, size_t k, const double* a, size_t a_row, size_t a_k,
+void GemmRows(size_t n, size_t k, const double* a, size_t a_row, size_t a_k,
               const double* b, const double* bias, double* c) {
   const __m256i none = _mm256_setzero_si256();
   size_t j = 0;
   for (; j + 8 <= n; j += 8) {
-    SkipTile<R, 2, false>(k, a, a_row, a_k, b + j, n,
+    GemmTile<R, 2, false>(k, a, a_row, a_k, b + j, n,
                           bias == nullptr ? nullptr : bias + j, none, c + j,
                           n);
   }
   if (j + 4 <= n) {
-    SkipTile<R, 1, false>(k, a, a_row, a_k, b + j, n,
+    GemmTile<R, 1, false>(k, a, a_row, a_k, b + j, n,
                           bias == nullptr ? nullptr : bias + j, none, c + j,
                           n);
     j += 4;
   }
   if (j < n) {
-    SkipTile<R, 1, true>(k, a, a_row, a_k, b + j, n,
+    GemmTile<R, 1, true>(k, a, a_row, a_k, b + j, n,
                          bias == nullptr ? nullptr : bias + j,
                          TailMask(n - j), c + j, n);
   }
 }
 
-void SkipGemm(size_t m, size_t n, size_t k, const double* a, size_t a_row,
+void TileGemm(size_t m, size_t n, size_t k, const double* a, size_t a_row,
               size_t a_k, const double* b, const double* bias, double* c) {
   size_t i = 0;
   for (; i + kTileRows <= m; i += kTileRows) {
-    SkipRows<kTileRows>(n, k, a + i * a_row, a_row, a_k, b, bias, c + i * n);
+    GemmRows<kTileRows>(n, k, a + i * a_row, a_row, a_k, b, bias, c + i * n);
   }
   for (; i < m; ++i) {
-    SkipRows<1>(n, k, a + i * a_row, a_row, a_k, b, bias, c + i * n);
+    GemmRows<1>(n, k, a + i * a_row, a_row, a_k, b, bias, c + i * n);
   }
 }
 
 void Affine(size_t m, size_t n, size_t k, const double* x, const double* w,
             const double* bias, double* y) {
-  SkipGemm(m, n, k, x, /*a_row=*/k, /*a_k=*/1, w, bias, y);
+  TileGemm(m, n, k, x, /*a_row=*/k, /*a_k=*/1, w, bias, y);
 }
 
 void GemmTa(size_t m, size_t n, size_t k, const double* a, const double* b,
             double* c) {
-  SkipGemm(m, n, k, a, /*a_row=*/1, /*a_k=*/m, b, /*bias=*/nullptr, c);
+  TileGemm(m, n, k, a, /*a_row=*/1, /*a_k=*/m, b, /*bias=*/nullptr, c);
 }
 
 // Loads the 4 x 4 block at b (row stride ldb) and transposes it in
@@ -233,7 +274,192 @@ void GemmTb(size_t m, size_t n, size_t k, const double* a, const double* b,
   for (; i < m; ++i) DotRows<1>(n, k, a + i * k, b, c + i * n);
 }
 
-constexpr DoubleKernels kAvx2Table = {Affine, GemmTa, GemmTb};
+// Calls body(i, masked, tail) for i = 0, 4, 8, ... below n; only the last
+// call, for a vector that ends past n, gets masked == true and the mask of
+// its lanes below n.
+template <typename Body>
+void ForEachVector(size_t n, const Body& body) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) body(i, false, all);
+  if (i < n) body(i, true, TailMask(n - i));
+}
+
+// x = x <= 0 ? +0 : x. The ordered compare is false for NaN, so a NaN
+// stays NaN as in the scalar `if (x <= 0) x = 0` (max_pd would not keep it).
+void Relu(size_t n, double* x) {
+  const __m256d zero = _mm256_setzero_pd();
+  ForEachVector(n, [&](size_t i, bool masked, __m256i tail) {
+    const __m256d v = LoadCols(x + i, masked, tail);
+    StoreCols(x + i, masked, tail,
+              _mm256_andnot_pd(_mm256_cmp_pd(v, zero, _CMP_LE_OQ), v));
+  });
+}
+
+// g *= ref > 0 ? 1 : 0, a multiply as in the scalar loop (0 * g keeps g's
+// sign on the zero, and 0 * inf is NaN).
+void ReluBackward(size_t n, const double* ref, double* g) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  ForEachVector(n, [&](size_t i, bool masked, __m256i tail) {
+    const __m256d factor = _mm256_and_pd(
+        _mm256_cmp_pd(LoadCols(ref + i, masked, tail), zero, _CMP_GT_OQ),
+        one);
+    StoreCols(g + i, masked, tail,
+              _mm256_mul_pd(LoadCols(g + i, masked, tail), factor));
+  });
+}
+
+void Axpy(size_t n, double alpha, const double* x, double* y) {
+  const __m256d alpha_v = _mm256_set1_pd(alpha);
+  ForEachVector(n, [&](size_t i, bool masked, __m256i tail) {
+    StoreCols(y + i, masked, tail,
+              _mm256_add_pd(LoadCols(y + i, masked, tail),
+                            _mm256_mul_pd(alpha_v,
+                                          LoadCols(x + i, masked, tail))));
+  });
+}
+
+// out[j] = +0 + a(0, j) + a(1, j) + ..., rows in order, one lane per
+// column; V vectors of columns per pass over the rows.
+template <size_t V, bool kTail>
+void ColSumBlock(size_t m, size_t n, const double* a, __m256i tail,
+                 double* out) {
+  __m256d acc[V];
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  for (size_t i = 0; i < m; ++i) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(
+          acc[v], LoadCols(a + i * n + 4 * v, kTail && v + 1 == V, tail));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) {
+    StoreCols(out + 4 * v, kTail && v + 1 == V, tail, acc[v]);
+  }
+}
+
+void ColSum(size_t m, size_t n, const double* a, double* out) {
+  const __m256i none = _mm256_setzero_si256();
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    ColSumBlock<4, false>(m, n, a + j, none, out + j);
+  }
+  for (; j + 4 <= n; j += 4) ColSumBlock<1, false>(m, n, a + j, none, out + j);
+  if (j < n) ColSumBlock<1, true>(m, n, a + j, TailMask(n - j), out + j);
+}
+
+// The scalar Adam step's exact shapes, unfused:
+//   m = beta1*m + (1-beta1)*g ; v = beta2*v + ((1-beta2)*g)*g
+//   p = p - (lr*(m/bias_c1)) / (sqrt(v/bias_c2) + eps)
+// _mm256_div_pd and _mm256_sqrt_pd round correctly, as the scalar ops do.
+void Adam(size_t n, double lr, double beta1, double beta2, double eps,
+          double bias_c1, double bias_c2, const double* g, double* m,
+          double* v, double* p) {
+  const __m256d lr_v = _mm256_set1_pd(lr);
+  const __m256d b1 = _mm256_set1_pd(beta1);
+  const __m256d b2 = _mm256_set1_pd(beta2);
+  const __m256d one_minus_b1 = _mm256_set1_pd(1.0 - beta1);
+  const __m256d one_minus_b2 = _mm256_set1_pd(1.0 - beta2);
+  const __m256d eps_v = _mm256_set1_pd(eps);
+  const __m256d c1 = _mm256_set1_pd(bias_c1);
+  const __m256d c2 = _mm256_set1_pd(bias_c2);
+  ForEachVector(n, [&](size_t j, bool masked, __m256i tail) {
+    const __m256d gj = LoadCols(g + j, masked, tail);
+    const __m256d mj =
+        _mm256_add_pd(_mm256_mul_pd(b1, LoadCols(m + j, masked, tail)),
+                      _mm256_mul_pd(one_minus_b1, gj));
+    const __m256d vj = _mm256_add_pd(
+        _mm256_mul_pd(b2, LoadCols(v + j, masked, tail)),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, gj), gj));
+    const __m256d m_hat = _mm256_div_pd(mj, c1);
+    const __m256d v_hat = _mm256_div_pd(vj, c2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr_v, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps_v));
+    StoreCols(m + j, masked, tail, mj);
+    StoreCols(v + j, masked, tail, vj);
+    StoreCols(p + j, masked, tail,
+              _mm256_sub_pd(LoadCols(p + j, masked, tail), step));
+  });
+}
+
+// R rows x 4 centers of the unweighted squared distances (x is n x d and
+// centers k x d, both with row stride d; out has row stride ldo), the
+// scalar loop per lane:
+//
+//   acc = +0; for j ascending: diff = x(i, j) - center(c, j); acc += diff*diff;
+//
+// The 4 centers arrive in 4 x 4 blocks transposed in registers, as B does
+// in DotTile.
+template <size_t R>
+void DistanceTile(size_t d, const double* x, const double* centers,
+                  double* out, size_t ldo) {
+  __m256d acc[R];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    __m256d col[4];
+    Transpose4(centers + j, d, col);
+#pragma GCC unroll 4
+    for (size_t q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+      for (size_t r = 0; r < R; ++r) {
+        const __m256d diff =
+            _mm256_sub_pd(_mm256_broadcast_sd(x + r * d + j + q), col[q]);
+        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(diff, diff));
+      }
+    }
+  }
+  for (; j < d; ++j) {
+    const __m256d col = _mm256_setr_pd(centers[j], centers[d + j],
+                                       centers[2 * d + j], centers[3 * d + j]);
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d diff =
+          _mm256_sub_pd(_mm256_broadcast_sd(x + r * d + j), col);
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(diff, diff));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) _mm256_storeu_pd(out + r * ldo, acc[r]);
+}
+
+template <size_t R>
+void DistanceRows(size_t d, size_t k, const double* x, const double* centers,
+                  double* out) {
+  size_t c = 0;
+  for (; c + 4 <= k; c += 4) {
+    DistanceTile<R>(d, x, centers + c * d, out + c, k);
+  }
+  // Fewer than 4 centers left: the scalar loop itself.
+  for (; c < k; ++c) {
+    for (size_t r = 0; r < R; ++r) {
+      double acc = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double diff = x[r * d + j] - centers[c * d + j];
+        acc += diff * diff;
+      }
+      out[r * k + c] = acc;
+    }
+  }
+}
+
+void SquaredDistances(size_t n, size_t d, size_t k, const double* x,
+                      const double* centers, double* out) {
+  size_t i = 0;
+  for (; i + kTileRows <= n; i += kTileRows) {
+    DistanceRows<kTileRows>(d, k, x + i * d, centers, out + i * k);
+  }
+  for (; i < n; ++i) DistanceRows<1>(d, k, x + i * d, centers, out + i * k);
+}
+
+constexpr DoubleKernels kAvx2Table = {
+    Affine, GemmTa, GemmTb, Relu, ReluBackward, Axpy, ColSum, Adam,
+    SquaredDistances};
 
 }  // namespace
 

@@ -30,14 +30,16 @@ struct FloatKernels {
                   float* out) = nullptr;
 };
 
-/// Function table for the float64 training-dtype GEMMs. Every entry is
+/// Function table for the float64 training-dtype kernels. Every entry is
 /// bit-identical to its scalar baseline in kernels.cc: each vector lane
-/// computes one output element with the scalar loop's multiplies and adds,
-/// unfused, in the scalar loop's order, and the zero-skip on an A element
-/// is a lane mask. All entries are set.
+/// computes one output element with the scalar loop's operations, unfused,
+/// in the scalar loop's order. The NN/affine and transposed-A tiles add
+/// every product and recompute, with the zero-skip as a lane mask, only a
+/// tile whose sums came out holding a NaN (see kernels_avx2_double.cc).
+/// All entries are set.
 struct DoubleKernels {
   /// Y(m x n) = X(m x k) * W(k x n) + bias (bias may be nullptr), with no
-  /// activation: the dispatcher runs the scalar activation pass after it.
+  /// activation: the dispatcher runs the activation pass after it.
   void (*affine)(size_t m, size_t n, size_t k, const double* x,
                  const double* w, const double* bias, double* y);
   /// C(m x n) = A^T * B with A stored k x m and B stored k x n.
@@ -46,6 +48,19 @@ struct DoubleKernels {
   /// C(m x n) = A(m x k) * B^T with B stored n x k.
   void (*gemm_tb)(size_t m, size_t n, size_t k, const double* a,
                   const double* b, double* c);
+  /// Act::kReLU in place: x = x <= 0 ? +0 : x.
+  void (*relu)(size_t n, double* x);
+  /// ActivationBackward for kReLU: g *= ref > 0 ? 1 : 0.
+  void (*relu_backward)(size_t n, const double* ref, double* g);
+  void (*axpy)(size_t n, double alpha, const double* x, double* y);
+  void (*col_sum)(size_t m, size_t n, const double* a, double* out);
+  void (*adam)(size_t n, double lr, double beta1, double beta2, double eps,
+               double bias_c1, double bias_c2, const double* g, double* m,
+               double* v, double* p);
+  /// SquaredDistances without weights (the k-means form); the weighted GMM
+  /// form stays on the scalar loop.
+  void (*sqdists)(size_t n, size_t d, size_t k, const double* x,
+                  const double* centers, double* out);
 };
 
 /// The AVX2 tables, or nullptr when this build carries no AVX2 code

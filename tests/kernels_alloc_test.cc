@@ -152,6 +152,43 @@ TEST_P(KernelsAllocTest, DistancesAllocateNothing) {
   ExpectDistancesAllocateNothing<double>();
 }
 
+// The training step's element-wise kernels, which the AVX2 backend runs
+// from the same function table as the GEMMs.
+template <typename T>
+void ExpectElementwiseAllocatesNothing() {
+  const size_t n = kM * kN;
+  const std::vector<T> g(n, T(0.5)), ref(n, T(-0.25));
+  std::vector<T> m(n, T(0.1)), v(n, T(0.2)), p(n, T(1)), y(n, T(0.75));
+  std::vector<T> col(kN);
+  EXPECT_EQ(AllocationsIn100Calls([&] {
+              AdamUpdate<T>(n, T(0.01), T(0.9), T(0.999), T(1e-8), T(0.1),
+                            T(0.001), g.data(), m.data(), v.data(), p.data());
+            }),
+            0u);
+  EXPECT_EQ(AllocationsIn100Calls(
+                [&] { Axpy<T>(n, T(-0.01), g.data(), y.data()); }),
+            0u);
+  EXPECT_EQ(AllocationsIn100Calls(
+                [&] { ColReduceSum<T>(kM, kN, g.data(), col.data()); }),
+            0u);
+  for (Act act : {Act::kReLU, Act::kLeakyReLU, Act::kSigmoid}) {
+    SCOPED_TRACE(::testing::Message() << "act=" << static_cast<int>(act));
+    EXPECT_EQ(AllocationsIn100Calls([&] {
+                ApplyActivation<T>(act, T(0.01), n, y.data());
+              }),
+              0u);
+    EXPECT_EQ(AllocationsIn100Calls([&] {
+                ActivationBackward<T>(act, T(0.01), n, ref.data(), y.data());
+              }),
+              0u);
+  }
+}
+
+TEST_P(KernelsAllocTest, ElementwiseKernelsAllocateNothing) {
+  ExpectElementwiseAllocatesNothing<float>();
+  ExpectElementwiseAllocatesNothing<double>();
+}
+
 // The counter itself works: a plain allocation is seen. The volatile
 // pointer keeps the compiler from eliding the new/delete pair.
 TEST(KernelsAllocCounterTest, CountsAHeapAllocation) {

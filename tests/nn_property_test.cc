@@ -12,6 +12,7 @@
 #include "nn/gradcheck.h"
 #include "nn/kernels/kernels.h"
 #include "nn/losses.h"
+#include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/sequential.h"
 
@@ -200,12 +201,14 @@ class KernelConfigGradCheckTest
   kernels::Backend saved_backend_ = kernels::Backend::kScalar;
 };
 
-// One backward pass over a fixed net/batch; returns every parameter
-// gradient, flattened. `params_only` takes Sequential::BackwardParams.
-std::vector<double> BackwardGradProbe(bool params_only = false) {
+// One backward pass over a fixed net/batch with `hidden` activations, then
+// one Adam step; returns every parameter gradient and every updated
+// parameter, flattened. `params_only` takes Sequential::BackwardParams.
+std::vector<double> BackwardGradProbe(Activation hidden,
+                                      bool params_only = false) {
   Rng rng(29);
-  Sequential net = Sequential::MakeMlp({6, 9, 5, 4}, Activation::kLeakyReLU,
-                                       Activation::kNone, &rng);
+  Sequential net =
+      Sequential::MakeMlp({6, 9, 5, 4}, hidden, Activation::kNone, &rng);
   Matrix x = RandomBatch(7, 6, 30);
   Matrix targets(7, 4, 0.25);
   net.ZeroGrads();
@@ -219,6 +222,11 @@ std::vector<double> BackwardGradProbe(bool params_only = false) {
   std::vector<double> flat = {ce.loss};
   for (Matrix* g : net.Grads()) {
     flat.insert(flat.end(), g->data().begin(), g->data().end());
+  }
+  Adam opt(net.Params(), net.Grads(), 0.01);
+  opt.Step();
+  for (Matrix* p : net.Params()) {
+    flat.insert(flat.end(), p->data().begin(), p->data().end());
   }
   return flat;
 }
@@ -236,25 +244,29 @@ TEST_P(KernelConfigGradCheckTest, GradCheckPassesUnderConfig) {
 }
 
 TEST_P(KernelConfigGradCheckTest, DoubleBackwardBitsInvariant) {
-  const std::vector<double> probe = BackwardGradProbe();
-  const std::vector<double> params_only = BackwardGradProbe(true);
+  for (Activation hidden : {Activation::kLeakyReLU, Activation::kReLU}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "hidden activation " << static_cast<int>(hidden));
+    const std::vector<double> probe = BackwardGradProbe(hidden);
+    const std::vector<double> params_only = BackwardGradProbe(hidden, true);
 
-  // Reference: scalar backend.
-  ASSERT_TRUE(kernels::SetBackendForTest(kernels::Backend::kScalar));
-  const std::vector<double> reference = BackwardGradProbe();
-  kernels::SetBackendForTest(GetParam());
+    // Reference: scalar backend.
+    ASSERT_TRUE(kernels::SetBackendForTest(kernels::Backend::kScalar));
+    const std::vector<double> reference = BackwardGradProbe(hidden);
+    kernels::SetBackendForTest(GetParam());
 
-  ASSERT_EQ(probe.size(), reference.size());
-  ASSERT_EQ(params_only.size(), reference.size());
-  for (size_t i = 0; i < probe.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(probe[i]),
-              std::bit_cast<uint64_t>(reference[i]))
-        << "gradient element " << i << " drifted under backend "
-        << kernels::BackendName(GetParam());
-    EXPECT_EQ(std::bit_cast<uint64_t>(params_only[i]),
-              std::bit_cast<uint64_t>(reference[i]))
-        << "BackwardParams gradient element " << i << " drifted under backend "
-        << kernels::BackendName(GetParam());
+    ASSERT_EQ(probe.size(), reference.size());
+    ASSERT_EQ(params_only.size(), reference.size());
+    for (size_t i = 0; i < probe.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(probe[i]),
+                std::bit_cast<uint64_t>(reference[i]))
+          << "gradient or updated parameter " << i
+          << " drifted under backend " << kernels::BackendName(GetParam());
+      EXPECT_EQ(std::bit_cast<uint64_t>(params_only[i]),
+                std::bit_cast<uint64_t>(reference[i]))
+          << "BackwardParams gradient or updated parameter " << i
+          << " drifted under backend " << kernels::BackendName(GetParam());
+    }
   }
 }
 

@@ -41,6 +41,15 @@ constexpr uint64_t kPipelineGolden[] = {
     0x3fd5fe1e65558100ull, 0x3fdcecf6cc41d2c8ull, 0x3fd5996c622b44f7ull,
     0x3fd599a7aa66e2ffull, 0x3fd5f24334b79abfull, 0x3fdd3444fdf4943eull};
 
+// Captured at commit 102ea35, before the AVX2 Adam, ReLU, Axpy, column-sum
+// and k-means distance kernels and the unmasked GEMM tiles: elbow probe
+// below (the elbow picks k = 4).
+constexpr uint64_t kElbowGolden[] = {
+    0x4010000000000000ull, 0x3fd07ed2a2c4c491ull, 0x3fd03b2e60638882ull,
+    0x3fd8fd3b34360f27ull, 0x3fd62ea64094155full, 0x3fd72ad78342a898ull,
+    0x3fd2fd86b04edda0ull, 0x3fded4e2eadb5635ull, 0x3fdece1b06caff6cull,
+    0x3fdee25c54913bffull};
+
 data::RawTable MakeTable(uint64_t seed, size_t normals) {
   Rng rng(seed);
   data::RawTable table;
@@ -125,6 +134,28 @@ std::vector<double> RunPipelineProbe() {
                              s.begin() + std::size(kPipelineGolden));
 }
 
+// The pipeline probe above pins k, so no elbow runs in it. This one lets
+// the elbow pick k (k-means for every k in 2..8, so the 4-center distance
+// blocks run too); its first entry is the chosen k.
+std::vector<double> RunElbowProbe() {
+  core::PipelineConfig config;
+  config.model.seed = 13;
+  config.model.selection.k = 0;
+  config.model.selection.autoencoder.epochs = 3;
+  config.model.epochs = 4;
+  auto trained = core::TargAdPipeline::Train(MakeTable(5, 96), config);
+  EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+  if (!trained.ok()) return {};
+  auto scores = trained.ValueOrDie().Score(MakeTable(6, 16));
+  EXPECT_TRUE(scores.ok()) << scores.status().ToString();
+  if (!scores.ok()) return {};
+  std::vector<double> probe = {
+      static_cast<double>(trained.ValueOrDie().model().k())};
+  const std::vector<double>& s = scores.ValueOrDie();
+  for (size_t i = 0; i < s.size(); i += 3) probe.push_back(s[i]);
+  return probe;
+}
+
 TEST(TrainingBitExactTest, MlpTrainingLoopMatchesSeedBits) {
   ExpectBitExact(RunMlpProbe(), kNetGolden, std::size(kNetGolden));
 }
@@ -132,6 +163,10 @@ TEST(TrainingBitExactTest, MlpTrainingLoopMatchesSeedBits) {
 TEST(TrainingBitExactTest, FullPipelineTrainingMatchesSeedBits) {
   ExpectBitExact(RunPipelineProbe(), kPipelineGolden,
                  std::size(kPipelineGolden));
+}
+
+TEST(TrainingBitExactTest, ElbowPipelineTrainingMatchesParentBits) {
+  ExpectBitExact(RunElbowProbe(), kElbowGolden, std::size(kElbowGolden));
 }
 
 // The SAME golden bits must come out on every backend available in the
@@ -165,6 +200,10 @@ TEST_P(TrainingBitExactSweepTest, MlpGoldenBitsInvariantWithoutInputGrad) {
 TEST_P(TrainingBitExactSweepTest, PipelineGoldenBitsInvariant) {
   ExpectBitExact(RunPipelineProbe(), kPipelineGolden,
                  std::size(kPipelineGolden));
+}
+
+TEST_P(TrainingBitExactSweepTest, ElbowGoldenBitsInvariant) {
+  ExpectBitExact(RunElbowProbe(), kElbowGolden, std::size(kElbowGolden));
 }
 
 INSTANTIATE_TEST_SUITE_P(
