@@ -23,8 +23,9 @@
 //     or stdio reads.
 //
 // The lint applies the bans to the hot function AND to everything it can
-// reach through resolvable calls, across translation units. Reachability
-// stops at TARGAD_HOT_PATH_TRUSTED boundaries (below).
+// reach through resolvable calls, across translation units, with no
+// exemption: a one-time initializer (a function-local static's) is scanned
+// like any other body, so it must be pure as well.
 //
 // The macro expands to the `hot` function attribute where available, so
 // the annotation also steers code layout; its real value is the lint
@@ -38,17 +39,6 @@
 #else
 #define TARGAD_HOT_PATH
 #endif
-
-// TARGAD_HOT_PATH_TRUSTED: an audited leaf of the hot path. The transitive
-// purity pass stops at functions carrying this annotation and does not scan
-// their bodies — use it for code that is hot-path-safe for reasons the
-// token-level checker cannot see (e.g. an amortized steady-state that
-// allocates only on first use, or a dispatch layer whose blocking branches
-// are unreachable from serving). Every use is a reviewed claim: the
-// annotation must sit next to a comment justifying why the body is exempt,
-// and it is NOT inherited — only this function's body is skipped; anything
-// the surrounding code calls directly is still checked.
-#define TARGAD_HOT_PATH_TRUSTED
 
 // TARGAD_POLL_THREAD: marks the event-loop root that runs on the network
 // poll thread (net/server.cc). targad-lint's poll-thread reachability pass

@@ -129,7 +129,6 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
     nn::Matrix logits = mlp_->Forward(batch);
     nn::Matrix grad(batch_rows, total_cols, 0.0);
     double step_ce = 0.0, step_oe = 0.0, step_re = 0.0;
-    const double batch_norm = static_cast<double>(batch_rows);
 
     // Accumulates a per-role gradient block into its contiguous slot of the
     // batch gradient. += 1.0*x is bit-identical to the historical += x.
@@ -137,6 +136,10 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
       nn::kernels::Axpy(part.size(), 1.0, part.data().data(),
                         grad.RowPtr(row_offset));
     };
+
+    // Each term averages over its own set, as Eq. (3)/(6) define it, so a
+    // labeled anomaly carries |D_U^N|/|D_L| times the gradient weight of a
+    // normal candidate.
 
     // L_CE on labeled target anomalies.
     if (nl > 0) {
@@ -146,8 +149,7 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
       }
       nn::Matrix targets = TargetPseudoLabelRows(classes, m_, k_);
       nn::LossResult ce = nn::WeightedSoftCrossEntropy(
-          logits.RowBlock(0, nl), targets, {},
-          config_.per_set_normalization ? static_cast<double>(nl) : batch_norm);
+          logits.RowBlock(0, nl), targets, {}, static_cast<double>(nl));
       step_ce += ce.loss;
       scatter(ce.grad, 0);
     }
@@ -161,8 +163,7 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
       nn::Matrix targets = NormalPseudoLabelRows(clusters, m_, k_);
       nn::LossResult ce = nn::WeightedSoftCrossEntropy(
           logits.RowBlock(nl, nn_count), targets, {},
-          config_.per_set_normalization ? static_cast<double>(nn_count)
-                                        : batch_norm);
+          static_cast<double>(nn_count));
       step_ce += ce.loss;
       scatter(ce.grad, nl);
     }
@@ -177,7 +178,7 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
       }
       nn::LossResult oe = nn::WeightedSoftCrossEntropy(
           logits.RowBlock(nl + nn_count, na), targets, w,
-          config_.per_set_normalization ? static_cast<double>(na) : batch_norm);
+          static_cast<double>(na));
       step_oe = oe.loss;
       oe.grad.MulInPlace(config_.lambda1);
       scatter(oe.grad, nl + nn_count);
@@ -185,10 +186,9 @@ EpochLoss TargAdClassifier::TrainEpoch(const nn::Matrix& labeled_x,
 
     // L_RE on D_L ∪ D_U^N rows, scaled by lambda2.
     if ((nl + nn_count) > 0 && config_.use_re) {
-      nn::LossResult re = nn::SoftmaxEntropy(
-          logits.RowBlock(0, nl + nn_count),
-          config_.per_set_normalization ? static_cast<double>(nl + nn_count)
-                                        : batch_norm);
+      nn::LossResult re =
+          nn::SoftmaxEntropy(logits.RowBlock(0, nl + nn_count),
+                             static_cast<double>(nl + nn_count));
       step_re = re.loss;
       re.grad.MulInPlace(config_.lambda2);
       scatter(re.grad, 0);

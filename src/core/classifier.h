@@ -42,12 +42,6 @@ struct ClassifierConfig {
   /// Ablation switches (Table III): drop L_OE / L_RE.
   bool use_oe = true;
   bool use_re = true;
-  /// Loss normalization. true = Eq. (3)/(6) exactly: each term averages
-  /// over its own set, giving every labeled anomaly |D_U^N|/|D_L| times the
-  /// gradient weight of a normal candidate. false = uniform per-instance
-  /// weighting across the batch (the common implementation shortcut of a
-  /// single cross-entropy over the concatenated batch).
-  bool per_set_normalization = true;
   uint64_t seed = 0;
 };
 

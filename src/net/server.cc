@@ -429,7 +429,7 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
 
   const uint64_t seq = s->BeginRequest();
   metrics_->RecordRowIn();
-  metrics_->RecordParseUs(ElapsedUs(ingest_start));
+  metrics_->RecordParseUs(serve::ElapsedUs(ingest_start));
   inflight_rows_.fetch_add(1, std::memory_order_relaxed);
   const auto submitted_at = std::chrono::steady_clock::now();
 
@@ -448,7 +448,7 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
           }
           reply = FormatErrStatus(result.status());
         }
-        metrics_->RecordScoreUs(ElapsedUs(submitted_at));
+        metrics_->RecordScoreUs(serve::ElapsedUs(submitted_at));
         if (session->Complete(seq, std::move(reply))) {
           {
             MutexLock lock(&ready_mu_);

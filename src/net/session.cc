@@ -66,7 +66,9 @@ TARGAD_HOT_PATH size_t Session::CollectReadyLocked(std::string* sink,
   size_t released = 0;
   while (!ring_.empty() && ring_.front().done) {
     const Reply& reply = ring_.front();
-    if (metrics != nullptr) metrics->RecordRespondUs(ElapsedUs(reply.done_at));
+    if (metrics != nullptr) {
+      metrics->RecordRespondUs(serve::ElapsedUs(reply.done_at));
+    }
     sink->append(reply.text);
     ring_.pop_front();
     ++next_flush_seq_;

@@ -40,7 +40,6 @@
 #include <string>
 #include <utility>
 
-#include "common/hot_path.h"
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "net/metrics.h"
@@ -48,14 +47,6 @@
 
 namespace targad {
 namespace net {
-
-/// Microseconds elapsed since `since` (clamped at 0).
-TARGAD_HOT_PATH inline uint64_t ElapsedUs(
-    std::chrono::steady_clock::time_point since) {
-  const auto d = std::chrono::steady_clock::now() - since;
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d);
-  return us.count() < 0 ? 0 : static_cast<uint64_t>(us.count());
-}
 
 class Session {
  public:

@@ -4,17 +4,23 @@
 // primitives declared here instead of hand-rolling its own nested loops
 // (targad-lint's raw-dense-loop rule enforces this outside this directory).
 //
+// Dtypes. double is the training dtype and every primitive is instantiated
+// for it. float is the serving dtype: a frozen float32 network runs only
+// FusedAffineActivation, so that is the only float instantiation and any
+// other float call fails to link (kernels.cc).
+//
 // Backends. Each primitive has a scalar baseline. The AVX2 backend adds
 // vector kernels compiled in separate translation units with target-specific
-// flags: the float serving kernels (kernels_avx2.cc, AVX2/FMA) and the hot
+// flags: the float fused affine (kernels_avx2.cc, AVX2/FMA) and the hot
 // double kernels of training (kernels_avx2_double.cc, AVX2 without FMA): the
 // three GEMM shapes — Gemm NN via the fused affine, transposed-A and
 // transposed-B — ReLU and its derivative, Axpy, ColReduceSum, AdamUpdate and
-// the unweighted SquaredDistances of k-means. The backend is
-// selected ONCE, on first kernel use, for both dtypes:
-// TARGAD_KERNEL_BACKEND=scalar|avx2 overrides the default of "AVX2 when the
-// CPU supports it". BackendName() reports the selection (targad_bench's
-// fingerprint records it as kernel_backend).
+// the unweighted SquaredDistances of k-means. The backend is selected ONCE,
+// on first kernel use, for both dtypes: AVX2 when the build carries it and
+// the CPU has AVX2 and FMA, scalar otherwise. There is no run-time
+// override; a scalar-only binary is a -DTARGAD_ENABLE_AVX2=OFF build.
+// BackendName() reports the selection (targad_bench's fingerprint records
+// it as kernel_backend).
 //
 // Determinism contract. double results are bit-identical on every backend
 // and on every machine. The scalar baseline's per-element accumulation order
@@ -27,7 +33,7 @@
 // tests/kernels_test.cc compares the backends bit for bit). The build
 // compiles src/ with -ffp-contract=off so no compiler fuses a double
 // multiply and add into an FMA, on x86-64 with -march flags or on aarch64.
-// Only the float AVX2 kernels may round differently: FMA and vector lane
+// Only the float AVX2 affine may round differently: FMA and vector lane
 // order change low-order float bits, which the serving calibration bounds
 // (<1e-4 score drift) absorb.
 //

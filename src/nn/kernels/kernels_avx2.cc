@@ -1,11 +1,12 @@
-// AVX2/FMA float kernels. This translation unit is compiled with
-// -mavx2 -mfma -ffp-contract=fast (see src/CMakeLists.txt; the rest of src/
-// is compiled with contraction off, which would change the float bits of
-// the scalar tails here). It deliberately includes only the kernel headers
+// The AVX2/FMA float fused affine, the only float kernel: a frozen float32
+// forward runs nothing else (see kernels.cc). This translation unit is
+// compiled with -mavx2 -mfma -ffp-contract=fast (see src/CMakeLists.txt; the
+// rest of src/ is compiled with contraction off, which would change the
+// float bits of the scalar tails here). It deliberately includes only the kernel headers
 // so no inline function from a common header gets compiled with AVX2
 // codegen here and then comdat-folded into a caller that runs on a non-AVX2
 // CPU. When the build does not enable AVX2 the #if below compiles this file
-// down to a null table and the dispatcher stays scalar.
+// down to a null entry and the dispatcher stays scalar.
 
 #include "nn/kernels/kernels_internal.h"
 
@@ -21,15 +22,6 @@ namespace nn {
 namespace kernels {
 namespace internal {
 namespace {
-
-float Hsum8(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
 
 __m256 ApplyActVec(Act act, __m256 slope, __m256 v) {
   switch (act) {
@@ -157,76 +149,9 @@ void Affine(size_t m, size_t n, size_t k, const float* x, const float* w,
   }
 }
 
-void Axpy(size_t n, float alpha, const float* x, float* y) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i), yv));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void Scale(size_t n, float alpha, float* x) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(av, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-float Dot(size_t n, const float* a, const float* b) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  return Hsum8(acc) + tail;
-}
-
-void SquaredDistances(size_t n, size_t d, size_t k, const float* x,
-                      const float* centers, const float* weights, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const float* x_row = x + i * d;
-    float* out_row = out + i * k;
-    for (size_t c = 0; c < k; ++c) {
-      const float* c_row = centers + c * d;
-      const float* w_row = weights == nullptr ? nullptr : weights + c * d;
-      __m256 acc = _mm256_setzero_ps();
-      size_t j = 0;
-      if (w_row == nullptr) {
-        for (; j + 8 <= d; j += 8) {
-          const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(x_row + j),
-                                            _mm256_loadu_ps(c_row + j));
-          acc = _mm256_fmadd_ps(diff, diff, acc);
-        }
-      } else {
-        for (; j + 8 <= d; j += 8) {
-          const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(x_row + j),
-                                            _mm256_loadu_ps(c_row + j));
-          acc = _mm256_fmadd_ps(_mm256_mul_ps(diff, diff),
-                                _mm256_loadu_ps(w_row + j), acc);
-        }
-      }
-      float tail = 0.0f;
-      for (; j < d; ++j) {
-        const float diff = x_row[j] - c_row[j];
-        tail += diff * diff * (w_row == nullptr ? 1.0f : w_row[j]);
-      }
-      out_row[c] = Hsum8(acc) + tail;
-    }
-  }
-}
-
-constexpr FloatKernels kAvx2Table = {Affine, Axpy, Scale, Dot,
-                                     SquaredDistances};
-
 }  // namespace
 
-const FloatKernels* Avx2FloatKernels() { return &kAvx2Table; }
+FloatAffineFn Avx2FloatAffine() { return Affine; }
 
 }  // namespace internal
 }  // namespace kernels
@@ -240,7 +165,7 @@ namespace nn {
 namespace kernels {
 namespace internal {
 
-const FloatKernels* Avx2FloatKernels() { return nullptr; }
+FloatAffineFn Avx2FloatAffine() { return nullptr; }
 
 }  // namespace internal
 }  // namespace kernels

@@ -1,8 +1,9 @@
 // Private contract between the dispatcher (kernels.cc) and the AVX2
-// translation units: kernels_avx2.cc (float, compiled with -mavx2 -mfma) and
-// kernels_avx2_double.cc (double, compiled with -mavx2 -ffp-contract=off and
-// without -mfma). The float table may round differently from the scalar
-// baseline; the double table may not (see kernels.h).
+// translation units: kernels_avx2.cc (the float affine, compiled with -mavx2
+// -mfma) and kernels_avx2_double.cc (double, compiled with -mavx2
+// -ffp-contract=off and without -mfma). The float affine may round
+// differently from the scalar baseline; the double table may not (see
+// kernels.h).
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_INTERNAL_H_
 #define TARGAD_NN_KERNELS_KERNELS_INTERNAL_H_
@@ -16,19 +17,12 @@ namespace nn {
 namespace kernels {
 namespace internal {
 
-/// Function table for the float32 serving-dtype kernels. Any null entry
-/// falls back to the scalar implementation for that primitive.
-struct FloatKernels {
-  void (*affine)(size_t m, size_t n, size_t k, const float* x, const float* w,
-                 const float* bias, Act act, float leaky_slope,
-                 float* y) = nullptr;
-  void (*axpy)(size_t n, float alpha, const float* x, float* y) = nullptr;
-  void (*scale)(size_t n, float alpha, float* x) = nullptr;
-  float (*dot)(size_t n, const float* a, const float* b) = nullptr;
-  void (*sqdists)(size_t n, size_t d, size_t k, const float* x,
-                  const float* centers, const float* weights,
-                  float* out) = nullptr;
-};
+/// The float32 fused affine+activation: Y = act(X * W + bias), bias may be
+/// nullptr. float is the serving dtype, and a frozen float32 network runs no
+/// other float kernel.
+using FloatAffineFn = void (*)(size_t m, size_t n, size_t k, const float* x,
+                               const float* w, const float* bias, Act act,
+                               float leaky_slope, float* y);
 
 /// Function table for the float64 training-dtype kernels. Every entry is
 /// bit-identical to its scalar baseline in kernels.cc: each vector lane
@@ -63,10 +57,10 @@ struct DoubleKernels {
                   const double* centers, double* out);
 };
 
-/// The AVX2 tables, or nullptr when this build carries no AVX2 code
+/// The AVX2 kernels, or nullptr when this build carries no AVX2 code
 /// (non-x86 target or TARGAD_ENABLE_AVX2=OFF). Runtime CPU support is the
 /// dispatcher's job; these only report what was compiled in.
-const FloatKernels* Avx2FloatKernels();
+FloatAffineFn Avx2FloatAffine();
 const DoubleKernels* Avx2DoubleKernels();
 
 }  // namespace internal

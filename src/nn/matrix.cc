@@ -206,10 +206,15 @@ void MatrixT<T>::Fill(T v) {
   for (T& x : data_) x = v;
 }
 
-// The library only ever computes in these two dtypes: double for training,
-// float for the frozen serving path.
+// double is the training dtype and gets every member. float is the serving
+// dtype: the float32 path (the encoder, the frozen network, the scorer)
+// only builds matrices, uses the inline accessors and hands buffers to the
+// fused affine kernel, so only the two constructors are instantiated for
+// it. Any other float matrix arithmetic then fails to link instead of
+// quietly adding a path no test covers.
 template class MatrixT<double>;
-template class MatrixT<float>;
+template MatrixT<float>::MatrixT(size_t, size_t, float);
+template MatrixT<float>::MatrixT(size_t, size_t, std::vector<float>);
 
 }  // namespace nn
 }  // namespace targad

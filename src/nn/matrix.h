@@ -4,8 +4,9 @@
 //
 // MatrixT<T> is templated over the element type so the inference path can
 // run in float32 while training stays double; `Matrix` (= MatrixT<double>)
-// is the alias the training code uses throughout. Only float and double are
-// instantiated (see matrix.cc).
+// is the alias the training code uses throughout. double instantiates every
+// member; float instantiates only the two constructors, since the float32
+// serving path does no matrix arithmetic of its own (see matrix.cc).
 
 #ifndef TARGAD_NN_MATRIX_H_
 #define TARGAD_NN_MATRIX_H_

@@ -10,16 +10,6 @@
 namespace targad {
 namespace serve {
 
-namespace {
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  const auto d = std::chrono::steady_clock::now() - since;
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d);
-  return us.count() < 0 ? 0 : static_cast<uint64_t>(us.count());
-}
-
-}  // namespace
-
 constexpr const char BatchScorer::kDefaultModel[];
 
 BatchScorer::BatchScorer(NamedSnapshotProvider provider,

@@ -9,16 +9,27 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/hot_path.h"
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 
 namespace targad {
 namespace serve {
+
+/// Microseconds elapsed since `since`, clamped at 0: the unit every serve
+/// and net latency histogram records.
+TARGAD_HOT_PATH inline uint64_t ElapsedUs(
+    std::chrono::steady_clock::time_point since) {
+  const auto d = std::chrono::steady_clock::now() - since;
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d);
+  return us.count() < 0 ? 0 : static_cast<uint64_t>(us.count());
+}
 
 /// Power-of-two-bucket histogram of non-negative integer samples: bucket i
 /// counts samples in [2^(i-1), 2^i) (bucket 0 counts {0}), saturating in

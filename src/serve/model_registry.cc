@@ -36,12 +36,6 @@ bool StatSignature(const std::string& path, FileSignature* sig) {
   return true;
 }
 
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  const auto d = std::chrono::steady_clock::now() - since;
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d);
-  return us.count() < 0 ? 0 : static_cast<uint64_t>(us.count());
-}
-
 /// The model file of each stem in `dir`, keyed (and so ordered) by stem:
 /// the stem's ".tgz1" when it has one, else its ".targad", else its
 /// ".model". LoadDirectory and the RefreshIfChanged re-scan both use it.

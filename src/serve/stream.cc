@@ -46,7 +46,7 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
   int label_col = -1;
   TARGAD_ASSIGN_OR_RETURN(label_col, MatchSchemaHeader(header, schema));
 
-  if (options.write_header) out << "s_tar\n";
+  out << "s_tar\n";
 
   StreamStats stats;
 
@@ -56,8 +56,8 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
         std::string(peeled.record.text), peeled.record.label_col);
   };
 
-  // Resolves the oldest in-flight row: writes its score (or error cell),
-  // retrying admission rejections with a short backoff.
+  // Resolves the oldest in-flight row: writes its score, retrying admission
+  // rejections with a short backoff, or returns the row's error.
   auto resolve = [&](InFlight* entry) -> Status {
     for (int attempt = 0;; ++attempt) {
       Result<double> result = entry->future.get();
@@ -72,11 +72,6 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
             std::chrono::microseconds(options.retry_delay_us));
         entry->future = submit(PeelRoute(entry->line, label_col));
         continue;
-      }
-      if (options.keep_going) {
-        out << "error:" << StatusCodeName(result.status().code()) << '\n';
-        ++stats.rows_failed;
-        return Status::OK();
       }
       return result.status();
     }

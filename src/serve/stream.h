@@ -10,9 +10,12 @@
 //
 // Multi-model routing: a data row may carry an extra LEADING cell of the
 // form "model=<name>"; that cell is stripped and the row is routed to the
-// named registry model. Rows without the cell go to the default model. An
-// unknown model name fails only that row (NotFound), never the stream —
-// with keep_going it becomes an "error:NotFound" output cell.
+// named registry model. Rows without the cell go to the default model.
+//
+// Errors: the first row whose score fails (an unknown model name fails
+// with NotFound) ends the stream with that row's status. The output then
+// holds the "s_tar" header and the scores of the rows before it, in order,
+// and nothing after.
 
 #ifndef TARGAD_SERVE_STREAM_H_
 #define TARGAD_SERVE_STREAM_H_
@@ -34,7 +37,6 @@ namespace serve {
 struct StreamStats {
   size_t rows_in = 0;      ///< Data rows read from the input.
   size_t rows_scored = 0;  ///< Futures that resolved to a score.
-  size_t rows_failed = 0;  ///< Futures that resolved to an error.
   size_t rows_routed = 0;  ///< Rows that carried a model=<name> cell.
   /// True when should_stop ended the session early (graceful drain): input
   /// reading stopped, but every already-submitted row was still resolved
@@ -49,11 +51,6 @@ struct StreamOptions {
   int admission_retries = 100;
   /// Backoff between admission retries.
   int64_t retry_delay_us = 500;
-  /// Write "s_tar" header before the scores.
-  bool write_header = true;
-  /// Per-row error behaviour: emit "error:<Code>" cells and continue
-  /// (true), or stop at the first failed row (false).
-  bool keep_going = false;
   /// Graceful-drain hook, polled between input lines (and consulted after a
   /// signal-interrupted read). When it returns true the driver stops
   /// reading, resolves every in-flight row in order, and returns with
@@ -63,12 +60,12 @@ struct StreamOptions {
 };
 
 /// Reads a CSV (header + feature rows, label column optional — it is
-/// dropped) from `in`, submits every row to `scorer`, and writes one score
-/// per row to `out` in input order. `schema` supplies the expected feature
-/// columns; it must be the same artifact the scorer's default-model
-/// snapshots come from (rows routed to other models must share the
-/// schema). Fails on malformed input, schema mismatch, or (when
-/// !keep_going) the first row whose future resolves to an error.
+/// dropped) from `in`, submits every row to `scorer`, and writes an "s_tar"
+/// header and then one score per row to `out` in input order. `schema`
+/// supplies the expected feature columns; it must be the same artifact the
+/// scorer's default-model snapshots come from (rows routed to other models
+/// must share the schema). Fails on malformed input, schema mismatch, or
+/// the first row whose future resolves to an error (see file comment).
 [[nodiscard]] Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
                                    BatchScorer* scorer, std::istream& in,
                                    std::ostream& out,

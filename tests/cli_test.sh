@@ -140,8 +140,8 @@ diff -q scores.csv serve_routed.csv || fail "routed scores differ"
 grep -q "model shadow:" routed_metrics.txt \
   || fail "per-model metrics missing routed model"
 
-# A row routed to an unknown model fails alone; the stream aborts on it
-# (keep_going is off in the CLI), exiting non-zero.
+# A row routed to an unknown model fails; the stream stops at that row's
+# error, exiting non-zero.
 printf 'model=missing-model,' > bad_route.csv
 head -2 data_test.csv | tail -1 >> bad_route.csv
 head -1 data_test.csv | cat - bad_route.csv > bad_routed_test.csv

@@ -57,8 +57,7 @@ namespace nn {
 namespace kernels {
 namespace {
 
-// Calls `fn` once to warm it (the first kernel call selects the backend,
-// which builds strings), then 100 times, and returns how many heap
+// Calls `fn` once to warm it, then 100 times, and returns how many heap
 // allocations those 100 calls made.
 template <typename Fn>
 size_t AllocationsIn100Calls(const Fn& fn) {
@@ -122,71 +121,59 @@ TEST_P(KernelsAllocTest, EveryGemmFormAllocatesNothing) {
   }
 }
 
-template <typename T>
-void ExpectDistancesAllocateNothing() {
+TEST_P(KernelsAllocTest, DistancesAllocateNothing) {
   // A k-means assignment pass and a column of reconstruction errors.
   const size_t n = 256, d = 16, k = 8;
-  const std::vector<T> x(n * d, T(0.5)), centers(k * d, T(-0.25));
-  const std::vector<T> weights(k * d, T(2));
-  std::vector<T> out(n * k);
+  const std::vector<double> x(n * d, 0.5), centers(k * d, -0.25);
+  const std::vector<double> weights(k * d, 2.0);
+  std::vector<double> out(n * k);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              SquaredDistances<T>(n, d, k, x.data(), centers.data(), nullptr,
-                                  out.data());
+              SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+                                       nullptr, out.data());
             }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              SquaredDistances<T>(n, d, k, x.data(), centers.data(),
-                                  weights.data(), out.data());
+              SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+                                       weights.data(), out.data());
             }),
             0u);
-  const std::vector<T> recon(n * d, T(0.75));
+  const std::vector<double> recon(n * d, 0.75);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              RowwiseSquaredDistances<T>(n, d, x.data(), recon.data(),
-                                         out.data());
+              RowwiseSquaredDistances<double>(n, d, x.data(), recon.data(),
+                                              out.data());
             }),
             0u);
-}
-
-TEST_P(KernelsAllocTest, DistancesAllocateNothing) {
-  ExpectDistancesAllocateNothing<float>();
-  ExpectDistancesAllocateNothing<double>();
 }
 
 // The training step's element-wise kernels, which the AVX2 backend runs
 // from the same function table as the GEMMs.
-template <typename T>
-void ExpectElementwiseAllocatesNothing() {
+TEST_P(KernelsAllocTest, ElementwiseKernelsAllocateNothing) {
   const size_t n = kM * kN;
-  const std::vector<T> g(n, T(0.5)), ref(n, T(-0.25));
-  std::vector<T> m(n, T(0.1)), v(n, T(0.2)), p(n, T(1)), y(n, T(0.75));
-  std::vector<T> col(kN);
+  const std::vector<double> g(n, 0.5), ref(n, -0.25);
+  std::vector<double> m(n, 0.1), v(n, 0.2), p(n, 1.0), y(n, 0.75);
+  std::vector<double> col(kN);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              AdamUpdate<T>(n, T(0.01), T(0.9), T(0.999), T(1e-8), T(0.1),
-                            T(0.001), g.data(), m.data(), v.data(), p.data());
+              AdamUpdate<double>(n, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001,
+                                 g.data(), m.data(), v.data(), p.data());
             }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls(
-                [&] { Axpy<T>(n, T(-0.01), g.data(), y.data()); }),
+                [&] { Axpy<double>(n, -0.01, g.data(), y.data()); }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls(
-                [&] { ColReduceSum<T>(kM, kN, g.data(), col.data()); }),
+                [&] { ColReduceSum<double>(kM, kN, g.data(), col.data()); }),
             0u);
   for (Act act : {Act::kReLU, Act::kLeakyReLU, Act::kSigmoid}) {
     SCOPED_TRACE(::testing::Message() << "act=" << static_cast<int>(act));
     EXPECT_EQ(AllocationsIn100Calls([&] {
-                ApplyActivation<T>(act, T(0.01), n, y.data());
+                ApplyActivation<double>(act, 0.01, n, y.data());
               }),
               0u);
     EXPECT_EQ(AllocationsIn100Calls([&] {
-                ActivationBackward<T>(act, T(0.01), n, ref.data(), y.data());
+                ActivationBackward<double>(act, 0.01, n, ref.data(), y.data());
               }),
               0u);
   }
-}
-
-TEST_P(KernelsAllocTest, ElementwiseKernelsAllocateNothing) {
-  ExpectElementwiseAllocatesNothing<float>();
-  ExpectElementwiseAllocatesNothing<double>();
 }
 
 // The counter itself works: a plain allocation is seen. The volatile

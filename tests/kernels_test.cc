@@ -27,7 +27,7 @@ namespace {
 
 // Naive references with the same accumulation orders as the scalar kernels,
 // so scalar results (and double on any backend) must match EXACTLY; the
-// AVX2 float results are held to a relative tolerance.
+// AVX2 float affine, the one float kernel, is held to a relative tolerance.
 
 template <typename T>
 std::vector<T> RefGemm(Trans ta, Trans tb, size_t m, size_t n, size_t k,
@@ -102,8 +102,9 @@ class KernelsBackendTest : public ::testing::TestWithParam<Backend> {
     }
   }
   void TearDown() override { SetBackendForTest(saved_backend_); }
-  // Exact for scalar (same accumulation order as the reference); relative
-  // tolerance for AVX2 float whose FMA/lane order differs.
+  // Exact for scalar and for double (same accumulation order as the
+  // reference); relative tolerance for the AVX2 float affine, whose FMA and
+  // lane order differ.
   template <typename T>
   void ExpectClose(const std::vector<T>& expected,
                    const std::vector<T>& actual) {
@@ -125,29 +126,23 @@ class KernelsBackendTest : public ::testing::TestWithParam<Backend> {
   Backend saved_backend_ = Backend::kScalar;
 };
 
-template <typename T>
-void RunGemmSweep(KernelsBackendTest* fixture) {
-  Rng rng(17);
-  for (const Shape& s : kShapes) {
-    for (const auto& [ta, tb] : kGemmForms) {
-      const auto a = FillRandom<T>(s.m * s.k, &rng, /*sparsity=*/0.3);
-      const auto b = FillRandom<T>(s.k * s.n, &rng);
-      std::vector<T> c(s.m * s.n, T(-1));
-      Gemm<T>(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
-      const auto expected = RefGemm<T>(ta, tb, s.m, s.n, s.k, a, b);
-      SCOPED_TRACE(::testing::Message()
-                   << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta="
-                   << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes));
-      fixture->ExpectClose(expected, c);
-    }
-  }
-}
-
 using KernelsSweepTest = KernelsBackendTest;
 
 TEST_P(KernelsSweepTest, GemmMatchesReferenceAcrossShapes) {
-  RunGemmSweep<float>(this);
-  RunGemmSweep<double>(this);
+  Rng rng(17);
+  for (const Shape& s : kShapes) {
+    for (const auto& [ta, tb] : kGemmForms) {
+      const auto a = FillRandom<double>(s.m * s.k, &rng, /*sparsity=*/0.3);
+      const auto b = FillRandom<double>(s.k * s.n, &rng);
+      std::vector<double> c(s.m * s.n, -1.0);
+      Gemm<double>(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
+      const auto expected = RefGemm<double>(ta, tb, s.m, s.n, s.k, a, b);
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta="
+                   << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes));
+      ExpectClose(expected, c);
+    }
+  }
 }
 
 template <typename T>
@@ -189,96 +184,78 @@ TEST_P(KernelsSweepTest, FusedAffineActivationMatchesReference) {
   RunAffineSweep<double>(this);
 }
 
-template <typename T>
-void RunVectorOps(KernelsSweepTest* fixture) {
+TEST_P(KernelsSweepTest, VectorOpsMatchReference) {
   Rng rng(31);
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                    size_t{64}, size_t{100}}) {
-    const auto x = FillRandom<T>(n, &rng);
-    auto y = FillRandom<T>(n, &rng);
-    const T alpha = static_cast<T>(rng.Normal(0.0, 1.0));
+    const auto x = FillRandom<double>(n, &rng);
+    auto y = FillRandom<double>(n, &rng);
+    const double alpha = rng.Normal(0.0, 1.0);
 
     auto expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] += alpha * x[i];
     auto actual = y;
-    Axpy<T>(n, alpha, x.data(), actual.data());
-    fixture->ExpectClose(expected, actual);
+    Axpy<double>(n, alpha, x.data(), actual.data());
+    ExpectClose(expected, actual);
 
     expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] *= alpha;
     actual = y;
-    Scale<T>(n, alpha, actual.data());
-    fixture->ExpectClose(expected, actual);
+    Scale<double>(n, alpha, actual.data());
+    ExpectClose(expected, actual);
 
     expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] *= x[i];
     actual = y;
-    Hadamard<T>(n, x.data(), actual.data());
-    fixture->ExpectClose(expected, actual);
+    Hadamard<double>(n, x.data(), actual.data());
+    ExpectClose(expected, actual);
 
-    T dot_ref = T(0);
+    double dot_ref = 0.0;
     for (size_t i = 0; i < n; ++i) dot_ref += x[i] * y[i];
-    fixture->ExpectClose(std::vector<T>{dot_ref},
-                         std::vector<T>{Dot<T>(n, x.data(), y.data())});
+    EXPECT_EQ(dot_ref, Dot<double>(n, x.data(), y.data()));
   }
 }
 
-TEST_P(KernelsSweepTest, VectorOpsMatchReference) {
-  RunVectorOps<float>(this);
-  RunVectorOps<double>(this);
-}
-
-template <typename T>
-void RunSquaredDistances(KernelsSweepTest* fixture) {
+TEST_P(KernelsSweepTest, SquaredDistancesMatchReference) {
   Rng rng(41);
   for (const Shape& s : kShapes) {
     const size_t n = s.m, d = s.k, k = s.n;
-    const auto x = FillRandom<T>(n * d, &rng);
-    const auto centers = FillRandom<T>(k * d, &rng);
-    auto weights = FillRandom<T>(k * d, &rng);
-    for (T& w : weights) w = std::abs(w) + T(0.5);
+    const auto x = FillRandom<double>(n * d, &rng);
+    const auto centers = FillRandom<double>(k * d, &rng);
+    auto weights = FillRandom<double>(k * d, &rng);
+    for (double& w : weights) w = std::abs(w) + 0.5;
 
     for (bool weighted : {false, true}) {
-      std::vector<T> expected(n * k, T(0));
+      std::vector<double> expected(n * k, 0.0);
       for (size_t i = 0; i < n; ++i) {
         for (size_t c = 0; c < k; ++c) {
-          T acc = T(0);
+          double acc = 0.0;
           for (size_t j = 0; j < d; ++j) {
-            const T diff = x[i * d + j] - centers[c * d + j];
+            const double diff = x[i * d + j] - centers[c * d + j];
             acc += weighted ? diff * diff * weights[c * d + j] : diff * diff;
           }
           expected[i * k + c] = acc;
         }
       }
-      std::vector<T> actual(n * k, T(-1));
-      SquaredDistances<T>(n, d, k, x.data(), centers.data(),
-                          weighted ? weights.data() : nullptr, actual.data());
+      std::vector<double> actual(n * k, -1.0);
+      SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+                               weighted ? weights.data() : nullptr,
+                               actual.data());
       SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d << " k=" << k
                                         << " weighted=" << weighted);
-      fixture->ExpectClose(expected, actual);
+      ExpectClose(expected, actual);
 
       // The pairwise entry point must agree with the batched one exactly.
       for (size_t i = 0; i < n; ++i) {
         for (size_t c = 0; c < k; ++c) {
-          const T pair = SquaredDistance<T>(
+          const double pair = SquaredDistance<double>(
               d, x.data() + i * d, centers.data() + c * d,
               weighted ? weights.data() + c * d : nullptr);
-          if (fixture->GetParam() == Backend::kScalar ||
-              std::is_same_v<T, double>) {
-            EXPECT_EQ(pair, actual[i * k + c]);
-          } else {
-            EXPECT_NEAR(pair, actual[i * k + c],
-                        1e-5 * std::max(1.0, std::abs(double(pair))));
-          }
+          EXPECT_EQ(pair, actual[i * k + c]);
         }
       }
     }
   }
-}
-
-TEST_P(KernelsSweepTest, SquaredDistancesMatchReference) {
-  RunSquaredDistances<float>(this);
-  RunSquaredDistances<double>(this);
 }
 
 TEST_P(KernelsSweepTest, ReductionsMatchReference) {
@@ -319,40 +296,34 @@ TEST_P(KernelsSweepTest, ReductionsMatchReference) {
   }
 }
 
-template <typename T>
-void RunActivationBackward(KernelsSweepTest* fixture) {
+TEST_P(KernelsSweepTest, ActivationBackwardMatchesReference) {
   Rng rng(67);
   const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
                        Act::kTanh};
-  const T slope = T(0.01);
+  const double slope = 0.01;
   for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{64}}) {
     for (Act act : kActs) {
-      const auto ref = FillRandom<T>(n, &rng);
-      const auto g0 = FillRandom<T>(n, &rng);
+      const auto ref = FillRandom<double>(n, &rng);
+      const auto g0 = FillRandom<double>(n, &rng);
       auto expected = g0;
       for (size_t i = 0; i < n; ++i) {
         switch (act) {
           case Act::kNone: break;
-          case Act::kReLU: expected[i] *= ref[i] > T(0) ? T(1) : T(0); break;
+          case Act::kReLU: expected[i] *= ref[i] > 0.0 ? 1.0 : 0.0; break;
           case Act::kLeakyReLU:
-            if (ref[i] < T(0)) expected[i] *= slope;
+            if (ref[i] < 0.0) expected[i] *= slope;
             break;
-          case Act::kSigmoid: expected[i] *= ref[i] * (T(1) - ref[i]); break;
-          case Act::kTanh: expected[i] *= T(1) - ref[i] * ref[i]; break;
+          case Act::kSigmoid: expected[i] *= ref[i] * (1.0 - ref[i]); break;
+          case Act::kTanh: expected[i] *= 1.0 - ref[i] * ref[i]; break;
         }
       }
       auto actual = g0;
-      ActivationBackward<T>(act, slope, n, ref.data(), actual.data());
+      ActivationBackward<double>(act, slope, n, ref.data(), actual.data());
       SCOPED_TRACE(::testing::Message()
                    << "n=" << n << " act=" << static_cast<int>(act));
-      fixture->ExpectClose(expected, actual);
+      ExpectClose(expected, actual);
     }
   }
-}
-
-TEST_P(KernelsSweepTest, ActivationBackwardMatchesReference) {
-  RunActivationBackward<float>(this);
-  RunActivationBackward<double>(this);
 }
 
 TEST_P(KernelsSweepTest, ScaledDiffMatchesReference) {

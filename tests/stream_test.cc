@@ -1,6 +1,7 @@
 // serve/stream.cc: the stdio stream driver. The happy path rides along in
 // the CLI round trip; this file covers the admission-retry path, which only
-// runs when the scorer's queue is full.
+// runs when the scorer's queue is full, and the stop at a row whose score
+// fails.
 
 #include "serve/stream.h"
 
@@ -118,13 +119,39 @@ TEST(ScoreCsvStreamTest, AdmissionRejectionsRetryInInputOrder) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->rows_in, 4u);
   EXPECT_EQ(stats->rows_scored, stats->rows_in);
-  EXPECT_EQ(stats->rows_failed, 0u);
   EXPECT_EQ(out.str(), "s_tar\n1.500000\n-2.000000\n3.250000\n4.000000\n");
   for (size_t i = 0; i < fillers.size(); ++i) {
     Result<double> result = fillers[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(*result, 100.0 + static_cast<double>(i));
   }
+}
+
+// A row routed to a model the provider does not know fails with NotFound.
+// The stream returns that row's status; the output keeps the header and the
+// earlier rows' scores in order, and nothing from the row after it, which
+// was already submitted.
+TEST(ScoreCsvStreamTest, FailedRowEndsStreamAfterEarlierScores) {
+  auto model = std::make_shared<const FirstCellScorer>();
+  BatchScorer scorer(
+      BatchScorer::NamedSnapshotProvider(
+          [model](const std::string& name)
+              -> std::shared_ptr<const core::RowScorer> {
+            return name == BatchScorer::kDefaultModel ? model : nullptr;
+          }),
+      BatchScorerOptions{});
+  ASSERT_GE(scorer.options().max_queue_rows, 4u);
+
+  std::istringstream in(
+      "f0,label,f1\n1.5,a,0\n-2,b,0\nmodel=missing,3.25,c,0\n4,d,0\n");
+  std::ostringstream out;
+  Result<StreamStats> stats = ScoreCsvStream(*model, &scorer, in, out);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kNotFound)
+      << stats.status().ToString();
+  EXPECT_NE(stats.status().ToString().find("missing"), std::string::npos)
+      << stats.status().ToString();
+  EXPECT_EQ(out.str(), "s_tar\n1.500000\n-2.000000\n");
 }
 
 }  // namespace

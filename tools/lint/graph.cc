@@ -110,8 +110,7 @@ std::vector<size_t> ResolveCall(const ProgramModel& pm, size_t fi,
 // Breadth-first reachability from `root` over the call graph, recording the
 // parent of each first visit. Returns visit order (root first).
 std::vector<size_t> Reach(const ProgramModel& pm, size_t root,
-                          std::map<size_t, size_t>* parent,
-                          const std::set<size_t>* stop) {
+                          std::map<size_t, size_t>* parent) {
   std::vector<size_t> order;
   std::set<size_t> seen{root};
   std::deque<size_t> queue{root};
@@ -119,7 +118,6 @@ std::vector<size_t> Reach(const ProgramModel& pm, size_t root,
     const size_t fi = queue.front();
     queue.pop_front();
     order.push_back(fi);
-    if (stop != nullptr && stop->count(fi) > 0) continue;
     for (const std::vector<size_t>& targets : pm.edges[fi]) {
       for (size_t t : targets) {
         if (seen.insert(t).second) {
@@ -307,19 +305,15 @@ std::vector<Finding> CheckLockOrder(const ProgramModel& pm) {
 
 std::vector<Finding> CheckTransitivePurity(const ProgramModel& pm) {
   std::vector<Finding> out;
-  std::set<size_t> trusted;
   std::vector<size_t> roots;
   for (size_t fi = 0; fi < pm.fns.size(); ++fi) {
-    if (pm.fn(fi).trusted) trusted.insert(fi);
-    if (pm.fn(fi).hot && !pm.fn(fi).trusted) roots.push_back(fi);
+    if (pm.fn(fi).hot) roots.push_back(fi);
   }
 
   std::set<size_t> scanned;
   for (size_t root : roots) {
     std::map<size_t, size_t> parent;
-    const std::vector<size_t> order = Reach(pm, root, &parent, &trusted);
-    for (size_t fi : order) {
-      if (trusted.count(fi) > 0) continue;  // Audited boundary: unscanned.
+    for (size_t fi : Reach(pm, root, &parent)) {
       if (!scanned.insert(fi).second) continue;
       const FnSym& fn = pm.fn(fi);
       const FileSymbols& fs = pm.file_of(fi);
@@ -375,7 +369,7 @@ std::vector<Finding> CheckPollThreadReachability(const ProgramModel& pm) {
         "the poll thread (TARGAD_POLL_THREAD root " +
         QualName(pm.fn(root)) + ")";
     std::map<size_t, size_t> parent;
-    for (size_t fi : Reach(pm, root, &parent, nullptr)) {
+    for (size_t fi : Reach(pm, root, &parent)) {
       const FnSym& fn = pm.fn(fi);
       const FileSymbols& fs = pm.file_of(fi);
       if (!IsSrcModule(fs.module)) continue;

@@ -15,9 +15,8 @@
 //   hot-path-*              transitive purity: the TARGAD_HOT_PATH bans
 //                           (tools/lint/purity.h) applied over full
 //                           call-graph reachability instead of one level
-//                           inside one TU. TARGAD_HOT_PATH_TRUSTED marks an
-//                           audited boundary: traversal stops there and the
-//                           body is not scanned.
+//                           inside one TU. Nothing reachable is exempt: a
+//                           static's one-time initializer is scanned too.
 //   poll-thread-block       no TARGAD_POLL_THREAD-reachable function may
 //                           call a blocking syscall (the root's own poll()
 //                           is the one exemption: it IS the event wait).

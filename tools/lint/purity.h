@@ -3,7 +3,7 @@
 // take locks, log, or block. This header owns the token-level ban scanner;
 // the whole-program transitive pass in tools/lint/graph.h decides WHICH
 // bodies to scan (every function reachable from a hot root over the
-// cross-TU call graph, stopping at TARGAD_HOT_PATH_TRUSTED boundaries).
+// cross-TU call graph).
 //
 // Rule ids (one per ban family, so findings read precisely and self-tests
 // can seed each independently):

@@ -376,16 +376,17 @@ std::vector<SelfCase> Cases() {
        "  return p[0];\n"
        "}\n",
        {{"hot-path-alloc", 2}}},
-      // TARGAD_HOT_PATH_TRUSTED is an audited boundary: traversal stops and
-      // the trusted body is not scanned, so the allocation at line 2 is
-      // deliberate and clean.
-      {"nn/kernels/trusted.cc",
-       "TARGAD_HOT_PATH_TRUSTED int AuditedScratch(int n) {\n"
-       "  int* p = new int[n];\n"
-       "  return p[0];\n"
+      // A static's one-time initializer is scanned too: the hot entry
+      // reaches DispatchTable(), whose static is built by an allocating
+      // helper (the shape of nn/kernels' State() and MakeState()).
+      {"nn/kernels/static_init.cc",
+       "int* BuildDispatchTable(int n) { return new int[n]; }\n"
+       "int* DispatchTable() {\n"
+       "  static int* table = BuildDispatchTable(8);\n"
+       "  return table;\n"
        "}\n"
-       "TARGAD_HOT_PATH int HotViaTrusted(int n) { return AuditedScratch(n); }\n",
-       {}},
+       "TARGAD_HOT_PATH int HotViaStatic(int i) { return DispatchTable()[i]; }\n",
+       {{"hot-path-alloc", 1}}},
       // Poll-thread reachability: the TARGAD_POLL_THREAD root's own poll()
       // is the event wait (exempt, line 6) and kNetSession is an allowed
       // rank (line 7); but the reachable helper takes kMid (line 13) and

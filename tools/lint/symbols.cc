@@ -467,7 +467,6 @@ FileSymbols ExtractFileSymbols(const std::string& rel,
     for (size_t j : s) {
       const Token& t = code[orig[j]];
       if (IsIdent(t, "TARGAD_HOT_PATH")) fn.hot = true;
-      if (IsIdent(t, "TARGAD_HOT_PATH_TRUSTED")) fn.trusted = true;
       if (IsIdent(t, "TARGAD_POLL_THREAD")) fn.poll_root = true;
     }
     fn.requires_mutexes = MacroArgs(code, orig, s, "TARGAD_REQUIRES");

@@ -52,7 +52,6 @@ struct FnSym {
   std::string cls;   // Enclosing or qualifying class, "" for free functions.
   int line = 0;
   bool hot = false;        // TARGAD_HOT_PATH before the body.
-  bool trusted = false;    // TARGAD_HOT_PATH_TRUSTED (audited leaf).
   bool poll_root = false;  // TARGAD_POLL_THREAD (event-loop root).
   size_t body_begin = 0;   // Code-token index of the body's '{'.
   size_t body_end = 0;     // One past the body's '}'.

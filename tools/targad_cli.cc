@@ -655,10 +655,9 @@ int CmdServe(const Flags& flags) {
   stop_refresher();
   if (!stats.ok()) return Fail(stats.status().ToString());
   std::fprintf(stderr,
-               "served %zu rows (%zu scored, %zu failed, %zu routed, "
-               "dtype %s)\n",
-               stats->rows_in, stats->rows_scored, stats->rows_failed,
-               stats->rows_routed, nn::DtypeName(*dtype));
+               "served %zu rows (%zu scored, %zu routed, dtype %s)\n",
+               stats->rows_in, stats->rows_scored, stats->rows_routed,
+               nn::DtypeName(*dtype));
   if (stats->stopped_early) {
     std::fprintf(stderr,
                  "drain: stopped early on signal, all in-flight rows "

@@ -50,8 +50,7 @@
 //   hot-path-*             the purity contract (common/hot_path.h) enforced
 //                          over full call-graph reachability from every
 //                          TARGAD_HOT_PATH function, across translation
-//                          units; TARGAD_HOT_PATH_TRUSTED marks an audited
-//                          leaf where traversal stops.
+//                          units, with no exempt callee.
 //   poll-thread-block      nothing reachable from a TARGAD_POLL_THREAD
 //   poll-thread-lock       event-loop root may block, take a lock outside
 //   poll-thread-alloc-loop the kNetSession/kNetReady ranks, or grow a
