@@ -61,7 +61,7 @@ class Autoencoder {
   const AutoencoderConfig& config() const { return config_; }
   Sequential& encoder() { return encoder_; }
   Sequential& decoder() { return decoder_; }
-  Optimizer& optimizer() { return *optimizer_; }
+  Adam& optimizer() { return *optimizer_; }
 
  private:
   AutoencoderConfig config_;

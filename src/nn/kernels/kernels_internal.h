@@ -1,9 +1,7 @@
 // Private contract between the dispatcher (kernels.cc) and the AVX2
-// translation units: kernels_avx2.cc (the float affine, compiled with -mavx2
-// -mfma) and kernels_avx2_double.cc (double, compiled with -mavx2
-// -ffp-contract=off and without -mfma). The float affine may round
-// differently from the scalar baseline; the double table may not (see
-// kernels.h).
+// translation unit, kernels_avx2.cc (compiled with -mavx2 alone, under
+// src/'s -ffp-contract=off). Every entry is bit-identical to its scalar
+// baseline in kernels.cc (see kernels.h).
 
 #ifndef TARGAD_NN_KERNELS_KERNELS_INTERNAL_H_
 #define TARGAD_NN_KERNELS_KERNELS_INTERNAL_H_
@@ -17,25 +15,25 @@ namespace nn {
 namespace kernels {
 namespace internal {
 
-/// The float32 fused affine+activation: Y = act(X * W + bias), bias may be
-/// nullptr. float is the serving dtype, and a frozen float32 network runs no
-/// other float kernel.
-using FloatAffineFn = void (*)(size_t m, size_t n, size_t k, const float* x,
-                               const float* w, const float* bias, Act act,
-                               float leaky_slope, float* y);
+/// Y(m x n) = X(m x k) * W(k x n) + bias (bias may be nullptr), then act
+/// when it is kNone, kReLU or kLeakyReLU. For kSigmoid and kTanh, which
+/// call libm, it stores X * W + bias and the dispatcher runs the activation
+/// pass over it.
+template <typename T>
+using AffineFn = void (*)(size_t m, size_t n, size_t k, const T* x,
+                          const T* w, const T* bias, Act act, T leaky_slope,
+                          T* y);
 
-/// Function table for the float64 training-dtype kernels. Every entry is
-/// bit-identical to its scalar baseline in kernels.cc: each vector lane
-/// computes one output element with the scalar loop's operations, unfused,
-/// in the scalar loop's order. The NN/affine and transposed-A tiles add
-/// every product and recompute, with the zero-skip as a lane mask, only a
-/// tile whose sums came out holding a NaN (see kernels_avx2_double.cc).
-/// All entries are set.
-struct DoubleKernels {
-  /// Y(m x n) = X(m x k) * W(k x n) + bias (bias may be nullptr), with no
-  /// activation: the dispatcher runs the activation pass after it.
-  void (*affine)(size_t m, size_t n, size_t k, const double* x,
-                 const double* w, const double* bias, double* y);
+/// Function table of the AVX2 backend. Each vector lane computes one output
+/// element with the scalar loop's operations, unfused, in the scalar loop's
+/// order. The affine and transposed-A tiles add every product and
+/// recompute, with the zero-skip as a lane mask, only a tile whose sums came
+/// out holding a NaN (see kernels_avx2.cc). All entries are set.
+struct Avx2Kernels {
+  /// The fused affine in both dtypes; the float one is the only float
+  /// kernel, since a frozen float32 network runs nothing else.
+  AffineFn<float> affine_f32;
+  AffineFn<double> affine_f64;
   /// C(m x n) = A^T * B with A stored k x m and B stored k x n.
   void (*gemm_ta)(size_t m, size_t n, size_t k, const double* a,
                   const double* b, double* c);
@@ -57,11 +55,10 @@ struct DoubleKernels {
                   const double* centers, double* out);
 };
 
-/// The AVX2 kernels, or nullptr when this build carries no AVX2 code
+/// The AVX2 table, or nullptr when this build carries no AVX2 code
 /// (non-x86 target or TARGAD_ENABLE_AVX2=OFF). Runtime CPU support is the
-/// dispatcher's job; these only report what was compiled in.
-FloatAffineFn Avx2FloatAffine();
-const DoubleKernels* Avx2DoubleKernels();
+/// dispatcher's job; this only reports what was compiled in.
+const Avx2Kernels* Avx2Table();
 
 }  // namespace internal
 }  // namespace kernels

@@ -6,6 +6,7 @@
 #ifndef TARGAD_NN_LAYERS_H_
 #define TARGAD_NN_LAYERS_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,7 +61,9 @@ class Layer {
   virtual void set_training(bool training) { (void)training; }
 
   void ZeroGrads() {
-    for (Matrix* g : Grads()) g->Fill(0.0);
+    for (Matrix* g : Grads()) {
+      std::fill(g->data().begin(), g->data().end(), 0.0);
+    }
   }
 };
 

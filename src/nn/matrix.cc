@@ -98,14 +98,6 @@ MatrixT<T>& MatrixT<T>::AddInPlace(const MatrixT& other) {
 }
 
 template <typename T>
-MatrixT<T>& MatrixT<T>::SubInPlace(const MatrixT& other) {
-  TARGAD_CHECK(SameShape(other)) << "SubInPlace shape mismatch";
-  // alpha = -1: y += (-1) * x is IEEE-identical to y -= x.
-  kernels::Axpy(data_.size(), T(-1), other.data_.data(), data_.data());
-  return *this;
-}
-
-template <typename T>
 MatrixT<T>& MatrixT<T>::MulInPlace(T s) {
   kernels::Scale(data_.size(), s, data_.data());
   return *this;
@@ -126,72 +118,8 @@ MatrixT<T> MatrixT<T>::Add(const MatrixT& other) const {
 }
 
 template <typename T>
-MatrixT<T> MatrixT<T>::Sub(const MatrixT& other) const {
-  MatrixT out = *this;
-  out.SubInPlace(other);
-  return out;
-}
-
-template <typename T>
-MatrixT<T> MatrixT<T>::Mul(T s) const {
-  MatrixT out = *this;
-  out.MulInPlace(s);
-  return out;
-}
-
-template <typename T>
-MatrixT<T>& MatrixT<T>::AddRowVectorInPlace(const std::vector<T>& bias) {
-  TARGAD_CHECK(bias.size() == cols_) << "AddRowVectorInPlace size mismatch";
-  kernels::AddRowVector(rows_, cols_, bias.data(), data_.data());
-  return *this;
-}
-
-template <typename T>
-MatrixT<T> MatrixT<T>::Map(const std::function<T(T)>& fn) const {
-  MatrixT out = *this;
-  out.MapInPlace(fn);
-  return out;
-}
-
-template <typename T>
 void MatrixT<T>::MapInPlace(const std::function<T(T)>& fn) {
   for (T& v : data_) v = fn(v);
-}
-
-template <typename T>
-std::vector<T> MatrixT<T>::ColSums() const {
-  std::vector<T> sums(cols_, T(0));
-  kernels::ColReduceSum(rows_, cols_, data_.data(), sums.data());
-  return sums;
-}
-
-template <typename T>
-std::vector<T> MatrixT<T>::RowSums() const {
-  std::vector<T> sums(rows_, T(0));
-  kernels::RowReduce(kernels::RowReduceOp::kSum, rows_, cols_, data_.data(),
-                     sums.data());
-  return sums;
-}
-
-template <typename T>
-std::vector<T> MatrixT<T>::RowSquaredNorms() const {
-  std::vector<T> norms(rows_, T(0));
-  kernels::RowReduce(kernels::RowReduceOp::kSquaredNorm, rows_, cols_,
-                     data_.data(), norms.data());
-  return norms;
-}
-
-template <typename T>
-T MatrixT<T>::Sum() const {
-  return kernels::ReduceSum(data_.size(), data_.data());
-}
-
-template <typename T>
-T MatrixT<T>::SquaredNorm() const {
-  T norm = T(0);
-  kernels::RowReduce(kernels::RowReduceOp::kSquaredNorm, 1, data_.size(),
-                     data_.data(), &norm);
-  return norm;
 }
 
 template <typename T>
@@ -199,11 +127,6 @@ T MatrixT<T>::RowSquaredDistance(size_t r, const MatrixT& other,
                                  size_t s) const {
   TARGAD_CHECK(cols_ == other.cols_ && r < rows_ && s < other.rows_);
   return kernels::SquaredDistance(cols_, RowPtr(r), other.RowPtr(s));
-}
-
-template <typename T>
-void MatrixT<T>::Fill(T v) {
-  for (T& x : data_) x = v;
 }
 
 // double is the training dtype and gets every member. float is the serving

@@ -107,45 +107,17 @@ class MatrixT {
   MatrixT Transpose() const;
 
   MatrixT& AddInPlace(const MatrixT& other);
-  MatrixT& SubInPlace(const MatrixT& other);
   MatrixT& MulInPlace(T s);
   /// Hadamard (element-wise) product.
   MatrixT& HadamardInPlace(const MatrixT& other);
 
   MatrixT Add(const MatrixT& other) const;
-  MatrixT Sub(const MatrixT& other) const;
-  MatrixT Mul(T s) const;
-
-  /// Adds `bias` (length cols()) to every row.
-  MatrixT& AddRowVectorInPlace(const std::vector<T>& bias);
-
-  /// Applies fn element-wise, returning a new matrix.
-  MatrixT Map(const std::function<T(T)>& fn) const;
 
   /// Applies fn element-wise in place.
   void MapInPlace(const std::function<T(T)>& fn);
 
-  // ---- Reductions -------------------------------------------------------
-
-  /// Column sums (length cols()).
-  std::vector<T> ColSums() const;
-
-  /// Per-row sums (length rows()).
-  std::vector<T> RowSums() const;
-
-  /// Squared L2 norm of each row.
-  std::vector<T> RowSquaredNorms() const;
-
-  /// Sum of all elements.
-  T Sum() const;
-
-  /// Frobenius norm squared.
-  T SquaredNorm() const;
-
   /// Squared Euclidean distance between row r of this and row s of other.
   T RowSquaredDistance(size_t r, const MatrixT& other, size_t s) const;
-
-  void Fill(T v);
 
   bool SameShape(const MatrixT& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

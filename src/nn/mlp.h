@@ -59,7 +59,6 @@ class Mlp {
 
   Sequential& net() { return net_; }
   const Sequential& net() const { return net_; }
-  Optimizer& optimizer() { return *optimizer_; }
   const MlpConfig& config() const { return config_; }
 
  private:

@@ -8,52 +8,23 @@
 namespace targad {
 namespace nn {
 
-Optimizer::Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads)
-    : params_(std::move(params)), grads_(std::move(grads)) {
-  TARGAD_CHECK(params_.size() == grads_.size())
-      << "Optimizer: params/grads size mismatch";
-  for (size_t i = 0; i < params_.size(); ++i) {
-    TARGAD_CHECK(params_[i]->SameShape(*grads_[i]))
-        << "Optimizer: param/grad shape mismatch at index " << i;
-  }
-}
-
-Sgd::Sgd(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
-         double momentum)
-    : Optimizer(std::move(params), std::move(grads)), momentum_(momentum) {
-  lr_ = lr;
-  if (momentum_ != 0.0) {
-    velocity_.reserve(params_.size());
-    for (Matrix* p : params_) velocity_.emplace_back(p->rows(), p->cols(), 0.0);
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i]->data();
-    const auto& g = grads_[i]->data();
-    if (momentum_ == 0.0) {
-      // p += (-lr) * g is IEEE-identical to p -= lr * g.
-      kernels::Axpy(p.size(), -lr_, g.data(), p.data());
-    } else {
-      kernels::SgdMomentumUpdate(p.size(), lr_, momentum_, g.data(),
-                                 velocity_[i].data().data(), p.data());
-    }
-  }
-}
-
 Adam::Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
            double beta1, double beta2, double eps)
-    : Optimizer(std::move(params), std::move(grads)),
+    : params_(std::move(params)),
+      grads_(std::move(grads)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps) {
-  lr_ = lr;
+  TARGAD_CHECK(params_.size() == grads_.size())
+      << "Adam: params/grads size mismatch";
   m_.reserve(params_.size());
   v_.reserve(params_.size());
-  for (Matrix* p : params_) {
-    m_.emplace_back(p->rows(), p->cols(), 0.0);
-    v_.emplace_back(p->rows(), p->cols(), 0.0);
+  for (size_t i = 0; i < params_.size(); ++i) {
+    TARGAD_CHECK(params_[i]->SameShape(*grads_[i]))
+        << "Adam: param/grad shape mismatch at index " << i;
+    m_.emplace_back(params_[i]->rows(), params_[i]->cols(), 0.0);
+    v_.emplace_back(params_[i]->rows(), params_[i]->cols(), 0.0);
   }
 }
 

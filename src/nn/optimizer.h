@@ -1,5 +1,5 @@
-// First-order optimizers. The paper trains all networks with Adam
-// (Section IV-C); SGD is provided for tests and ablations.
+// The optimizer. The paper trains all networks with Adam (Section IV-C),
+// and so does every network in the library.
 
 #ifndef TARGAD_NN_OPTIMIZER_H_
 #define TARGAD_NN_OPTIMIZER_H_
@@ -11,45 +11,21 @@
 namespace targad {
 namespace nn {
 
-/// Interface: consumes parameter/gradient pairs registered at construction
-/// and advances the parameters on each Step().
-class Optimizer {
- public:
-  Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the currently accumulated gradients.
-  virtual void Step() = 0;
-
-  void set_learning_rate(double lr) { lr_ = lr; }
-  double learning_rate() const { return lr_; }
-
- protected:
-  std::vector<Matrix*> params_;
-  std::vector<Matrix*> grads_;
-  double lr_ = 1e-3;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
-      double momentum = 0.0);
-  void Step() override;
-
- private:
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba, 2015) with bias correction.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba, 2015) with bias correction. Consumes the
+/// parameter/gradient pairs registered at construction and advances the
+/// parameters on each Step().
+class Adam {
  public:
   Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
        double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
-  void Step() override;
+
+  /// Applies one update using the currently accumulated gradients.
+  void Step();
 
  private:
+  std::vector<Matrix*> params_;
+  std::vector<Matrix*> grads_;
+  double lr_;
   double beta1_, beta2_, eps_;
   long t_ = 0;  // NOLINT(runtime/int)
   std::vector<Matrix> m_, v_;

@@ -1,5 +1,6 @@
 #include "serve/metrics.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/hot_path.h"
@@ -40,8 +41,14 @@ uint64_t Pow2Histogram::PercentileUpperBound(double p) const {
   if (total == 0) return 0;
   if (p < 0.0) p = 0.0;
   if (p > 1.0) p = 1.0;
-  // Rank of the percentile sample, 1-based; ceil(p * total) with p=0 -> 1.
-  uint64_t rank = static_cast<uint64_t>(p * static_cast<double>(total));
+  // The nearest rank, ceil(p * total), 1-based, with p = 0 -> 1. It is
+  // taken in integers, with p rounded to millionths: in double, 0.29 * 100
+  // is 28.999999999999996 and 0.28 * 25 is 7.000000000000001, so neither a
+  // cast nor a ceil of the product gives the rank.
+  constexpr uint64_t kScale = 1'000'000;
+  const uint64_t millionths = static_cast<uint64_t>(std::llround(p * kScale));
+  uint64_t rank = total / kScale * millionths +
+                  (total % kScale * millionths + kScale - 1) / kScale;
   if (rank < 1) rank = 1;
   uint64_t seen = 0;
   for (size_t i = 0; i < counts.size(); ++i) {

@@ -45,7 +45,8 @@ class Pow2Histogram {
   uint64_t Count() const;
 
   /// Upper bound (exclusive) of the bucket holding the p-quantile sample,
-  /// i.e. a value such that >= p of samples are below it. p in [0, 1].
+  /// the one at the nearest rank ceil(p * Count()), i.e. a value such that
+  /// >= p of samples are below it. p in [0, 1], rounded to millionths.
   /// Returns 0 when empty.
   uint64_t PercentileUpperBound(double p) const;
 

@@ -111,6 +111,13 @@ Result<StreamStats> ScoreCsvStream(const core::RowScorer& schema,
     TARGAD_RETURN_NOT_OK(resolve(&window.front()));
     window.pop_front();
   }
+  // A failed read ends getline as the end of the input does; only badbit
+  // tells them apart, so without this check a read error would pass for a
+  // short file.
+  if (in.bad() && !stats.stopped_early) {
+    return Status::IOError("serve stream: read failed after ", stats.rows_in,
+                           " rows");
+  }
   if (!out) return Status::IOError("serve stream: write failed");
   return stats;
 }

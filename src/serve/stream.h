@@ -15,7 +15,8 @@
 // Errors: the first row whose score fails (an unknown model name fails
 // with NotFound) ends the stream with that row's status. The output then
 // holds the "s_tar" header and the scores of the rows before it, in order,
-// and nothing after.
+// and nothing after. A failed read ends the stream with IOError once the
+// rows read before it are scored, unless should_stop asked for a drain.
 
 #ifndef TARGAD_SERVE_STREAM_H_
 #define TARGAD_SERVE_STREAM_H_

@@ -1,10 +1,14 @@
 // Calibration of the dtype-split serving path: the float64 frozen scorer
-// must reproduce TargAdPipeline::Score bit-for-bit, and the float32 scorer
-// must stay inside explicit drift tolerances — both on raw S^tar scores
-// (max abs delta) and on the ranking metric the paper reports (AUROC).
+// must reproduce TargAdPipeline::Score bit-for-bit; the float32 scorer must
+// reproduce its golden bits on every backend and stay inside explicit drift
+// tolerances of the float64 scores — both on raw S^tar scores (max abs
+// delta) and on the ranking metric the paper reports (AUROC).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "core/pipeline.h"
 #include "eval/metrics.h"
 #include "nn/frozen.h"
+#include "nn/kernels/kernels.h"
 
 namespace targad {
 namespace core {
@@ -123,6 +128,40 @@ TEST(FrozenCalibrationTest, Float32DriftStaysWithinTolerances) {
   // Sanity: the model actually separates the fraud cluster, so the AUROC
   // comparison above is not vacuous (0.5 vs 0.5).
   EXPECT_GT(auroc_exact, 0.9);
+}
+
+// Float32 served scores are the scalar loops' bits on every backend and in
+// every build (nn/kernels/kernels.h). The goldens are the bit patterns of
+// this model's float32 FrozenScorer scores, captured on the scalar backend.
+TEST(FrozenCalibrationTest, Float32ScoresMatchGoldenBitsOnEveryBackend) {
+  const uint64_t kGolden[] = {
+      0x3fe1a3ef60000000, 0x3f84bf9040000000, 0x3f853a5800000000,
+      0x3f84c0a1e0000000, 0x3fe07f5360000000, 0x3fe09e9a80000000,
+      0x3f8469db40000000, 0x3fefbac600000000, 0x3f849c17c0000000,
+      0x3fefb99780000000, 0x3fe089bc80000000, 0x3fefce6e80000000,
+      0x3fefae7f20000000, 0x3f84881ea0000000, 0x3fe05996a0000000,
+      0x3f847d27a0000000,
+  };
+  const TargAdPipeline pipeline = TrainPipeline(7);
+  auto frozen = pipeline.Freeze(nn::Dtype::kFloat32);
+  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+  const EvalRows eval = MakeEvalRows(107, std::size(kGolden));
+
+  const nn::kernels::Backend saved = nn::kernels::ActiveBackend();
+  for (nn::kernels::Backend backend :
+       {nn::kernels::Backend::kScalar, nn::kernels::Backend::kAvx2}) {
+    if (!nn::kernels::SetBackendForTest(backend)) continue;  // Not built in.
+    SCOPED_TRACE(nn::kernels::BackendName(backend));
+    const std::vector<double> scores = frozen->Score(eval.table).ValueOrDie();
+    ASSERT_EQ(scores.size(), std::size(kGolden));
+    for (size_t i = 0; i < scores.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(scores[i]), kGolden[i])
+          << "row " << i << ": 0x" << std::hex
+          << std::bit_cast<uint64_t>(scores[i]) << std::dec << " ("
+          << scores[i] << ")";
+    }
+  }
+  nn::kernels::SetBackendForTest(saved);
 }
 
 TEST(FrozenCalibrationTest, FrozenScorerKeepsSchemaAndRejectsMismatch) {

@@ -92,7 +92,7 @@ void ExpectAffineAllocatesNothing() {
   const std::vector<T> bias(kN, T(1));
   std::vector<T> y(kM * kN);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              FusedAffineActivation<T>(kM, kN, kK, x.data(), w.data(),
+              FusedAffineActivation(kM, kN, kK, x.data(), w.data(),
                                        bias.data(), Act::kReLU, T(0.01),
                                        y.data());
             }),
@@ -114,7 +114,7 @@ TEST_P(KernelsAllocTest, EveryGemmFormAllocatesNothing) {
     SCOPED_TRACE(::testing::Message() << "ta=" << (ta == Trans::kYes)
                                       << " tb=" << (tb == Trans::kYes));
     EXPECT_EQ(AllocationsIn100Calls([&] {
-                Gemm<double>(ta, tb, kM, kN, kK, a.data(), b.data(),
+                Gemm(ta, tb, kM, kN, kK, a.data(), b.data(),
                              c.data());
               }),
               0u);
@@ -128,18 +128,18 @@ TEST_P(KernelsAllocTest, DistancesAllocateNothing) {
   const std::vector<double> weights(k * d, 2.0);
   std::vector<double> out(n * k);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+              SquaredDistances(n, d, k, x.data(), centers.data(),
                                        nullptr, out.data());
             }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+              SquaredDistances(n, d, k, x.data(), centers.data(),
                                        weights.data(), out.data());
             }),
             0u);
   const std::vector<double> recon(n * d, 0.75);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              RowwiseSquaredDistances<double>(n, d, x.data(), recon.data(),
+              RowwiseSquaredDistances(n, d, x.data(), recon.data(),
                                               out.data());
             }),
             0u);
@@ -153,24 +153,24 @@ TEST_P(KernelsAllocTest, ElementwiseKernelsAllocateNothing) {
   std::vector<double> m(n, 0.1), v(n, 0.2), p(n, 1.0), y(n, 0.75);
   std::vector<double> col(kN);
   EXPECT_EQ(AllocationsIn100Calls([&] {
-              AdamUpdate<double>(n, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001,
+              AdamUpdate(n, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001,
                                  g.data(), m.data(), v.data(), p.data());
             }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls(
-                [&] { Axpy<double>(n, -0.01, g.data(), y.data()); }),
+                [&] { Axpy(n, -0.01, g.data(), y.data()); }),
             0u);
   EXPECT_EQ(AllocationsIn100Calls(
-                [&] { ColReduceSum<double>(kM, kN, g.data(), col.data()); }),
+                [&] { ColReduceSum(kM, kN, g.data(), col.data()); }),
             0u);
   for (Act act : {Act::kReLU, Act::kLeakyReLU, Act::kSigmoid}) {
     SCOPED_TRACE(::testing::Message() << "act=" << static_cast<int>(act));
     EXPECT_EQ(AllocationsIn100Calls([&] {
-                ApplyActivation<double>(act, 0.01, n, y.data());
+                ApplyActivation(act, 0.01, n, y.data());
               }),
               0u);
     EXPECT_EQ(AllocationsIn100Calls([&] {
-                ActivationBackward<double>(act, 0.01, n, ref.data(), y.data());
+                ActivationBackward(act, 0.01, n, ref.data(), y.data());
               }),
               0u);
   }

@@ -26,8 +26,7 @@ namespace kernels {
 namespace {
 
 // Naive references with the same accumulation orders as the scalar kernels,
-// so scalar results (and double on any backend) must match EXACTLY; the
-// AVX2 float affine, the one float kernel, is held to a relative tolerance.
+// so results on every backend, in both dtypes, must match EXACTLY.
 
 template <typename T>
 std::vector<T> RefGemm(Trans ta, Trans tb, size_t m, size_t n, size_t k,
@@ -76,8 +75,9 @@ std::vector<T> FillRandom(size_t count, Rng* rng, double sparsity = 0.0) {
   return out;
 }
 
-// Shapes chosen to straddle the AVX2 register blocking (4 rows x 16 cols,
-// then 8-wide and scalar tails) and the empty/degenerate edges.
+// Shapes chosen to straddle the AVX2 register blocking (4-row tiles, two
+// vectors of columns, then one, then a masked tail) and the
+// empty/degenerate edges.
 struct Shape {
   size_t m, n, k;
 };
@@ -89,6 +89,9 @@ const Shape kShapes[] = {{0, 0, 0}, {0, 5, 3},  {1, 1, 1},   {1, 16, 8},
 const std::pair<Trans, Trans> kGemmForms[] = {{Trans::kNo, Trans::kNo},
                                               {Trans::kYes, Trans::kNo},
                                               {Trans::kNo, Trans::kYes}};
+
+const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
+                     Act::kTanh};
 
 // Value-parameterized over the backends available in this build; restores
 // the dispatch state after each test.
@@ -102,23 +105,12 @@ class KernelsBackendTest : public ::testing::TestWithParam<Backend> {
     }
   }
   void TearDown() override { SetBackendForTest(saved_backend_); }
-  // Exact for scalar and for double (same accumulation order as the
-  // reference); relative tolerance for the AVX2 float affine, whose FMA and
-  // lane order differ.
   template <typename T>
-  void ExpectClose(const std::vector<T>& expected,
+  void ExpectEqual(const std::vector<T>& expected,
                    const std::vector<T>& actual) {
     ASSERT_EQ(expected.size(), actual.size());
-    const bool exact =
-        GetParam() == Backend::kScalar || std::is_same_v<T, double>;
     for (size_t i = 0; i < expected.size(); ++i) {
-      if (exact) {
-        EXPECT_EQ(expected[i], actual[i]) << "index " << i;
-      } else {
-        const double tol =
-            1e-5 * std::max(1.0, std::abs(static_cast<double>(expected[i])));
-        EXPECT_NEAR(expected[i], actual[i], tol) << "index " << i;
-      }
+      EXPECT_EQ(expected[i], actual[i]) << "index " << i;
     }
   }
 
@@ -135,12 +127,12 @@ TEST_P(KernelsSweepTest, GemmMatchesReferenceAcrossShapes) {
       const auto a = FillRandom<double>(s.m * s.k, &rng, /*sparsity=*/0.3);
       const auto b = FillRandom<double>(s.k * s.n, &rng);
       std::vector<double> c(s.m * s.n, -1.0);
-      Gemm<double>(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
+      Gemm(ta, tb, s.m, s.n, s.k, a.data(), b.data(), c.data());
       const auto expected = RefGemm<double>(ta, tb, s.m, s.n, s.k, a, b);
       SCOPED_TRACE(::testing::Message()
                    << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta="
                    << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes));
-      ExpectClose(expected, c);
+      ExpectEqual(expected, c);
     }
   }
 }
@@ -148,8 +140,6 @@ TEST_P(KernelsSweepTest, GemmMatchesReferenceAcrossShapes) {
 template <typename T>
 void RunAffineSweep(KernelsSweepTest* fixture) {
   Rng rng(23);
-  const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
-                       Act::kTanh};
   for (const Shape& s : kShapes) {
     for (Act act : kActs) {
       for (bool with_bias : {false, true}) {
@@ -158,7 +148,7 @@ void RunAffineSweep(KernelsSweepTest* fixture) {
         const auto bias = FillRandom<T>(s.n, &rng);
         const T slope = T(0.01);
         std::vector<T> y(s.m * s.n, T(-1));
-        FusedAffineActivation<T>(s.m, s.n, s.k, x.data(), w.data(),
+        FusedAffineActivation(s.m, s.n, s.k, x.data(), w.data(),
                                  with_bias ? bias.data() : nullptr, act, slope,
                                  y.data());
         auto expected = RefGemm<T>(Trans::kNo, Trans::kNo, s.m, s.n, s.k, x, w);
@@ -173,7 +163,7 @@ void RunAffineSweep(KernelsSweepTest* fixture) {
                      << "m=" << s.m << " n=" << s.n << " k=" << s.k
                      << " act=" << static_cast<int>(act)
                      << " bias=" << with_bias);
-        fixture->ExpectClose(expected, y);
+        fixture->ExpectEqual(expected, y);
       }
     }
   }
@@ -195,24 +185,24 @@ TEST_P(KernelsSweepTest, VectorOpsMatchReference) {
     auto expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] += alpha * x[i];
     auto actual = y;
-    Axpy<double>(n, alpha, x.data(), actual.data());
-    ExpectClose(expected, actual);
+    Axpy(n, alpha, x.data(), actual.data());
+    ExpectEqual(expected, actual);
 
     expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] *= alpha;
     actual = y;
-    Scale<double>(n, alpha, actual.data());
-    ExpectClose(expected, actual);
+    Scale(n, alpha, actual.data());
+    ExpectEqual(expected, actual);
 
     expected = y;
     for (size_t i = 0; i < n; ++i) expected[i] *= x[i];
     actual = y;
-    Hadamard<double>(n, x.data(), actual.data());
-    ExpectClose(expected, actual);
+    Hadamard(n, x.data(), actual.data());
+    ExpectEqual(expected, actual);
 
     double dot_ref = 0.0;
     for (size_t i = 0; i < n; ++i) dot_ref += x[i] * y[i];
-    EXPECT_EQ(dot_ref, Dot<double>(n, x.data(), y.data()));
+    EXPECT_EQ(dot_ref, Dot(n, x.data(), y.data()));
   }
 }
 
@@ -238,17 +228,17 @@ TEST_P(KernelsSweepTest, SquaredDistancesMatchReference) {
         }
       }
       std::vector<double> actual(n * k, -1.0);
-      SquaredDistances<double>(n, d, k, x.data(), centers.data(),
+      SquaredDistances(n, d, k, x.data(), centers.data(),
                                weighted ? weights.data() : nullptr,
                                actual.data());
       SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d << " k=" << k
                                         << " weighted=" << weighted);
-      ExpectClose(expected, actual);
+      ExpectEqual(expected, actual);
 
       // The pairwise entry point must agree with the batched one exactly.
       for (size_t i = 0; i < n; ++i) {
         for (size_t c = 0; c < k; ++c) {
-          const double pair = SquaredDistance<double>(
+          const double pair = SquaredDistance(
               d, x.data() + i * d, centers.data() + c * d,
               weighted ? weights.data() + c * d : nullptr);
           EXPECT_EQ(pair, actual[i * k + c]);
@@ -258,48 +248,22 @@ TEST_P(KernelsSweepTest, SquaredDistancesMatchReference) {
   }
 }
 
-TEST_P(KernelsSweepTest, ReductionsMatchReference) {
+TEST_P(KernelsSweepTest, ColReduceSumMatchesReference) {
   Rng rng(53);
   for (const Shape& s : kShapes) {
     const auto a = FillRandom<double>(s.m * s.n, &rng);
-    std::vector<double> row_sum(s.m), row_sq(s.m), row_max(s.m);
-    RowReduce<double>(RowReduceOp::kSum, s.m, s.n, a.data(), row_sum.data());
-    RowReduce<double>(RowReduceOp::kSquaredNorm, s.m, s.n, a.data(),
-                      row_sq.data());
-    if (s.n > 0) {
-      RowReduce<double>(RowReduceOp::kMax, s.m, s.n, a.data(), row_max.data());
-    }
     std::vector<double> col_sum(s.n);
-    ColReduceSum<double>(s.m, s.n, a.data(), col_sum.data());
-
+    ColReduceSum(s.m, s.n, a.data(), col_sum.data());
     std::vector<double> want_col(s.n, 0.0);
     for (size_t i = 0; i < s.m; ++i) {
-      double sum = 0.0, sq = 0.0, mx = s.n > 0 ? a[i * s.n] : 0.0;
-      for (size_t j = 0; j < s.n; ++j) {
-        const double v = a[i * s.n + j];
-        sum += v;
-        sq += v * v;
-        mx = std::max(mx, v);
-        want_col[j] += v;
-      }
-      EXPECT_EQ(sum, row_sum[i]);
-      EXPECT_EQ(sq, row_sq[i]);
-      if (s.n > 0) {
-        EXPECT_EQ(mx, row_max[i]);
-      }
+      for (size_t j = 0; j < s.n; ++j) want_col[j] += a[i * s.n + j];
     }
-    for (size_t j = 0; j < s.n; ++j) EXPECT_EQ(want_col[j], col_sum[j]);
-
-    double total = 0.0;
-    for (const double v : a) total += v;
-    EXPECT_EQ(total, ReduceSum<double>(a.size(), a.data()));
+    ExpectEqual(want_col, col_sum);
   }
 }
 
 TEST_P(KernelsSweepTest, ActivationBackwardMatchesReference) {
   Rng rng(67);
-  const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
-                       Act::kTanh};
   const double slope = 0.01;
   for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{64}}) {
     for (Act act : kActs) {
@@ -318,10 +282,10 @@ TEST_P(KernelsSweepTest, ActivationBackwardMatchesReference) {
         }
       }
       auto actual = g0;
-      ActivationBackward<double>(act, slope, n, ref.data(), actual.data());
+      ActivationBackward(act, slope, n, ref.data(), actual.data());
       SCOPED_TRACE(::testing::Message()
                    << "n=" << n << " act=" << static_cast<int>(act));
-      ExpectClose(expected, actual);
+      ExpectEqual(expected, actual);
     }
   }
 }
@@ -334,8 +298,8 @@ TEST_P(KernelsSweepTest, ScaledDiffMatchesReference) {
     const double alpha = rng.Normal(0.0, 2.0);
     std::vector<double> expected(n), actual(n);
     for (size_t i = 0; i < n; ++i) expected[i] = alpha * (a[i] - b[i]);
-    ScaledDiff<double>(n, alpha, a.data(), b.data(), actual.data());
-    ExpectClose(expected, actual);
+    ScaledDiff(n, alpha, a.data(), b.data(), actual.data());
+    ExpectEqual(expected, actual);
   }
 }
 
@@ -361,7 +325,7 @@ TEST_P(KernelsSweepTest, AdamUpdateMatchesReferenceLoop) {
       const double v_hat = ev[j] / bc2;
       ep[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
     }
-    AdamUpdate<double>(n, lr, beta1, beta2, eps, bc1, bc2, g.data(), m.data(),
+    AdamUpdate(n, lr, beta1, beta2, eps, bc1, bc2, g.data(), m.data(),
                        v.data(), p.data());
     // Bitwise equality, not closeness: the fused kernel must round exactly
     // as the historical loop did.
@@ -370,25 +334,6 @@ TEST_P(KernelsSweepTest, AdamUpdateMatchesReferenceLoop) {
       EXPECT_EQ(ev[j], v[j]);
       EXPECT_EQ(ep[j], p[j]);
     }
-  }
-}
-
-TEST_P(KernelsSweepTest, SgdMomentumUpdateMatchesReferenceLoop) {
-  Rng rng(79);
-  const size_t n = 29;
-  const double lr = 0.05, momentum = 0.9;
-  const auto g = FillRandom<double>(n, &rng);
-  auto v = FillRandom<double>(n, &rng);
-  auto p = FillRandom<double>(n, &rng);
-  auto ev = v, ep = p;
-  for (size_t j = 0; j < n; ++j) {
-    ev[j] = momentum * ev[j] + g[j];
-    ep[j] -= lr * ev[j];
-  }
-  SgdMomentumUpdate<double>(n, lr, momentum, g.data(), v.data(), p.data());
-  for (size_t j = 0; j < n; ++j) {
-    EXPECT_EQ(ev[j], v[j]);
-    EXPECT_EQ(ep[j], p[j]);
   }
 }
 
@@ -406,10 +351,10 @@ TEST_P(KernelsSweepTest, RowwiseSquaredDistancesMatchesReference) {
       }
       expected[i] = acc;
     }
-    RowwiseSquaredDistances<double>(s.m, s.n, a.data(), b.data(),
+    RowwiseSquaredDistances(s.m, s.n, a.data(), b.data(),
                                     actual.data());
     SCOPED_TRACE(::testing::Message() << "m=" << s.m << " n=" << s.n);
-    ExpectClose(expected, actual);
+    ExpectEqual(expected, actual);
   }
 }
 
@@ -428,16 +373,16 @@ TEST_P(KernelsSweepTest, MseLossGradMatchesReferenceLoop) {
       etotal += d * d;
       egrad[i] = 2.0 * d * inv_n;
     }
-    const double atotal = MseLossGrad<double>(n, pred.data(), target.data(),
+    const double atotal = MseLossGrad(n, pred.data(), target.data(),
                                               inv_n, agrad.data());
     EXPECT_EQ(etotal, atotal);
-    ExpectClose(egrad, agrad);
+    ExpectEqual(egrad, agrad);
   }
 }
 
-// Operands for the double bit-identity sweep, laid out for one Gemm form:
-// A is op(A) = m x k (stored k x m when transposed), B is op(B) = k x n
-// (stored n x k when transposed). The values are the ones that expose a lane
+// Operands for the bit-identity sweep, laid out for one Gemm form: A is
+// op(A) = m x k (stored k x m when transposed), B is op(B) = k x n (stored
+// n x k when transposed). The values are the ones that expose a lane
 // computing out of order, a skip done wrong or a fused multiply-add:
 //   - 30% of A is +0 or -0;
 //   - one shared index whose A column is all zeros while B holds +inf, -inf
@@ -449,41 +394,49 @@ TEST_P(KernelsSweepTest, MseLossGradMatchesReferenceLoop) {
 // open which payload an operation on two different NaNs returns, and the
 // compiler may commute + and *, so only inputs with a single NaN bit
 // pattern have bits the contract can promise.
+template <typename T>
 struct HostileOperands {
-  std::vector<double> a, b, bias;
+  std::vector<T> a, b, bias;
 };
 
-HostileOperands MakeHostileOperands(Trans ta, Trans tb, const Shape& s,
-                                    Rng* rng) {
-  volatile double zero = 0.0;
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = zero * inf;
+// Scales a unit normal into T's subnormal range.
+template <typename T>
+constexpr T kSubnormalScale = T(1e-310);
+template <>
+constexpr float kSubnormalScale<float> = 1e-40f;
+
+template <typename T>
+HostileOperands<T> MakeHostileOperands(Trans ta, Trans tb, const Shape& s,
+                                       Rng* rng) {
+  volatile T zero = T(0);
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = zero * inf;
   auto value = [&] {
-    const double v = rng->Normal(0.0, 1.0);
-    return rng->Bernoulli(0.05) ? v * 1e-310 : v;
+    const T v = static_cast<T>(rng->Normal(0.0, 1.0));
+    return rng->Bernoulli(0.05) ? v * kSubnormalScale<T> : v;
   };
-  HostileOperands ops;
+  HostileOperands<T> ops;
   ops.a.resize(s.m * s.k);
   ops.b.resize(s.k * s.n);
   ops.bias.resize(s.n);
-  for (double& v : ops.b) v = value();
-  for (double& v : ops.bias) v = value();
-  auto a_at = [&](size_t i, size_t kk) -> double& {
+  for (T& v : ops.b) v = value();
+  for (T& v : ops.bias) v = value();
+  auto a_at = [&](size_t i, size_t kk) -> T& {
     return ta == Trans::kNo ? ops.a[i * s.k + kk] : ops.a[kk * s.m + i];
   };
-  auto b_at = [&](size_t kk, size_t j) -> double& {
+  auto b_at = [&](size_t kk, size_t j) -> T& {
     return tb == Trans::kNo ? ops.b[kk * s.n + j] : ops.b[j * s.k + kk];
   };
   for (size_t i = 0; i < s.m; ++i) {
     for (size_t kk = 0; kk < s.k; ++kk) {
-      a_at(i, kk) = rng->Bernoulli(0.3) ? (rng->Bernoulli(0.5) ? 0.0 : -0.0)
+      a_at(i, kk) = rng->Bernoulli(0.3) ? (rng->Bernoulli(0.5) ? T(0) : -T(0))
                                         : value();
     }
   }
   if (s.k == 0) return ops;
   const size_t dead = s.k / 2;
-  const double specials[] = {inf, -inf, nan};
-  for (size_t i = 0; i < s.m; ++i) a_at(i, dead) = i % 2 == 0 ? 0.0 : -0.0;
+  const T specials[] = {inf, -inf, nan};
+  for (size_t i = 0; i < s.m; ++i) a_at(i, dead) = i % 2 == 0 ? T(0) : -T(0);
   for (size_t j = 0; j < s.n; ++j) {
     if (j % 5 < 3) b_at(dead, j) = specials[j % 5];
   }
@@ -491,21 +444,29 @@ HostileOperands MakeHostileOperands(Trans ta, Trans tb, const Shape& s,
   return ops;
 }
 
-// Runs `kernel` (which writes `count` doubles) on the scalar backend, then
-// on `backend`, and requires the same bits.
-template <typename Kernel>
+template <typename T>
+uint64_t Bits(T v) {
+  if constexpr (sizeof(T) == sizeof(uint64_t)) {
+    return std::bit_cast<uint64_t>(v);
+  } else {
+    return std::bit_cast<uint32_t>(v);
+  }
+}
+
+// Runs `kernel` (which writes `count` values of T) on the scalar backend,
+// then on `backend`, and requires the same bits.
+template <typename T = double, typename Kernel>
 void ExpectScalarBits(Backend backend, size_t count, const Kernel& kernel) {
-  std::vector<double> want(count, -1.0);
+  std::vector<T> want(count, T(-1));
   ASSERT_TRUE(SetBackendForTest(Backend::kScalar));
   kernel(want.data());
   ASSERT_TRUE(SetBackendForTest(backend));
-  std::vector<double> got(count, -1.0);
+  std::vector<T> got(count, T(-1));
   kernel(got.data());
   for (size_t i = 0; i < count; ++i) {
-    if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0) {
-      ADD_FAILURE() << "index " << i << ": "
-                    << std::bit_cast<uint64_t>(want[i]) << " vs "
-                    << std::bit_cast<uint64_t>(got[i]);
+    if (std::memcmp(&want[i], &got[i], sizeof(T)) != 0) {
+      ADD_FAILURE() << "index " << i << ": " << Bits(want[i]) << " vs "
+                    << Bits(got[i]);
       break;
     }
   }
@@ -529,24 +490,26 @@ std::vector<double> HostileValues(size_t count, Rng* rng) {
 // Gemm operands with finite B except where a case puts specials:
 //   - kInfUnderZero: A's column `dead` is zero in rows 0-3 only and B holds
 //     +inf under it in column 9 alone, so only the tiles over rows 0-3 and
-//     columns 8-15 meet 0 * inf (the rows below add a true inf);
+//     columns 8-15 (float: 0-15) meet 0 * inf (the rows below add a true
+//     inf);
 //   - kNanInA: one NaN in A, at row m - 1, and nothing else special.
 enum class GemmCase { kInfUnderZero, kNanInA };
 
-HostileOperands MakeTileOperands(Trans ta, GemmCase which, const Shape& s,
-                                 Rng* rng) {
-  HostileOperands ops;
-  ops.a = FillRandom<double>(s.m * s.k, rng, /*sparsity=*/0.3);
-  ops.b = FillRandom<double>(s.k * s.n, rng);
-  ops.bias = FillRandom<double>(s.n, rng);
-  auto a_at = [&](size_t i, size_t kk) -> double& {
+template <typename T>
+HostileOperands<T> MakeTileOperands(Trans ta, GemmCase which, const Shape& s,
+                                    Rng* rng) {
+  HostileOperands<T> ops;
+  ops.a = FillRandom<T>(s.m * s.k, rng, /*sparsity=*/0.3);
+  ops.b = FillRandom<T>(s.k * s.n, rng);
+  ops.bias = FillRandom<T>(s.n, rng);
+  auto a_at = [&](size_t i, size_t kk) -> T& {
     return ta == Trans::kNo ? ops.a[i * s.k + kk] : ops.a[kk * s.m + i];
   };
-  volatile double zero = 0.0;
-  const double inf = std::numeric_limits<double>::infinity();
+  volatile T zero = T(0);
+  const T inf = std::numeric_limits<T>::infinity();
   const size_t dead = s.k / 2;
   if (which == GemmCase::kInfUnderZero) {
-    for (size_t i = 0; i < s.m; ++i) a_at(i, dead) = i < 4 ? 0.0 : 1.5;
+    for (size_t i = 0; i < s.m; ++i) a_at(i, dead) = i < 4 ? T(0) : T(1.5);
     ops.b[dead * s.n + 9] = inf;
   } else {
     a_at(s.m - 1, dead) = zero * inf;
@@ -554,72 +517,88 @@ HostileOperands MakeTileOperands(Trans ta, GemmCase which, const Shape& s,
   return ops;
 }
 
-// The double bit-identity contract: every backend returns the scalar
-// baseline's exact bits for every Gemm form and the fused affine, on the
-// kShapes sweep plus shapes that leave m % 4, n % 8, n % 4 and k % 4 tails,
-// and for every other double primitive with an AVX2 body, on hostile values
-// and lengths with n % 4 tails.
-TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
-  const Shape kTailShapes[] = {{5, 12, 5},  {6, 13, 6},   {7, 14, 7},
-                               {9, 15, 9},  {10, 23, 10}, {4, 3, 4},
-                               {2, 6, 13},  {11, 41, 30}};
-  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
-  shapes.insert(shapes.end(), std::begin(kTailShapes), std::end(kTailShapes));
-  const Act kActs[] = {Act::kNone, Act::kReLU, Act::kLeakyReLU, Act::kSigmoid,
-                       Act::kTanh};
-  Rng rng(61);
+// A tile that must be recomputed with the zero-skip next to tiles that must
+// not be, and a NaN the skip keeps.
+const Shape kTileShape = {9, 21, 7};
+
+// The fused affine in dtype T returns the scalar bits on `backend`: hostile
+// operands on every shape, five activations with and without bias, and both
+// tile cases.
+template <typename T>
+void ExpectAffineBackendInvariant(Backend backend,
+                                  const std::vector<Shape>& shapes,
+                                  Rng* rng) {
   for (const Shape& s : shapes) {
-    for (const auto& [ta, tb] : kGemmForms) {
-      const HostileOperands ops = MakeHostileOperands(ta, tb, s, &rng);
-      SCOPED_TRACE(::testing::Message()
-                   << "Gemm m=" << s.m << " n=" << s.n << " k=" << s.k
-                   << " ta=" << (ta == Trans::kYes)
-                   << " tb=" << (tb == Trans::kYes));
-      ExpectScalarBits(GetParam(), s.m * s.n, [&](double* c) {
-        Gemm<double>(ta, tb, s.m, s.n, s.k, ops.a.data(), ops.b.data(), c);
-      });
-    }
-    const HostileOperands ops =
-        MakeHostileOperands(Trans::kNo, Trans::kNo, s, &rng);
+    const HostileOperands<T> ops =
+        MakeHostileOperands<T>(Trans::kNo, Trans::kNo, s, rng);
     for (Act act : kActs) {
       for (bool with_bias : {false, true}) {
         SCOPED_TRACE(::testing::Message()
                      << "affine m=" << s.m << " n=" << s.n << " k=" << s.k
                      << " act=" << static_cast<int>(act)
                      << " bias=" << with_bias);
-        ExpectScalarBits(GetParam(), s.m * s.n, [&](double* y) {
-          FusedAffineActivation<double>(
-              s.m, s.n, s.k, ops.a.data(), ops.b.data(),
-              with_bias ? ops.bias.data() : nullptr, act, 0.01, y);
+        ExpectScalarBits<T>(backend, s.m * s.n, [&](T* y) {
+          FusedAffineActivation(s.m, s.n, s.k, ops.a.data(), ops.b.data(),
+                                with_bias ? ops.bias.data() : nullptr, act,
+                                T(0.01), y);
         });
       }
     }
   }
+  const Shape& s = kTileShape;
+  for (GemmCase which : {GemmCase::kInfUnderZero, GemmCase::kNanInA}) {
+    const HostileOperands<T> ops =
+        MakeTileOperands<T>(Trans::kNo, which, s, rng);
+    SCOPED_TRACE(::testing::Message()
+                 << "affine tile case " << static_cast<int>(which));
+    ExpectScalarBits<T>(backend, s.m * s.n, [&](T* y) {
+      FusedAffineActivation(s.m, s.n, s.k, ops.a.data(), ops.b.data(),
+                            ops.bias.data(), Act::kReLU, T(0.01), y);
+    });
+  }
+}
 
-  // A tile that must be recomputed with the zero-skip next to tiles that
-  // must not be, and a NaN the skip keeps.
-  const Shape tile_shape = {9, 21, 7};
+// The bit-identity contract: every backend returns the scalar baseline's
+// exact bits, in both dtypes. The fused affine, float and double, runs on
+// the kShapes sweep plus shapes that leave m % 4, n % 16, n % 8, n % 4 and
+// k % 4 tails; every Gemm form on the same shapes; and every other double
+// primitive with an AVX2 body on hostile values and lengths with n % 4
+// tails.
+TEST_P(KernelsSweepTest, BitsAreBackendInvariant) {
+  const Shape kTailShapes[] = {{5, 12, 5},  {6, 13, 6},   {7, 14, 7},
+                               {9, 15, 9},  {10, 23, 10}, {4, 3, 4},
+                               {2, 6, 13},  {11, 41, 30}, {6, 24, 9}};
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(kTailShapes), std::end(kTailShapes));
+  Rng rng(61);
+  for (const Shape& s : shapes) {
+    for (const auto& [ta, tb] : kGemmForms) {
+      const HostileOperands<double> ops =
+          MakeHostileOperands<double>(ta, tb, s, &rng);
+      SCOPED_TRACE(::testing::Message()
+                   << "Gemm m=" << s.m << " n=" << s.n << " k=" << s.k
+                   << " ta=" << (ta == Trans::kYes)
+                   << " tb=" << (tb == Trans::kYes));
+      ExpectScalarBits(GetParam(), s.m * s.n, [&](double* c) {
+        Gemm(ta, tb, s.m, s.n, s.k, ops.a.data(), ops.b.data(), c);
+      });
+    }
+  }
   for (GemmCase which : {GemmCase::kInfUnderZero, GemmCase::kNanInA}) {
     for (Trans ta : {Trans::kNo, Trans::kYes}) {
-      const HostileOperands ops = MakeTileOperands(ta, which, tile_shape,
-                                                   &rng);
-      const Shape& s = tile_shape;
+      const Shape& s = kTileShape;
+      const HostileOperands<double> ops =
+          MakeTileOperands<double>(ta, which, s, &rng);
       SCOPED_TRACE(::testing::Message()
-                   << "tile case " << static_cast<int>(which)
+                   << "Gemm tile case " << static_cast<int>(which)
                    << " ta=" << (ta == Trans::kYes));
       ExpectScalarBits(GetParam(), s.m * s.n, [&](double* c) {
-        Gemm<double>(ta, Trans::kNo, s.m, s.n, s.k, ops.a.data(),
-                     ops.b.data(), c);
+        Gemm(ta, Trans::kNo, s.m, s.n, s.k, ops.a.data(), ops.b.data(), c);
       });
-      if (ta == Trans::kNo) {
-        ExpectScalarBits(GetParam(), s.m * s.n, [&](double* y) {
-          FusedAffineActivation<double>(s.m, s.n, s.k, ops.a.data(),
-                                        ops.b.data(), ops.bias.data(),
-                                        Act::kReLU, 0.01, y);
-        });
-      }
     }
   }
+  ExpectAffineBackendInvariant<double>(GetParam(), shapes, &rng);
+  ExpectAffineBackendInvariant<float>(GetParam(), shapes, &rng);
 
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{6},
                    size_t{17}, size_t{64}, size_t{99}}) {
@@ -630,11 +609,11 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
       SCOPED_TRACE(::testing::Message() << "act=" << static_cast<int>(act));
       ExpectScalarBits(GetParam(), n, [&](double* out) {
         std::copy(x.begin(), x.end(), out);
-        ApplyActivation<double>(act, 0.01, n, out);
+        ApplyActivation(act, 0.01, n, out);
       });
       ExpectScalarBits(GetParam(), n, [&](double* out) {
         std::copy(y.begin(), y.end(), out);
-        ActivationBackward<double>(act, 0.01, n, x.data(), out);
+        ActivationBackward(act, 0.01, n, x.data(), out);
       });
     }
     const double inf = std::numeric_limits<double>::infinity();
@@ -642,7 +621,7 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
       SCOPED_TRACE(::testing::Message() << "axpy alpha=" << alpha);
       ExpectScalarBits(GetParam(), n, [&](double* out) {
         std::copy(y.begin(), y.end(), out);
-        Axpy<double>(n, alpha, x.data(), out);
+        Axpy(n, alpha, x.data(), out);
       });
     }
     // Three Adam steps from hostile, then from finite, moments, parameters
@@ -658,7 +637,7 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
       ExpectScalarBits(GetParam(), 3 * n, [&](double* out) {
         std::copy(start.begin(), start.end(), out);
         for (int t = 1; t <= 3; ++t) {
-          AdamUpdate<double>(n, 0.01, 0.9, 0.999, 1e-8,
+          AdamUpdate(n, 0.01, 0.9, 0.999, 1e-8,
                              1.0 - std::pow(0.9, t), 1.0 - std::pow(0.999, t),
                              grad.data(), out, out + n, out + 2 * n);
         }
@@ -671,7 +650,7 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
     const std::vector<double> a = HostileValues(s.m * s.n, &rng);
     SCOPED_TRACE(::testing::Message() << "colsum m=" << s.m << " n=" << s.n);
     ExpectScalarBits(GetParam(), s.n, [&](double* out) {
-      ColReduceSum<double>(s.m, s.n, a.data(), out);
+      ColReduceSum(s.m, s.n, a.data(), out);
     });
   }
 
@@ -688,11 +667,11 @@ TEST_P(KernelsSweepTest, DoubleIsBackendInvariant) {
         SCOPED_TRACE(::testing::Message() << "distances n=" << n << " d=" << d
                                           << " k=" << k);
         ExpectScalarBits(GetParam(), n * k, [&](double* out) {
-          SquaredDistances<double>(n, d, k, x.data(), centers.data(), nullptr,
+          SquaredDistances(n, d, k, x.data(), centers.data(), nullptr,
                                    out);
         });
         ExpectScalarBits(GetParam(), n * k, [&](double* out) {
-          SquaredDistances<double>(n, d, k, fx.data(), fc.data(), nullptr,
+          SquaredDistances(n, d, k, fx.data(), fc.data(), nullptr,
                                    out);
         });
       }
@@ -717,7 +696,7 @@ TEST(KernelsDeathTest, GemmRejectsBothOperandsTransposed) {
   const double a[4] = {1, 2, 3, 4};
   const double b[4] = {5, 6, 7, 8};
   double c[4] = {};
-  EXPECT_DEATH(Gemm<double>(Trans::kYes, Trans::kYes, 2, 2, 2, a, b, c),
+  EXPECT_DEATH(Gemm(Trans::kYes, Trans::kYes, 2, 2, 2, a, b, c),
                "does not transpose both operands");
 }
 

@@ -140,10 +140,16 @@ TEST(LayerTest, ZeroGradsClearsAccumulation) {
   Matrix x = RandomBatch(3, 2, 32);
   layer.Forward(x);
   layer.Backward(Matrix(3, 2, 1.0));
-  EXPECT_GT(layer.Grads()[0]->SquaredNorm(), 0.0);
+  auto all_zero = [](const Matrix* g) {
+    for (double v : g->data()) {
+      if (v != 0.0) return false;
+    }
+    return true;
+  };
+  EXPECT_FALSE(all_zero(layer.Grads()[0]));
   layer.ZeroGrads();
-  EXPECT_DOUBLE_EQ(layer.Grads()[0]->SquaredNorm(), 0.0);
-  EXPECT_DOUBLE_EQ(layer.Grads()[1]->SquaredNorm(), 0.0);
+  EXPECT_TRUE(all_zero(layer.Grads()[0]));
+  EXPECT_TRUE(all_zero(layer.Grads()[1]));
 }
 
 TEST(LayerTest, BackwardAccumulatesAcrossCalls) {

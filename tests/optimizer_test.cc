@@ -13,29 +13,16 @@ namespace targad {
 namespace nn {
 namespace {
 
-// Minimizing f(w) = (w - 3)^2 with each optimizer must converge to 3.
-template <typename OptimizerT, typename... Args>
-double MinimizeQuadratic(int steps, Args&&... args) {
+// Minimizing f(w) = (w - 3)^2 must converge to 3.
+TEST(AdamTest, ConvergesOnQuadratic) {
   Matrix w(1, 1, {0.0});
   Matrix g(1, 1, {0.0});
-  OptimizerT opt({&w}, {&g}, std::forward<Args>(args)...);
-  for (int i = 0; i < steps; ++i) {
+  Adam opt({&w}, {&g}, 0.05);
+  for (int i = 0; i < 2000; ++i) {
     g.At(0, 0) = 2.0 * (w.At(0, 0) - 3.0);
     opt.Step();
   }
-  return w.At(0, 0);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  EXPECT_NEAR(MinimizeQuadratic<Sgd>(200, 0.1), 3.0, 1e-6);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  EXPECT_NEAR(MinimizeQuadratic<Sgd>(300, 0.05, 0.9), 3.0, 1e-4);
-}
-
-TEST(AdamTest, ConvergesOnQuadratic) {
-  EXPECT_NEAR(MinimizeQuadratic<Adam>(2000, 0.05), 3.0, 1e-4);
+  EXPECT_NEAR(w.At(0, 0), 3.0, 1e-4);
 }
 
 TEST(AdamTest, FirstStepIsLearningRateSized) {
@@ -47,10 +34,10 @@ TEST(AdamTest, FirstStepIsLearningRateSized) {
   EXPECT_NEAR(w.At(0, 0), -0.01, 1e-6);
 }
 
-TEST(OptimizerDeathTest, ShapeMismatchAborts) {
+TEST(AdamDeathTest, ShapeMismatchAborts) {
   Matrix w(1, 2);
   Matrix g(2, 1);
-  EXPECT_DEATH({ Sgd opt({&w}, {&g}, 0.1); }, "shape mismatch");
+  EXPECT_DEATH({ Adam opt({&w}, {&g}, 0.1); }, "shape mismatch");
 }
 
 TEST(MlpTest, LearnsXor) {
@@ -92,12 +79,20 @@ TEST(SequentialTest, CopyParamsFromMakesNetsIdentical) {
   Sequential b = Sequential::MakeMlp({3, 4, 2}, Activation::kReLU,
                                      Activation::kNone, &r2);
   Matrix x(2, 3, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  auto squared_gap = [](const Matrix& p, const Matrix& q) {
+    double sum = 0.0;
+    for (size_t i = 0; i < p.size(); ++i) {
+      const double d = p.data()[i] - q.data()[i];
+      sum += d * d;
+    }
+    return sum;
+  };
   Matrix ya = a.Forward(x);
   Matrix yb = b.Forward(x);
-  EXPECT_GT(ya.Sub(yb).SquaredNorm(), 1e-8);  // Different inits differ.
+  EXPECT_GT(squared_gap(ya, yb), 1e-8);  // Different inits differ.
   b.CopyParamsFrom(a);
   Matrix yb2 = b.Forward(x);
-  EXPECT_NEAR(ya.Sub(yb2).SquaredNorm(), 0.0, 1e-20);
+  EXPECT_NEAR(squared_gap(ya, yb2), 0.0, 1e-20);
 }
 
 TEST(SequentialTest, NumParametersCountsAll) {

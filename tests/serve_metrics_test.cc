@@ -43,6 +43,24 @@ TEST(Pow2HistogramTest, PercentileUpperBounds) {
   EXPECT_EQ(h.PercentileUpperBound(0.95), 16384u);
   EXPECT_EQ(h.PercentileUpperBound(0.99), 16384u);
   EXPECT_EQ(h.PercentileUpperBound(1.0), 16384u);
+
+  // The p-quantile is the sample at the nearest rank, ceil(p * N). For
+  // {1, 100, 100}, rank ceil(1.5) = 2 is 100, in [64, 128).
+  Pow2Histogram three;
+  three.Record(1);
+  three.Record(100);
+  three.Record(100);
+  EXPECT_EQ(three.PercentileUpperBound(0.5), 128u);
+  // 0.29 * 100 is 28.999999999999996 in double; the rank is still 29.
+  Pow2Histogram hundred;
+  for (int i = 0; i < 28; ++i) hundred.Record(1);
+  for (int i = 0; i < 72; ++i) hundred.Record(100);
+  EXPECT_EQ(hundred.PercentileUpperBound(0.29), 128u);
+  // 0.28 * 25 is 7.000000000000001 in double; the rank is still 7.
+  Pow2Histogram twenty_five;
+  for (int i = 0; i < 7; ++i) twenty_five.Record(1);
+  for (int i = 0; i < 18; ++i) twenty_five.Record(100);
+  EXPECT_EQ(twenty_five.PercentileUpperBound(0.28), 2u);
 }
 
 TEST(ServeMetricsTest, CountersAndDerivedFields) {

@@ -1,7 +1,7 @@
 // serve/stream.cc: the stdio stream driver. The happy path rides along in
 // the CLI round trip; this file covers the admission-retry path, which only
-// runs when the scorer's queue is full, and the stop at a row whose score
-// fails.
+// runs when the scorer's queue is full, the stop at a row whose score
+// fails, and a failed read.
 
 #include "serve/stream.h"
 
@@ -11,8 +11,11 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +153,41 @@ TEST(ScoreCsvStreamTest, FailedRowEndsStreamAfterEarlierScores) {
   EXPECT_EQ(stats.status().code(), StatusCode::kNotFound)
       << stats.status().ToString();
   EXPECT_NE(stats.status().ToString().find("missing"), std::string::npos)
+      << stats.status().ToString();
+  EXPECT_EQ(out.str(), "s_tar\n1.500000\n-2.000000\n");
+}
+
+/// Serves `text`, then fails the next read by throwing from underflow, as
+/// libstdc++'s filebuf does when read(2) fails. istream turns the throw into
+/// badbit, and getline then ends as it does at the end of the input.
+class FailingReadBuf : public std::streambuf {
+ public:
+  explicit FailingReadBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("read failed"); }
+
+ private:
+  std::string text_;
+};
+
+// A read that fails after two rows fails the stream with IOError once the
+// two rows are scored, instead of passing for a two-row input.
+TEST(ScoreCsvStreamTest, ReadErrorFailsTheStream) {
+  auto model = std::make_shared<const FirstCellScorer>();
+  BatchScorer scorer(
+      BatchScorer::NamedSnapshotProvider(
+          [model](const std::string&)
+              -> std::shared_ptr<const core::RowScorer> { return model; }),
+      BatchScorerOptions{});
+  FailingReadBuf buf("f0,label,f1\n1.5,a,0\n-2,b,0\n");
+  std::istream in(&buf);
+  std::ostringstream out;
+  Result<StreamStats> stats = ScoreCsvStream(*model, &scorer, in, out);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kIOError)
       << stats.status().ToString();
   EXPECT_EQ(out.str(), "s_tar\n1.500000\n-2.000000\n");
 }
