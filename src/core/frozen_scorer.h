@@ -8,7 +8,8 @@
 //
 // Exactness contract: Freeze(kFloat64) reproduces TargAdPipeline::Score
 // bit-for-bit. Freeze(kFloat32) runs the identical arithmetic in float32;
-// frozen_calibration_test bounds the score and AUROC drift.
+// frozen_calibration_test pins its score bits on every kernel backend and
+// bounds its score and AUROC drift from float64.
 //
 // Consistent by construction: Make and LoadArtifact reject every schema the
 // one-pass record walk (ScoreRecords) cannot encode exactly, so a scorer

@@ -8,9 +8,10 @@
 //
 // Exactness contract: for T = double a frozen forward reproduces
 // Sequential::Infer bit-for-bit — the fused step keeps the exact
-// accumulation order of Matrix::MatMul + AddRowVectorInPlace + the
+// accumulation order of Linear::Infer (the product, then the bias) and the
 // activation's element-wise map. For T = float the same arithmetic runs in
-// float32; the calibration tests bound the resulting score drift.
+// float32, with the same bits on every kernel backend; the calibration
+// tests bound its score drift from float64.
 
 #ifndef TARGAD_NN_FROZEN_H_
 #define TARGAD_NN_FROZEN_H_
