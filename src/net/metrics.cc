@@ -1,66 +1,18 @@
 #include "net/metrics.h"
 
-#include <sstream>
-
 namespace targad {
 namespace net {
 
 NetMetricsSnapshot NetMetrics::Snapshot() const {
   NetMetricsSnapshot s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
-  s.connections_active = connections_active_.load(std::memory_order_relaxed);
-  s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  s.idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  s.rows_in = rows_in_.load(std::memory_order_relaxed);
-  s.rows_out = rows_out_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.oversized_lines = oversized_lines_.load(std::memory_order_relaxed);
-  s.drains = drains_.load(std::memory_order_relaxed);
-  s.parse_p50_us = parse_us_.PercentileUpperBound(0.50);
-  s.parse_p99_us = parse_us_.PercentileUpperBound(0.99);
-  s.score_p50_us = score_us_.PercentileUpperBound(0.50);
-  s.score_p99_us = score_us_.PercentileUpperBound(0.99);
-  s.score_p999_us = score_us_.PercentileUpperBound(0.999);
-  s.respond_p50_us = respond_us_.PercentileUpperBound(0.50);
-  s.respond_p99_us = respond_us_.PercentileUpperBound(0.99);
-  s.parse_buckets = parse_us_.Buckets();
-  s.score_buckets = score_us_.Buckets();
-  s.respond_buckets = respond_us_.Buckets();
+  TARGAD_METRICS_LOADS(TARGAD_NET_METRICS)
   return s;
 }
 
-std::string NetMetricsSnapshot::ToText() const {
-  std::ostringstream out;
-  out << "net connections: " << connections_accepted << " accepted, "
-      << connections_active << " active, " << connections_rejected
-      << " rejected, " << connections_closed << " closed (" << idle_closed
-      << " idle)\n";
-  out << "net rows: " << rows_in << " in, " << rows_out << " out, " << shed
-      << " shed, " << protocol_errors << " protocol errors, "
-      << oversized_lines << " oversized lines\n";
-  out << "net drains: " << drains << "\n";
-  out << "net stage latency (us, bucket upper bounds): parse p50<=" << parse_p50_us
-      << " p99<=" << parse_p99_us << ", score p50<=" << score_p50_us
-      << " p99<=" << score_p99_us << " p999<=" << score_p999_us
-      << ", respond p50<=" << respond_p50_us << " p99<=" << respond_p99_us
-      << "\n";
-  return out.str();
-}
-
-std::string NetMetricsSnapshot::ToStatsLine() const {
-  std::ostringstream out;
-  out << "accepted=" << connections_accepted
-      << " active=" << connections_active
-      << " rejected=" << connections_rejected
-      << " closed=" << connections_closed << " rows_in=" << rows_in
-      << " rows_out=" << rows_out << " shed=" << shed
-      << " protocol_errors=" << protocol_errors
-      << " score_p99_us=" << score_p99_us;
-  return out.str();
+std::string NetMetrics::Report() const {
+  serve::MetricsText report(serve::MetricsText::Layout::kReport);
+  Snapshot().ForEach(report);
+  return "net metrics\n" + report.str();
 }
 
 }  // namespace net

@@ -5,15 +5,15 @@
 // pow2-bucket implementation, so the two metric families report percentiles
 // with identical semantics.
 //
-// Stage attribution follows the pipeline: ingest/parse (bytes readable ->
-// row submitted, on the poll thread), score (BatchScorer::Submit -> its
+// Stage attribution follows the pipeline: parse (bytes read -> SCORE row
+// submitted, on the poll thread), score (BatchScorer::Submit -> its
 // completion callback, dominated by batch coalescing + inference), respond
-// (completion callback -> reply bytes handed to the kernel).
+// (completion callback -> reply released to the session's write backlog,
+// before send()).
 
 #ifndef TARGAD_NET_METRICS_H_
 #define TARGAD_NET_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -24,32 +24,44 @@
 namespace targad {
 namespace net {
 
-/// Point-in-time copy of every net metric, with derived percentiles.
+// The net metrics table, in rendering order (row kinds: serve/metrics.h).
+// Connection rows keep STATS's keys, without `connections_`; every other
+// key is its field name. rows_in counts SCORE requests; rows_out counts
+// replies of every kind (PONG, STATS, OK bye and ERR included) released to
+// a session's write backlog, before send(). DESIGN.md §8 "Metrics schema"
+// lists every row.
+#define TARGAD_NET_METRICS(C, H, P, M)                                \
+  C(connections_accepted, "accepted", "connections")                 \
+  C(connections_active, "active", "connections")                     \
+  C(connections_rejected, "rejected", "connections")                 \
+  C(connections_closed, "closed", "connections")                     \
+  C(idle_closed, "idle_closed", "connections")                       \
+  C(rows_in, "rows_in", "requests")                                  \
+  C(rows_out, "rows_out", "replies")                                 \
+  C(shed, "shed", "requests")                                        \
+  C(protocol_errors, "protocol_errors", "lines")                     \
+  C(oversized_lines, "oversized_lines", "connections")               \
+  C(drains, "drains", "drains")                                      \
+  P(parse_p50_us, "parse_p50_us", "us", parse_buckets, 0.50)         \
+  P(parse_p99_us, "parse_p99_us", "us", parse_buckets, 0.99)         \
+  H(parse_buckets, "parse_buckets", "us")                            \
+  P(score_p50_us, "score_p50_us", "us", score_buckets, 0.50)         \
+  P(score_p99_us, "score_p99_us", "us", score_buckets, 0.99)         \
+  P(score_p999_us, "score_p999_us", "us", score_buckets, 0.999)      \
+  H(score_buckets, "score_buckets", "us")                            \
+  P(respond_p50_us, "respond_p50_us", "us", respond_buckets, 0.50)   \
+  P(respond_p99_us, "respond_p99_us", "us", respond_buckets, 0.99)   \
+  H(respond_buckets, "respond_buckets", "us")
+
+/// Point-in-time copy of every net metric: one field per table row.
 struct NetMetricsSnapshot {
-  uint64_t connections_accepted = 0;  ///< accept() handed us a socket.
-  uint64_t connections_rejected = 0;  ///< Turned away at max_connections.
-  uint64_t connections_active = 0;    ///< Currently open sessions (gauge).
-  uint64_t connections_closed = 0;    ///< Sessions torn down (any reason).
-  uint64_t idle_closed = 0;           ///< Closed by the idle timeout.
-  uint64_t rows_in = 0;               ///< SCORE requests parsed.
-  uint64_t rows_out = 0;              ///< Replies flushed to sockets.
-  uint64_t shed = 0;                  ///< ERR overloaded replies (load shed).
-  uint64_t protocol_errors = 0;       ///< Malformed request lines.
-  uint64_t oversized_lines = 0;       ///< Connections killed by max_line.
-  uint64_t drains = 0;                ///< Graceful-drain passes started.
+  /// Calls visit(key, unit, value) once per table row, in table order.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    TARGAD_METRICS_VISITS(TARGAD_NET_METRICS)
+  }
 
-  uint64_t parse_p50_us = 0, parse_p99_us = 0;
-  uint64_t score_p50_us = 0, score_p99_us = 0, score_p999_us = 0;
-  uint64_t respond_p50_us = 0, respond_p99_us = 0;
-  std::array<uint64_t, serve::Pow2Histogram::kNumBuckets> parse_buckets{};
-  std::array<uint64_t, serve::Pow2Histogram::kNumBuckets> score_buckets{};
-  std::array<uint64_t, serve::Pow2Histogram::kNumBuckets> respond_buckets{};
-
-  /// Multi-line human-readable report (the CLI prints this on exit).
-  std::string ToText() const;
-
-  /// Single-line "k=v k=v ..." rendering, the payload of a STATS reply.
-  std::string ToStatsLine() const;
+  TARGAD_METRICS_FIELDS(TARGAD_NET_METRICS)
 };
 
 /// Shared metrics sink for one TCP listener. All methods are thread-safe
@@ -58,52 +70,46 @@ struct NetMetricsSnapshot {
 class NetMetrics {
  public:
   void RecordAccepted() {
-    Add(&connections_accepted_);
-    connections_active_.fetch_add(1, std::memory_order_relaxed);
+    Add(&counters_.connections_accepted);
+    Add(&counters_.connections_active);
   }
-  void RecordRejected() { Add(&connections_rejected_); }
+  void RecordRejected() { Add(&counters_.connections_rejected); }
   void RecordClosed() {
-    Add(&connections_closed_);
-    connections_active_.fetch_sub(1, std::memory_order_relaxed);
+    Add(&counters_.connections_closed);
+    counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   }
-  void RecordIdleClosed() { Add(&idle_closed_); }
-  void RecordRowIn() { Add(&rows_in_); }
-  void RecordRowsOut(uint64_t n) {
-    rows_out_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void RecordShed() { Add(&shed_); }
-  void RecordProtocolError() { Add(&protocol_errors_); }
-  void RecordOversized() { Add(&oversized_lines_); }
-  void RecordDrain() { Add(&drains_); }
+  void RecordIdleClosed() { Add(&counters_.idle_closed); }
+  void RecordRowIn() { Add(&counters_.rows_in); }
+  void RecordRowsOut(uint64_t n) { Add(&counters_.rows_out, n); }
+  void RecordShed() { Add(&counters_.shed); }
+  void RecordProtocolError() { Add(&counters_.protocol_errors); }
+  void RecordOversized() { Add(&counters_.oversized_lines); }
+  void RecordDrain() { Add(&counters_.drains); }
 
-  TARGAD_HOT_PATH void RecordParseUs(uint64_t us) { parse_us_.Record(us); }
-  TARGAD_HOT_PATH void RecordScoreUs(uint64_t us) { score_us_.Record(us); }
-  TARGAD_HOT_PATH void RecordRespondUs(uint64_t us) { respond_us_.Record(us); }
+  TARGAD_HOT_PATH void RecordParseUs(uint64_t us) { parse_buckets_.Record(us); }
+  TARGAD_HOT_PATH void RecordScoreUs(uint64_t us) { score_buckets_.Record(us); }
+  TARGAD_HOT_PATH void RecordRespondUs(uint64_t us) {
+    respond_buckets_.Record(us);
+  }
 
   NetMetricsSnapshot Snapshot() const;
 
-  /// Snapshot().ToText().
-  std::string Report() const { return Snapshot().ToText(); }
+  /// The exit report: "net metrics", then every table row as
+  /// "  key=value unit".
+  std::string Report() const;
 
  private:
-  static void Add(std::atomic<uint64_t>* c) {
-    c->fetch_add(1, std::memory_order_relaxed);
+  static void Add(std::atomic<uint64_t>* c, uint64_t n = 1) {
+    c->fetch_add(n, std::memory_order_relaxed);
   }
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> connections_closed_{0};
-  std::atomic<uint64_t> idle_closed_{0};
-  std::atomic<uint64_t> rows_in_{0};
-  std::atomic<uint64_t> rows_out_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> oversized_lines_{0};
-  std::atomic<uint64_t> drains_{0};
-  serve::Pow2Histogram parse_us_;
-  serve::Pow2Histogram score_us_;
-  serve::Pow2Histogram respond_us_;
+  struct Counters {
+    TARGAD_METRICS_SLOTS(TARGAD_NET_METRICS)
+  };
+  Counters counters_;
+  serve::Pow2Histogram parse_buckets_;
+  serve::Pow2Histogram score_buckets_;
+  serve::Pow2Histogram respond_buckets_;
 };
 
 }  // namespace net

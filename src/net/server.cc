@@ -381,30 +381,18 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
       return;
     }
     case Request::Kind::kStats: {
+      // The net table, the server's two gauges, then the serve table when
+      // a serve sink is attached (DESIGN.md §8, "Metrics schema").
       const uint64_t seq = s->BeginRequest();
-      NetMetricsSnapshot snapshot = metrics_->Snapshot();
-      std::string stats = snapshot.ToStatsLine();
-      stats += " inflight=";
-      stats += std::to_string(inflight_rows_.load(std::memory_order_relaxed));
-      stats += " draining=";
-      stats += draining() ? '1' : '0';
+      serve::MetricsText stats(serve::MetricsText::Layout::kLine);
+      metrics_->Snapshot().ForEach(stats);
+      stats("inflight", "rows",
+            inflight_rows_.load(std::memory_order_relaxed));
+      stats("draining", "flag", uint64_t{draining() ? 1u : 0u});
       if (options_.serve_metrics != nullptr) {
-        // Model-registry tiering counters ride along when the CLI wired a
-        // serve-metrics sink into the server.
-        const serve::MetricsSnapshot serve_snapshot =
-            options_.serve_metrics->Snapshot();
-        stats += " reg_hits=";
-        stats += std::to_string(serve_snapshot.registry_hits);
-        stats += " reg_misses=";
-        stats += std::to_string(serve_snapshot.registry_misses);
-        stats += " reg_evictions=";
-        stats += std::to_string(serve_snapshot.registry_evictions);
-        stats += " reg_loads=";
-        stats += std::to_string(serve_snapshot.registry_loads);
-        stats += " reg_load_p99_us=";
-        stats += std::to_string(serve_snapshot.registry_load_p99_us);
+        options_.serve_metrics->Snapshot().ForEach(stats);
       }
-      s->Complete(seq, FormatOk(stats));
+      s->Complete(seq, FormatOk(stats.str()));
       return;
     }
     case Request::Kind::kQuit: {

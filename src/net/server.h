@@ -69,9 +69,7 @@ struct TcpServerOptions {
   /// byte triggers BeginDrain. Not owned; -1 disables.
   int drain_fd = -1;
   /// Optional serving-side metrics sink; when set, the STATS reply appends
-  /// the model-registry tiering counters (reg_hits/reg_misses/
-  /// reg_evictions/reg_loads/reg_load_p99_us). Not owned; must outlive the
-  /// server.
+  /// its table (TARGAD_SERVE_METRICS). Not owned; must outlive the server.
   serve::ServeMetrics* serve_metrics = nullptr;
 };
 

@@ -245,7 +245,13 @@ void BatchScorer::ScoreGroup(const std::string& model,
     const Status failure =
         fetched.ok() ? MissingModel(model) : fetched.status();
     for (Pending* request : *rows) fulfill(request, failure);
-    record_model();
+    // A registered model whose promotion failed keeps its per-model row;
+    // an unknown name is the client's token and gets none.
+    if (!fetched.ok()) {
+      record_model();
+    } else if (metrics_ != nullptr) {
+      metrics_->RecordUnknownModelRows(rows->size());
+    }
     return;
   }
   const std::shared_ptr<const core::RowScorer>& snapshot = *fetched;

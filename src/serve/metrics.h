@@ -2,7 +2,9 @@
 // scoring service. Writers touch only relaxed atomics, so recording from
 // the request and batch paths costs a handful of nanoseconds; readers take
 // a consistent-enough snapshot (each counter is individually atomic) and
-// derive percentiles from the histograms.
+// derive percentiles from the histograms. Every metric is one row of a
+// metrics table (TARGAD_SERVE_METRICS below, TARGAD_NET_METRICS in
+// net/metrics.h); DESIGN.md §8 "Metrics schema" says what each row counts.
 
 #ifndef TARGAD_SERVE_METRICS_H_
 #define TARGAD_SERVE_METRICS_H_
@@ -13,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/hot_path.h"
 #include "common/lock_rank.h"
@@ -44,57 +45,152 @@ class Pow2Histogram {
   /// Total recorded samples.
   uint64_t Count() const;
 
-  /// Upper bound (exclusive) of the bucket holding the p-quantile sample,
-  /// the one at the nearest rank ceil(p * Count()), i.e. a value such that
-  /// >= p of samples are below it. p in [0, 1], rounded to millionths.
-  /// Returns 0 when empty.
-  uint64_t PercentileUpperBound(double p) const;
-
-  /// Bucket counts, for dumps and tests.
+  /// Bucket counts, for snapshots and tests.
   std::array<uint64_t, kNumBuckets> Buckets() const;
 
  private:
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
 
-/// Per-model row outcomes (multi-model routing).
-struct ModelRowCounters {
-  uint64_t rows_scored = 0;
-  uint64_t rows_failed = 0;
+using HistogramBuckets = std::array<uint64_t, Pow2Histogram::kNumBuckets>;
+
+/// Upper bound (exclusive) of the bucket holding the p-quantile sample,
+/// the one at the nearest rank ceil(p * total), i.e. a value such that
+/// >= p of samples are below it. p in [0, 1], rounded to millionths.
+/// Returns 0 when empty.
+uint64_t PercentileUpperBound(const HistogramBuckets& buckets, double p);
+
+// A metrics table is an X-macro over four kinds of row, each naming the
+// snapshot field, its key in STATS and the exit report, and its unit:
+//   C(field, key, unit)            a counter: one relaxed atomic slot;
+//   H(field, key, unit)            the bucket counts of the sink's
+//                                  Pow2Histogram `field_`, declared by hand
+//                                  so targad-lint resolves its Record calls;
+//   P(field, key, unit, hist, q)   the q-quantile of histogram `hist`;
+//   M(field, key, unit, num, den)  the mean num / den of two counters.
+// The appliers below expand a whole table into one piece each, so a new
+// counter is one row plus its record call.
+#define TARGAD_METRIC_SKIP(...)
+#define TARGAD_METRIC_SLOT(field, ...) std::atomic<uint64_t> field{0};
+#define TARGAD_METRIC_COUNT(field, ...) uint64_t field = 0;
+#define TARGAD_METRIC_BUCKETS(field, ...) \
+  ::targad::serve::HistogramBuckets field{};
+#define TARGAD_METRIC_RATIO(field, ...) double field = 0.0;
+#define TARGAD_METRIC_LOAD(field, ...) \
+  s.field = counters_.field.load(std::memory_order_relaxed);
+#define TARGAD_METRIC_LOAD_BUCKETS(field, ...) s.field = field##_.Buckets();
+#define TARGAD_METRIC_PERCENTILE(field, key, unit, hist, q) \
+  s.field = ::targad::serve::PercentileUpperBound(s.hist, q);
+#define TARGAD_METRIC_MEAN(field, key, unit, num, den) \
+  s.field = s.den == 0 ? 0.0 : static_cast<double>(s.num) / s.den;
+#define TARGAD_METRIC_VISIT(field, key, unit, ...) visit(key, unit, field);
+
+/// The sink's counter slots, as the members of a struct.
+#define TARGAD_METRICS_SLOTS(TABLE) \
+  TABLE(TARGAD_METRIC_SLOT, TARGAD_METRIC_SKIP, TARGAD_METRIC_SKIP, \
+        TARGAD_METRIC_SKIP)
+/// The snapshot's fields, one per row.
+#define TARGAD_METRICS_FIELDS(TABLE)                                  \
+  TABLE(TARGAD_METRIC_COUNT, TARGAD_METRIC_BUCKETS, TARGAD_METRIC_COUNT, \
+        TARGAD_METRIC_RATIO)
+/// The body of a sink's Snapshot(): loads its `counters_` and histograms
+/// into the local snapshot `s`, then derives the percentiles and means in
+/// a second pass, so a derived row may come before the rows it reads.
+#define TARGAD_METRICS_LOADS(TABLE)                                      \
+  TABLE(TARGAD_METRIC_LOAD, TARGAD_METRIC_LOAD_BUCKETS, TARGAD_METRIC_SKIP, \
+        TARGAD_METRIC_SKIP)                                              \
+  TABLE(TARGAD_METRIC_SKIP, TARGAD_METRIC_SKIP, TARGAD_METRIC_PERCENTILE,   \
+        TARGAD_METRIC_MEAN)
+/// The body of a snapshot's ForEach: visit(key, unit, value) per row.
+#define TARGAD_METRICS_VISITS(TABLE)                                     \
+  TABLE(TARGAD_METRIC_VISIT, TARGAD_METRIC_VISIT, TARGAD_METRIC_VISIT,   \
+        TARGAD_METRIC_VISIT)
+
+/// Renders table rows as text, one ForEach visit at a time. kLine joins
+/// "key=value" with single spaces: the STATS payload and a per-model row.
+/// kReport writes one "  key=value unit" line per row: the exit report.
+/// Every percentile is an exclusive bucket upper bound: p99_us=512 says at
+/// least 99% of samples were below 512 us. A histogram renders as
+/// "upper:count" for each non-empty bucket, comma-joined, with the same
+/// exclusive upper bounds, or as "-" when it is empty.
+class MetricsText {
+ public:
+  enum class Layout { kLine, kReport };
+
+  explicit MetricsText(Layout layout) : layout_(layout) {}
+
+  void operator()(const char* key, const char* unit, uint64_t value);
+  void operator()(const char* key, const char* unit, double value);
+  void operator()(const char* key, const char* unit,
+                  const HistogramBuckets& buckets);
+
+  const std::string& str() const { return text_; }
+
+ private:
+  void Append(const char* key, const char* unit, const std::string& value);
+
+  const Layout layout_;
+  std::string text_;
 };
 
-/// Point-in-time copy of every metric, with derived percentiles.
+// Row outcomes of one registered model: rows that got a score, rows that
+// got an error. Printed only in the exit report, since model names are
+// file stems and may hold spaces or '='.
+#define TARGAD_MODEL_ROW_METRICS(C, H, P, M) \
+  C(rows_scored, "scored", "rows")           \
+  C(rows_failed, "failed", "rows")
+
+struct ModelRowCounters {
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    TARGAD_METRICS_VISITS(TARGAD_MODEL_ROW_METRICS)
+  }
+
+  TARGAD_METRICS_FIELDS(TARGAD_MODEL_ROW_METRICS)
+};
+
+// The serve metrics table, in rendering order. Registry rows keep STATS's
+// `reg_` keys; every other key is its field name. latency_* times a row
+// from Submit to its fulfilment; reg_load_* times each model load.
+#define TARGAD_SERVE_METRICS(C, H, P, M)                                \
+  C(requests_submitted, "requests_submitted", "requests")              \
+  C(requests_completed, "requests_completed", "requests")              \
+  C(requests_failed, "requests_failed", "requests")                    \
+  C(requests_rejected, "requests_rejected", "requests")                \
+  C(unknown_model_rows, "unknown_model_rows", "rows")                  \
+  C(batches, "batches", "batches")                                     \
+  C(rows_scored, "rows_scored", "rows")                                \
+  M(mean_batch_size, "mean_batch_size", "rows", rows_scored, batches)  \
+  H(batch_size_buckets, "batch_size_buckets", "rows")                  \
+  C(model_swaps, "model_swaps", "swaps")                               \
+  P(latency_p50_us, "latency_p50_us", "us", latency_buckets, 0.50)     \
+  P(latency_p95_us, "latency_p95_us", "us", latency_buckets, 0.95)     \
+  P(latency_p99_us, "latency_p99_us", "us", latency_buckets, 0.99)     \
+  H(latency_buckets, "latency_buckets", "us")                          \
+  C(registry_hits, "reg_hits", "lookups")                              \
+  C(registry_misses, "reg_misses", "lookups")                          \
+  C(registry_evictions, "reg_evictions", "models")                     \
+  C(registry_refreshes, "reg_refreshes", "models")                     \
+  C(registry_refresh_polls, "reg_refresh_polls", "polls")              \
+  C(registry_refresh_errors, "reg_refresh_errors", "polls")            \
+  C(registry_loads, "reg_loads", "loads")                              \
+  P(registry_load_p50_us, "reg_load_p50_us", "us", registry_load_buckets, \
+    0.50)                                                              \
+  P(registry_load_p99_us, "reg_load_p99_us", "us", registry_load_buckets, \
+    0.99)                                                              \
+  H(registry_load_buckets, "reg_load_buckets", "us")
+
+/// Point-in-time copy of every serve metric: one field per table row.
 struct MetricsSnapshot {
-  uint64_t requests_submitted = 0;   ///< Accepted into the queue.
-  uint64_t requests_rejected = 0;    ///< Bounced with ResourceExhausted.
-  uint64_t requests_completed = 0;   ///< Promise fulfilled with a score.
-  uint64_t requests_failed = 0;      ///< Promise fulfilled with an error.
-  uint64_t batches = 0;              ///< Vectorized Score calls.
-  uint64_t rows_scored = 0;          ///< Rows across all batches.
-  uint64_t model_swaps = 0;          ///< Registry publishes observed.
-  double mean_batch_size = 0.0;
-  uint64_t latency_p50_us = 0;
-  uint64_t latency_p95_us = 0;
-  uint64_t latency_p99_us = 0;
-  /// Model-registry tiering counters (zero when no registry is attached):
-  /// warm-tier lookups, cold-tier promotions (each one a disk load),
-  /// demotions, models RefreshIfChanged republished, and the latency
-  /// distribution of the loads themselves.
-  uint64_t registry_hits = 0;
-  uint64_t registry_misses = 0;
-  uint64_t registry_evictions = 0;
-  uint64_t registry_refreshes = 0;
-  uint64_t registry_loads = 0;
-  uint64_t registry_load_p50_us = 0;
-  uint64_t registry_load_p99_us = 0;
-  std::array<uint64_t, Pow2Histogram::kNumBuckets> batch_size_buckets{};
-  std::array<uint64_t, Pow2Histogram::kNumBuckets> latency_buckets{};
-  std::array<uint64_t, Pow2Histogram::kNumBuckets> registry_load_buckets{};
-  /// Row outcomes per routed model name (sorted by name).
+  TARGAD_METRICS_FIELDS(TARGAD_SERVE_METRICS)
+  /// Row outcomes per registered model name (sorted by name).
   std::map<std::string, ModelRowCounters> per_model;
 
-  /// Multi-line human-readable report (the CLI prints this on exit).
-  std::string ToText() const;
+  /// Calls visit(key, unit, value) once per table row, in table order.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    TARGAD_METRICS_VISITS(TARGAD_SERVE_METRICS)
+  }
 };
 
 /// Shared metrics sink for one scoring service. All methods are thread-safe;
@@ -103,15 +199,22 @@ struct MetricsSnapshot {
 /// batch group (amortized), never per row.
 class ServeMetrics {
  public:
-  void RecordSubmitted() { Add(&requests_submitted_); }
-  void RecordRejected() { Add(&requests_rejected_); }
-  void RecordModelSwap() { Add(&model_swaps_); }
+  void RecordSubmitted() { Add(&counters_.requests_submitted); }
+  void RecordRejected() { Add(&counters_.requests_rejected); }
+  void RecordModelSwap() { Add(&counters_.model_swaps); }
+
+  /// Rows of one batch group routed to a name the provider does not know.
+  /// They count in one counter, not per name: over TCP the name is the
+  /// client's token, and a map keyed by it would grow without bound.
+  void RecordUnknownModelRows(uint64_t rows) {
+    Add(&counters_.unknown_model_rows, rows);
+  }
 
   /// One vectorized Score call over `rows` rows.
   void RecordBatch(uint64_t rows);
 
-  /// Row outcomes of one batch group routed to `model`. Called once per
-  /// group, so the mutex cost is amortized over the batch.
+  /// Row outcomes of one batch group routed to the registered `model`.
+  /// Called once per group, so the mutex cost is amortized over the batch.
   void RecordModelRows(const std::string& model, uint64_t scored,
                        uint64_t failed) TARGAD_EXCLUDES(model_mu_);
 
@@ -123,12 +226,17 @@ class ServeMetrics {
   /// the model was cold and had to be promoted; eviction = a demotion of
   /// the least-frequently-used warm model to the cold tier. Atomic-only, so the registry may record them while
   /// holding its own mutex.
-  void RecordRegistryHit() { Add(&registry_hits_); }
-  void RecordRegistryMiss() { Add(&registry_misses_); }
-  void RecordRegistryEviction() { Add(&registry_evictions_); }
+  void RecordRegistryHit() { Add(&counters_.registry_hits); }
+  void RecordRegistryMiss() { Add(&counters_.registry_misses); }
+  void RecordRegistryEviction() { Add(&counters_.registry_evictions); }
   /// One model republished by RefreshIfChanged, counted even when another
   /// model in the same pass fails to load.
-  void RecordRegistryRefresh() { Add(&registry_refreshes_); }
+  void RecordRegistryRefresh() { Add(&counters_.registry_refreshes); }
+  /// One RefreshIfChanged pass, and whether it returned an error.
+  void RecordRegistryPoll(bool failed) {
+    Add(&counters_.registry_refresh_polls);
+    if (failed) Add(&counters_.registry_refresh_errors);
+  }
 
   /// One disk load of a model (cold promotion, publish, or refresh) and its
   /// wall time — for a ".tgz1" artifact a read, a checksum and a pointer
@@ -137,29 +245,23 @@ class ServeMetrics {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Snapshot().ToText().
-  std::string Report() const { return Snapshot().ToText(); }
+  /// The exit report: "serve metrics", every table row as
+  /// "  key=value unit", then "  model <name>: scored=N failed=M" per
+  /// registered model.
+  std::string Report() const;
 
  private:
-  static void Add(std::atomic<uint64_t>* c) {
-    c->fetch_add(1, std::memory_order_relaxed);
+  static void Add(std::atomic<uint64_t>* c, uint64_t n = 1) {
+    c->fetch_add(n, std::memory_order_relaxed);
   }
 
-  std::atomic<uint64_t> requests_submitted_{0};
-  std::atomic<uint64_t> requests_rejected_{0};
-  std::atomic<uint64_t> requests_completed_{0};
-  std::atomic<uint64_t> requests_failed_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> rows_scored_{0};
-  std::atomic<uint64_t> model_swaps_{0};
-  std::atomic<uint64_t> registry_hits_{0};
-  std::atomic<uint64_t> registry_misses_{0};
-  std::atomic<uint64_t> registry_evictions_{0};
-  std::atomic<uint64_t> registry_refreshes_{0};
-  std::atomic<uint64_t> registry_loads_{0};
-  Pow2Histogram batch_sizes_;
-  Pow2Histogram latencies_us_;
-  Pow2Histogram registry_load_us_;
+  struct Counters {
+    TARGAD_METRICS_SLOTS(TARGAD_SERVE_METRICS)
+  };
+  Counters counters_;
+  Pow2Histogram batch_size_buckets_;
+  Pow2Histogram latency_buckets_;
+  Pow2Histogram registry_load_buckets_;
 
   mutable RankedMutex model_mu_{LockRank::kServeMetrics};
   std::map<std::string, ModelRowCounters> model_rows_

@@ -318,6 +318,7 @@ Result<size_t> ModelRegistry::RefreshIfChanged() {
       publish(name, path.string(), now);
     }
   }
+  if (metrics != nullptr) metrics->RecordRegistryPoll(!first_error.ok());
   if (!first_error.ok()) return first_error;
   return republished;
 }

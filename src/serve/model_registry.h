@@ -48,9 +48,10 @@
 // served text model takes over from it. A file that fails to load is
 // remembered by its signature and not read again until it changes.
 //
-// Registry metrics (hits/misses/evictions and a load-latency histogram) are
-// recorded into an optional ServeMetrics sink (set_metrics) and surface in
-// its report, the TCP STATS line, and the serve exit report.
+// Registry metrics (hits/misses/evictions, refreshes, refresh polls and
+// their errors, and a load-latency histogram) are recorded into an
+// optional ServeMetrics sink (set_metrics) and surface as the reg_* keys
+// of the TCP STATS line and the serve exit report.
 
 #ifndef TARGAD_SERVE_MODEL_REGISTRY_H_
 #define TARGAD_SERVE_MODEL_REGISTRY_H_
@@ -175,7 +176,8 @@ class ModelRegistry {
   /// signature changes (or the name loads from elsewhere or is removed).
   /// Returns the number of models (re)published, or the first load error
   /// once the pass is done; the metrics sink counts every republish either
-  /// way (MetricsSnapshot::registry_refreshes).
+  /// way (MetricsSnapshot::registry_refreshes), and the pass itself and
+  /// whether it failed (registry_refresh_polls, registry_refresh_errors).
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
   /// Serving snapshot for `name` (always a core::FrozenScorer), or

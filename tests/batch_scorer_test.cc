@@ -376,11 +376,37 @@ TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
   ASSERT_TRUE(ok2.ok()) << ok2.status().ToString();
   EXPECT_EQ(*ok2, fx.serial_scores[2]);
 
+  // The unknown name gets no per-model row, only the shared counter.
   scorer.Drain();
   const MetricsSnapshot snapshot = metrics.Snapshot();
-  ASSERT_EQ(snapshot.per_model.count("no-such"), 1u);
-  EXPECT_EQ(snapshot.per_model.at("no-such").rows_failed, 1u);
-  EXPECT_EQ(snapshot.per_model.at("no-such").rows_scored, 0u);
+  EXPECT_EQ(snapshot.per_model.count("no-such"), 0u);
+  EXPECT_EQ(snapshot.unknown_model_rows, 1u);
+  ASSERT_EQ(snapshot.per_model.count("default"), 1u);
+  EXPECT_EQ(snapshot.per_model.at("default").rows_scored, 2u);
+}
+
+// Routed names are the client's tokens: 1,000 distinct unknown names must
+// leave the per-model map empty and count in unknown_model_rows alone.
+TEST(BatchScorerTest, UnknownModelNamesDoNotGrowPerModelCounters) {
+  ServeMetrics metrics;
+  BatchScorer scorer(
+      BatchScorer::NamedSnapshotProvider([](const std::string&) {
+        return std::shared_ptr<const core::RowScorer>();
+      }),
+      BatchScorerOptions{}, &metrics);
+  constexpr uint64_t kNames = 1000;
+  std::vector<std::future<Result<double>>> futures;
+  for (uint64_t i = 0; i < kNames; ++i) {
+    futures.push_back(scorer.Submit("unknown-" + std::to_string(i), "1,2"));
+  }
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().status().code(), StatusCode::kNotFound);
+  }
+  scorer.Drain();
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_TRUE(snapshot.per_model.empty()) << snapshot.per_model.size();
+  EXPECT_EQ(snapshot.unknown_model_rows, kNames);
+  EXPECT_EQ(snapshot.requests_failed, kNames);
 }
 
 // A provider error — e.g. a registered model whose cold promotion cannot

@@ -10,6 +10,19 @@ cd "$WORK"
 
 fail() { echo "FAIL: $1"; exit 1; }
 
+# Exit-report lookups by key. metric <file> <key> prints the value of the
+# first "key=value" token in <file> ("-" reads stdin); at_least <file>
+# <key> <min> checks that the value is present and >= min.
+metric() {
+  awk -v k="$2=" '{for (i = 1; i <= NF; i++) if (index($i, k) == 1) {
+                    print substr($i, length(k) + 1); exit}}' "$1"
+}
+at_least() {
+  local v
+  v=$(metric "$1" "$2")
+  [ -n "$v" ] && [ "$v" -ge "$3" ]
+}
+
 # Happy path.
 "$CLI" generate --profile kdd --scale 0.03 --seed 3 --out data \
   || fail "generate"
@@ -40,7 +53,8 @@ esac
   --workers 4 --batch 16 2>serve_metrics.txt || fail "serve"
 diff -q scores.csv serve_scores.csv \
   || fail "serve scores differ from serial score output"
-grep -q "requests:" serve_metrics.txt || fail "serve metrics report missing"
+[ "$(metric serve_metrics.txt requests_completed)" = "$expected" ] \
+  || fail "serve metrics report missing"
 
 # Serving from stdin to stdout.
 "$CLI" serve --model m.model < data_test.csv > serve_stdout.csv \
@@ -85,10 +99,8 @@ grep -q "dtype float32" serve_f32_metrics.txt \
 } | "$CLI" serve --model m.model --refresh-ms 20 \
   > refresh_scores.csv 2>refresh_metrics.txt || fail "serve --refresh-ms"
 diff -q scores.csv refresh_scores.csv || fail "refresh serve scores differ"
-grep -q "refreshes:" refresh_metrics.txt \
-  || fail "refresh metrics line missing"
-awk '/refreshes:/ {polls=$2; repub=$4;
-     exit !(polls >= 1 && repub >= 1)}' refresh_metrics.txt \
+at_least refresh_metrics.txt reg_refresh_polls 1 \
+  && at_least refresh_metrics.txt reg_refreshes 1 \
   || fail "refresh timer never republished the touched artifact"
 
 # A damaged model file is read once, not at every poll, and a failing
@@ -116,9 +128,8 @@ diff -q scores.csv refresh_mixed_scores.csv \
   || fail "refresh serve scores differ beside a broken model"
 [ "$(grep -c '^refresh: ' refresh_mixed_metrics.txt)" -eq 1 ] \
   || fail "an unchanged broken model was reported more than once (or never)"
-awk 'BEGIN {ok = 0}
-     /refreshes:/ {ok = ($4 >= 1 && $6 >= 1)}
-     END {exit !ok}' refresh_mixed_metrics.txt \
+at_least refresh_mixed_metrics.txt reg_refreshes 1 \
+  && at_least refresh_mixed_metrics.txt reg_refresh_errors 1 \
   || fail "a poll that failed on one model lost another's republish"
 
 # A non-positive refresh interval is rejected up front.
@@ -137,8 +148,8 @@ awk -F, 'NR==1 {print; next} {print "model=shadow," $0}' data_test.csv \
 "$CLI" serve --models models_dir --in routed_test.csv --out serve_routed.csv \
   2>routed_metrics.txt || fail "serve model routing"
 diff -q scores.csv serve_routed.csv || fail "routed scores differ"
-grep -q "model shadow:" routed_metrics.txt \
-  || fail "per-model metrics missing routed model"
+[ "$(grep '^  model shadow: ' routed_metrics.txt | metric - scored)" \
+  = "$expected" ] || fail "per-model metrics missing routed model"
 
 # A row routed to an unknown model fails; the stream stops at that row's
 # error, exiting non-zero.
@@ -178,10 +189,8 @@ cp m.tgz1 artifact_dir/other.tgz1
 "$CLI" serve --models artifact_dir --warm 1 --in data_test.csv \
   --out warm_scores.csv 2>warm_metrics.txt || fail "serve --warm"
 diff -q serve_f32.csv warm_scores.csv || fail "--warm serve scores differ"
-grep -q "registry:" warm_metrics.txt \
-  || fail "registry metrics missing from exit report"
-awk '/registry:/ {evictions=$6; loads=$8;
-     exit !(evictions >= 1 && loads >= 2)}' warm_metrics.txt \
+at_least warm_metrics.txt reg_evictions 1 \
+  && at_least warm_metrics.txt reg_loads 2 \
   || fail "warm-capacity serve recorded no evictions/loads"
 
 # A non-positive warm capacity is rejected up front.
@@ -256,7 +265,7 @@ done
 [ "$tcp_down" -eq 0 ] || fail "tcp serve did not drain on SIGTERM"
 wait "$TCP_PID"; [ $? -eq 0 ] || fail "tcp serve exited non-zero"
 grep -q "targad: drained" tcp_metrics.txt || fail "tcp drain marker missing"
-grep -q "net rows: 1 in" tcp_metrics.txt || fail "tcp net metrics missing"
+[ "$(metric tcp_metrics.txt rows_in)" = 1 ] || fail "tcp net metrics missing"
 
 # --tcp excludes the stdio flags.
 "$CLI" serve --model m.model --tcp 0 --in data_test.csv >/dev/null 2>&1 \

@@ -603,8 +603,10 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
   ASSERT_TRUE(registry.Info("d").ok());
   EXPECT_EQ(registry.Info("d")->version, 1u);
   // The failed pass returns no count; the metrics keep its two
-  // republishes, `b` and `d`.
+  // republishes, `b` and `d`, and count it as a failing poll.
   EXPECT_EQ(metrics.Snapshot().registry_refreshes, 2u);
+  EXPECT_EQ(metrics.Snapshot().registry_refresh_polls, 1u);
+  EXPECT_EQ(metrics.Snapshot().registry_refresh_errors, 1u);
 
   // Nothing changed: the damaged `a` and `c` are not read again.
   refreshed = registry.RefreshIfChanged();
@@ -634,6 +636,8 @@ TEST(ModelRegistryTest, RefreshGoesOnPastADamagedFile) {
       << refreshed.status().ToString();
   EXPECT_FALSE(registry.Info("c").ok());
   EXPECT_EQ(metrics.Snapshot().registry_refreshes, 3u);
+  EXPECT_EQ(metrics.Snapshot().registry_refresh_polls, 4u);
+  EXPECT_EQ(metrics.Snapshot().registry_refresh_errors, 2u);
 }
 
 TEST(ModelRegistryTest, ConcurrentPublishAndGetKeepSnapshotsIntact) {

@@ -26,10 +26,12 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/scorer.h"
+#include "metrics_check.h"
 #include "net/client.h"
 #include "net/metrics.h"
 #include "net/server.h"
 #include "serve/batch_scorer.h"
+#include "serve/metrics.h"
 #include "serve/row_parse.h"
 
 namespace targad {
@@ -498,6 +500,40 @@ class Gate {
   bool open_ = false;
 };
 
+// Every row of the net table renders exactly once, with its own value, in
+// the exit report and in the STATS line form. Each counter and histogram
+// gets a distinct, non-zero value, so a row that printed another row's
+// value would not parse back.
+TEST(NetMetricsTest, EveryKeyRendersOnceWithItsValue) {
+  NetMetrics metrics;
+  const auto repeat = [](int n, const auto& record) {
+    for (int i = 0; i < n; ++i) record();
+  };
+  repeat(9, [&] { metrics.RecordAccepted(); });
+  repeat(5, [&] { metrics.RecordClosed(); });  // 4 stay active.
+  repeat(2, [&] { metrics.RecordRejected(); });
+  repeat(3, [&] { metrics.RecordIdleClosed(); });
+  repeat(12, [&] { metrics.RecordRowIn(); });
+  metrics.RecordRowsOut(13);
+  repeat(6, [&] { metrics.RecordShed(); });
+  repeat(7, [&] { metrics.RecordProtocolError(); });
+  repeat(8, [&] { metrics.RecordOversized(); });
+  metrics.RecordDrain();
+  for (uint64_t us : {1, 3, 40}) metrics.RecordParseUs(us);
+  for (uint64_t us : {100, 200, 5000}) metrics.RecordScoreUs(us);
+  for (uint64_t us : {0, 7}) metrics.RecordRespondUs(us);
+
+  const NetMetricsSnapshot s = metrics.Snapshot();
+  testing::ExpectEveryRowOnce in_report(metrics.Report());
+  s.ForEach(in_report);
+
+  serve::MetricsText line(serve::MetricsText::Layout::kLine);
+  s.ForEach(line);
+  testing::ExpectEveryRowOnce in_line(line.str());
+  s.ForEach(in_line);
+  EXPECT_EQ(testing::MetricValues(line.str()).size(), in_line.rows());
+}
+
 /// Deterministic scorer: score = multiplier * first cell. Optionally gated.
 class FakeScorer : public core::RowScorer {
  public:
@@ -535,7 +571,8 @@ class FakeScorer : public core::RowScorer {
 };
 
 /// One running server on an ephemeral loopback port: "default" doubles the
-/// first cell, "triple" triples it, any other model is unknown.
+/// first cell, "triple" triples it, any other model is unknown. The scorer
+/// records into `net_options.serve_metrics` when it is set.
 class TestServer {
  public:
   explicit TestServer(TcpServerOptions net_options = {},
@@ -553,7 +590,7 @@ class TestServer {
                   if (name == "triple") return triple_model_;
                   return nullptr;
                 }),
-            scorer_options),
+            scorer_options, net_options.serve_metrics),
         server_(&scorer_, &metrics_, net_options) {
     TARGAD_CHECK_OK(server_.Start());
   }
@@ -607,6 +644,64 @@ TEST(TcpServerTest, PingStatsScoreQuit) {
   EXPECT_EQ(client.RecvLine().ValueOrDie(), "OK bye");
   // Server closes after flushing the QUIT reply.
   EXPECT_FALSE(client.RecvLine().ok());
+}
+
+// A live STATS reply reads back by key: the net table, the server's two
+// gauges and the attached serve table, each key once. After 3 PINGs and 1
+// SCORE, rows_in counts the one SCORE and rows_out all 4 replies released
+// before the STATS line was built.
+TEST(TcpServerTest, StatsReplyReadsBackByKey) {
+  serve::ServeMetrics serve_metrics;
+  serve_metrics.RecordRegistryLoad(250);  // As the CLI's startup load does.
+  TcpServerOptions options;
+  options.serve_metrics = &serve_metrics;
+  TestServer fixture(options);
+  LineClient client = fixture.Connect();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.SendLine("PING").ok());
+    ASSERT_EQ(client.RecvLine().ValueOrDie(), "PONG");
+  }
+  ASSERT_TRUE(client.SendLine("SCORE default 4.5,0").ok());
+  ASSERT_EQ(client.RecvLine().ValueOrDie(), OkScore(9.0));
+
+  ASSERT_TRUE(client.SendLine("STATS").ok());
+  const std::string stats = client.RecvLine().ValueOrDie();
+  ASSERT_EQ(stats.rfind("OK ", 0), 0u) << stats;
+  const auto values = testing::MetricValues(stats.substr(3));
+  for (const auto& [key, seen] : values) {
+    EXPECT_EQ(seen.size(), 1u) << key << " in " << stats;
+  }
+  // Every key STATS printed before the metrics tables, in the same order.
+  size_t at = 0;
+  for (const char* key :
+       {"OK accepted=", " active=", " rejected=", " closed=", " rows_in=",
+        " rows_out=", " shed=", " protocol_errors=", " score_p99_us=",
+        " inflight=", " draining=", " reg_hits=", " reg_misses=",
+        " reg_evictions=", " reg_loads=", " reg_load_p99_us="}) {
+    const size_t found = stats.find(key, at);
+    ASSERT_NE(found, std::string::npos) << key << " in " << stats;
+    at = found;
+  }
+  // `inflight` may still read 1: the score callback releases its row
+  // after the reply is queued.
+  const auto value = [&](const std::string& key) {
+    const auto it = values.find(key);
+    return it == values.end() ? "(missing)" : it->second.front();
+  };
+  EXPECT_EQ(value("accepted"), "1");
+  EXPECT_EQ(value("active"), "1");
+  EXPECT_EQ(value("rows_in"), "1");
+  EXPECT_EQ(value("rows_out"), "4");
+  EXPECT_EQ(value("protocol_errors"), "0");
+  EXPECT_EQ(value("shed"), "0");
+  EXPECT_NE(value("score_p99_us"), "0");
+  EXPECT_EQ(value("draining"), "0");
+  EXPECT_EQ(value("requests_submitted"), "1");
+  EXPECT_EQ(value("requests_completed"), "1");
+  EXPECT_EQ(value("rows_scored"), "1");
+  EXPECT_EQ(value("reg_loads"), "1");
+  EXPECT_EQ(value("reg_load_p99_us"), "256");
+  EXPECT_EQ(value("reg_refresh_polls"), "0");
 }
 
 TEST(TcpServerTest, PartialFramesAcrossWriteBoundaries) {

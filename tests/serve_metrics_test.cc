@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics_check.h"
+
 namespace targad {
 namespace serve {
 namespace {
@@ -34,15 +36,15 @@ TEST(Pow2HistogramTest, HugeValuesSaturateLastBucket) {
 
 TEST(Pow2HistogramTest, PercentileUpperBounds) {
   Pow2Histogram h;
-  EXPECT_EQ(h.PercentileUpperBound(0.5), 0u);  // Empty.
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 0.5), 0u);  // Empty.
   // 90 fast samples (~100us bucket [64,128)), 10 slow (~10000us [8192,16384)).
   for (int i = 0; i < 90; ++i) h.Record(100);
   for (int i = 0; i < 10; ++i) h.Record(10'000);
-  EXPECT_EQ(h.PercentileUpperBound(0.50), 128u);
-  EXPECT_EQ(h.PercentileUpperBound(0.90), 128u);
-  EXPECT_EQ(h.PercentileUpperBound(0.95), 16384u);
-  EXPECT_EQ(h.PercentileUpperBound(0.99), 16384u);
-  EXPECT_EQ(h.PercentileUpperBound(1.0), 16384u);
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 0.50), 128u);
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 0.90), 128u);
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 0.95), 16384u);
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 0.99), 16384u);
+  EXPECT_EQ(PercentileUpperBound(h.Buckets(), 1.0), 16384u);
 
   // The p-quantile is the sample at the nearest rank, ceil(p * N). For
   // {1, 100, 100}, rank ceil(1.5) = 2 is 100, in [64, 128).
@@ -50,17 +52,17 @@ TEST(Pow2HistogramTest, PercentileUpperBounds) {
   three.Record(1);
   three.Record(100);
   three.Record(100);
-  EXPECT_EQ(three.PercentileUpperBound(0.5), 128u);
+  EXPECT_EQ(PercentileUpperBound(three.Buckets(), 0.5), 128u);
   // 0.29 * 100 is 28.999999999999996 in double; the rank is still 29.
   Pow2Histogram hundred;
   for (int i = 0; i < 28; ++i) hundred.Record(1);
   for (int i = 0; i < 72; ++i) hundred.Record(100);
-  EXPECT_EQ(hundred.PercentileUpperBound(0.29), 128u);
+  EXPECT_EQ(PercentileUpperBound(hundred.Buckets(), 0.29), 128u);
   // 0.28 * 25 is 7.000000000000001 in double; the rank is still 7.
   Pow2Histogram twenty_five;
   for (int i = 0; i < 7; ++i) twenty_five.Record(1);
   for (int i = 0; i < 18; ++i) twenty_five.Record(100);
-  EXPECT_EQ(twenty_five.PercentileUpperBound(0.28), 2u);
+  EXPECT_EQ(PercentileUpperBound(twenty_five.Buckets(), 0.28), 2u);
 }
 
 TEST(ServeMetricsTest, CountersAndDerivedFields) {
@@ -85,16 +87,50 @@ TEST(ServeMetricsTest, CountersAndDerivedFields) {
   EXPECT_GT(s.latency_p99_us, 0u);
 }
 
-TEST(ServeMetricsTest, ReportMentionsEveryCounter) {
+// Every row of the serve table renders exactly once, with its own value,
+// in the exit report and in the line form the STATS reply appends. Each
+// counter and histogram gets a distinct, non-zero value, so a row that
+// printed another row's value would not parse back.
+TEST(ServeMetricsTest, EveryKeyRendersOnceWithItsValue) {
   ServeMetrics metrics;
-  metrics.RecordSubmitted();
-  metrics.RecordBatch(1);
-  metrics.RecordCompleted(123);
+  const auto repeat = [](int n, const auto& record) {
+    for (int i = 0; i < n; ++i) record();
+  };
+  repeat(20, [&] { metrics.RecordSubmitted(); });
+  repeat(2, [&] { metrics.RecordRejected(); });
+  repeat(3, [&] { metrics.RecordModelSwap(); });
+  metrics.RecordUnknownModelRows(4);
+  for (uint64_t rows : {1, 2, 4, 8, 16, 32, 64}) metrics.RecordBatch(rows);
+  repeat(9, [&] { metrics.RecordCompleted(100); });
+  repeat(5, [&] { metrics.RecordFailed(3000); });
+  repeat(11, [&] { metrics.RecordRegistryHit(); });
+  repeat(12, [&] { metrics.RecordRegistryMiss(); });
+  repeat(13, [&] { metrics.RecordRegistryEviction(); });
+  repeat(14, [&] { metrics.RecordRegistryRefresh(); });
+  repeat(6, [&] { metrics.RecordRegistryPoll(/*failed=*/false); });
+  repeat(10, [&] { metrics.RecordRegistryPoll(/*failed=*/true); });
+  for (uint64_t us = 1; us <= 15; ++us) metrics.RecordRegistryLoad(us * 40);
+  metrics.RecordModelRows("alpha", 17, 18);
+  metrics.RecordModelRows("beta gamma", 19, 21);
+
+  const MetricsSnapshot s = metrics.Snapshot();
   const std::string report = metrics.Report();
-  EXPECT_NE(report.find("requests:"), std::string::npos);
-  EXPECT_NE(report.find("batches:"), std::string::npos);
-  EXPECT_NE(report.find("p99"), std::string::npos);
-  EXPECT_NE(report.find("batch-size histogram"), std::string::npos);
+  testing::ExpectEveryRowOnce in_report(report);
+  s.ForEach(in_report);
+  EXPECT_NE(report.find("\n  model alpha: scored=17 failed=18\n"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\n  model beta gamma: scored=19 failed=21\n"),
+            std::string::npos)
+      << report;
+
+  MetricsText line(MetricsText::Layout::kLine);
+  s.ForEach(line);
+  testing::ExpectEveryRowOnce in_line(line.str());
+  s.ForEach(in_line);
+  // The line holds the table's rows and nothing else: no per-model rows.
+  EXPECT_EQ(testing::MetricValues(line.str()).size(), in_line.rows());
+  EXPECT_EQ(line.str().find('\n'), std::string::npos);
 }
 
 TEST(ServeMetricsTest, ConcurrentRecordingLosesNothing) {

@@ -55,7 +55,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -505,8 +504,6 @@ int CmdServe(const Flags& flags) {
   // artifact file while serving hot-swaps it within one interval; rows
   // already submitted keep the snapshot they started with.
   const int refresh_ms = flags.GetInt("refresh-ms", 0);
-  std::atomic<uint64_t> refresh_polls{0};
-  std::atomic<uint64_t> refresh_errors{0};
   std::mutex refresh_mu;
   std::condition_variable refresh_cv;
   bool refresh_stop = false;
@@ -557,10 +554,9 @@ int CmdServe(const Flags& flags) {
       while (!refresh_cv.wait_for(lock, std::chrono::milliseconds(refresh_ms),
                                   [&] { return refresh_stop; })) {
         lock.unlock();
+        // The registry counts the poll, and its failure, into `metrics`.
         auto refreshed = registry.RefreshIfChanged();
-        refresh_polls.fetch_add(1);
         if (!refreshed.ok()) {
-          refresh_errors.fetch_add(1);
           std::fprintf(stderr, "refresh: %s\n",
                        refreshed.status().ToString().c_str());
         }
@@ -576,16 +572,6 @@ int CmdServe(const Flags& flags) {
     }
     refresh_cv.notify_all();
     refresher.join();
-  };
-  // The republish count comes from the metrics: a pass that republishes
-  // one model and fails on another returns only the error.
-  auto report_refreshes = [&] {
-    if (refresh_ms <= 0) return;
-    std::fprintf(
-        stderr, "refreshes: %llu polls, %llu republished, %llu errors\n",
-        static_cast<unsigned long long>(refresh_polls.load()),
-        static_cast<unsigned long long>(metrics.Snapshot().registry_refreshes),
-        static_cast<unsigned long long>(refresh_errors.load()));
   };
 
   if (tcp_mode) {
@@ -637,7 +623,6 @@ int CmdServe(const Flags& flags) {
     g_signal_pipe_w = -1;
     ::close(signal_pipe[0]);
     ::close(signal_pipe[1]);
-    report_refreshes();
     std::fprintf(stderr, "%s", net_metrics.Report().c_str());
     std::fprintf(stderr, "%s", metrics.Report().c_str());
     return 0;
@@ -663,7 +648,6 @@ int CmdServe(const Flags& flags) {
                  "drain: stopped early on signal, all in-flight rows "
                  "resolved\n");
   }
-  report_refreshes();
   std::fprintf(stderr, "%s", metrics.Report().c_str());
   return 0;
 }
