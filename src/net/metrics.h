@@ -6,10 +6,10 @@
 // with identical semantics.
 //
 // Stage attribution follows the pipeline: parse (bytes read -> SCORE row
-// submitted, on the poll thread), score (BatchScorer::Submit -> its
-// completion callback, dominated by batch coalescing + inference), respond
-// (completion callback -> reply released to the session's write backlog,
-// before send()).
+// parsed, on the poll thread), score (row parsed -> its completion
+// callback: the rest of its read pass, the pass's one BatchScorer::Submit,
+// the queue and its batch), respond (completion callback -> reply
+// released to the session's write backlog, before send()).
 
 #ifndef TARGAD_NET_METRICS_H_
 #define TARGAD_NET_METRICS_H_

@@ -360,6 +360,14 @@ void TcpServer::ParseAndDispatch(const std::shared_ptr<Session>& s,
     }
     DispatchLine(s, line, ingest_start);
   }
+  // Score stage: the pass's SCORE rows reach the scorer in one call, which
+  // delivers each shed row's "ERR overloaded" through its callback before
+  // returning. No session lock may be held here: that callback re-locks
+  // its session.
+  if (!pass_rows_.empty()) {
+    scorer_->Submit(&pass_rows_);
+    pass_rows_.clear();
+  }
 }
 
 void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
@@ -390,7 +398,7 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
             inflight_rows_.load(std::memory_order_relaxed));
       stats("draining", "flag", uint64_t{draining() ? 1u : 0u});
       if (options_.serve_metrics != nullptr) {
-        options_.serve_metrics->Snapshot().ForEach(stats);
+        options_.serve_metrics->Table().ForEach(stats);
       }
       s->Complete(seq, FormatOk(stats.str()));
       return;
@@ -405,9 +413,9 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
       break;
   }
 
-  // Score stage. The row may carry a model=<name> routing cell (shared
-  // dialect with the stdio path); it overrides the SCORE <model> token.
-  // The scoring worker splits the rest of the record.
+  // A SCORE row. It may carry a model=<name> routing cell (shared dialect
+  // with the stdio path); it overrides the SCORE <model> token. The scoring
+  // worker splits the rest of the record.
   serve::RoutedRecord peeled =
       serve::PeelRoute(request.cells_csv, /*label_col=*/-1);
   std::string model =
@@ -419,36 +427,35 @@ void TcpServer::DispatchLine(const std::shared_ptr<Session>& s,
   metrics_->RecordRowIn();
   metrics_->RecordParseUs(serve::ElapsedUs(ingest_start));
   inflight_rows_.fetch_add(1, std::memory_order_relaxed);
-  const auto submitted_at = std::chrono::steady_clock::now();
+  const auto parsed_at = std::chrono::steady_clock::now();
 
-  // NOTE: s->mu_ must NOT be held here — a shed row's callback runs
-  // synchronously inside Submit and re-locks the session.
+  // The row joins its pass's hand-off (ParseAndDispatch).
   std::shared_ptr<Session> session = s;
-  scorer_->Submit(
-      std::move(model), std::move(record), peeled.record.label_col,
-      [this, session, seq, submitted_at](Result<double> result) {
-        std::string reply;
-        if (result.ok()) {
-          reply = FormatOkScore(*result);
-        } else {
-          if (result.status().code() == StatusCode::kResourceExhausted) {
-            metrics_->RecordShed();
-          }
-          reply = FormatErrStatus(result.status());
-        }
-        metrics_->RecordScoreUs(serve::ElapsedUs(submitted_at));
-        if (session->Complete(seq, std::move(reply))) {
-          {
-            MutexLock lock(&ready_mu_);
-            ready_.push_back(session);
-          }
-          WakeLoop();
-        }
-        // Must be the callback's LAST touch of the server: the release
-        // pairs with the drain loop's acquire-load of zero, which is the
-        // proof that no callback still runs.
-        inflight_rows_.fetch_sub(1, std::memory_order_release);
-      });
+  pass_rows_.push_back(
+      {std::move(model), std::move(record), peeled.record.label_col,
+       [this, session, seq, parsed_at](Result<double> result) {
+         std::string reply;
+         if (result.ok()) {
+           reply = FormatOkScore(*result);
+         } else {
+           if (result.status().code() == StatusCode::kResourceExhausted) {
+             metrics_->RecordShed();
+           }
+           reply = FormatErrStatus(result.status());
+         }
+         metrics_->RecordScoreUs(serve::ElapsedUs(parsed_at));
+         if (session->Complete(seq, std::move(reply))) {
+           {
+             MutexLock lock(&ready_mu_);
+             ready_.push_back(session);
+           }
+           WakeLoop();
+         }
+         // Must be the callback's LAST touch of the server: the release
+         // pairs with the drain loop's acquire-load of zero, which is the
+         // proof that no callback still runs.
+         inflight_rows_.fetch_sub(1, std::memory_order_release);
+       }});
 }
 
 bool TcpServer::FlushSession(const std::shared_ptr<Session>& s) {

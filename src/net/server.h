@@ -1,15 +1,17 @@
 // TcpServer: the staged TCP serving front-end. One poll()-based event-loop
 // thread runs the ingest, parse, and respond stages for every connection;
 // the score stage is BatchScorer's existing worker pool, reached through
-// its callback Submit. The stages hand off explicitly:
+// its batched Submit, once per read pass. The stages hand off explicitly:
 //
 //   ingest   poll thread: accept(), nonblocking read() into each session's
 //            FrameDecoder, gated per connection at max_inflight_rows
 //   parse    poll thread: FrameDecoder lines -> ParseRequest ->
-//            serve::PeelRoute (shared with the stdio path)
-//   score    BatchScorer workers: bounded admission (a full queue becomes
-//            "ERR overloaded" — the load-shedding path), micro-batching,
-//            model routing, hot-swap-safe snapshots, record splitting
+//            serve::PeelRoute (shared with the stdio path); each SCORE row
+//            joins the pass's hand-off
+//   score    BatchScorer workers: bounded admission of the pass's rows in
+//            one call (a full queue becomes "ERR overloaded" — the
+//            load-shedding path), micro-batching, model routing,
+//            hot-swap-safe snapshots, record splitting
 //   respond  completion callbacks park replies on their Session; the first
 //            one since the session's last flush nudges the poll thread
 //            through a wake pipe; the poll thread flushes the contiguous
@@ -114,15 +116,17 @@ class TcpServer {
   /// Reads, frames, parses, and dispatches everything available on `s`.
   void HandleReadable(const std::shared_ptr<Session>& s);
   /// Parse stage: dispatches buffered complete lines while the in-flight
-  /// gate admits them. Called from HandleReadable after a read, and again
-  /// from the loop whenever completions reopen a session's gate (a client
-  /// that pipelines past max_inflight_rows produces lines no readable
-  /// event will ever revisit).
+  /// gate admits them, then hands the pass's SCORE rows to the scorer in
+  /// one call. Called from HandleReadable after a read, and again from the
+  /// loop whenever completions reopen a session's gate (a client that
+  /// pipelines past max_inflight_rows produces lines no readable event
+  /// will ever revisit).
   void ParseAndDispatch(const std::shared_ptr<Session>& s,
                         std::chrono::steady_clock::time_point ingest_start);
-  /// Executes one request line (immediate replies or a scorer submit).
-  /// Immediate replies complete on the poll thread and ignore Complete's
-  /// flush request: every caller flushes the session in the same loop pass.
+  /// Executes one request line: an immediate reply, or a SCORE row
+  /// appended to pass_rows_. Immediate replies complete on the poll thread
+  /// and ignore Complete's flush request: every caller flushes the session
+  /// in the same loop pass.
   void DispatchLine(const std::shared_ptr<Session>& s,
                     const std::string& line,
                     std::chrono::steady_clock::time_point ingest_start);
@@ -153,6 +157,10 @@ class TcpServer {
   /// Poll-thread-only: fd -> session. shared_ptr because in-flight scorer
   /// callbacks hold a reference; the map erase is not the last owner.
   std::map<int, std::shared_ptr<Session>> sessions_;
+
+  /// Poll-thread-only: the SCORE rows of the current ParseAndDispatch
+  /// pass, handed to the scorer in one call and cleared on every pass.
+  std::vector<serve::BatchScorer::Row> pass_rows_;
 
   RankedMutex ready_mu_{LockRank::kNetReady};
   /// Sessions with newly completed replies, parked by callbacks for the

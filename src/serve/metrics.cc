@@ -138,13 +138,17 @@ void ServeMetrics::RecordRegistryLoad(uint64_t load_us) {
   registry_load_buckets_.Record(load_us);
 }
 
+MetricsTable ServeMetrics::Table() const {
+  MetricsTable s;
+  TARGAD_METRICS_LOADS(TARGAD_SERVE_METRICS)
+  return s;
+}
+
 MetricsSnapshot ServeMetrics::Snapshot() const {
   MetricsSnapshot s;
-  TARGAD_METRICS_LOADS(TARGAD_SERVE_METRICS)
-  {
-    MutexLock lock(&model_mu_);
-    s.per_model = model_rows_;
-  }
+  static_cast<MetricsTable&>(s) = Table();
+  MutexLock lock(&model_mu_);
+  s.per_model = model_rows_;
   return s;
 }
 

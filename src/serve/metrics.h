@@ -180,11 +180,9 @@ struct ModelRowCounters {
     0.99)                                                              \
   H(registry_load_buckets, "reg_load_buckets", "us")
 
-/// Point-in-time copy of every serve metric: one field per table row.
-struct MetricsSnapshot {
+/// Point-in-time copy of the serve table: one field per table row.
+struct MetricsTable {
   TARGAD_METRICS_FIELDS(TARGAD_SERVE_METRICS)
-  /// Row outcomes per registered model name (sorted by name).
-  std::map<std::string, ModelRowCounters> per_model;
 
   /// Calls visit(key, unit, value) once per table row, in table order.
   template <typename Visit>
@@ -193,14 +191,24 @@ struct MetricsSnapshot {
   }
 };
 
+/// The serve table plus the exit report's per-model rows.
+struct MetricsSnapshot : MetricsTable {
+  /// Row outcomes per registered model name (sorted by name).
+  std::map<std::string, ModelRowCounters> per_model;
+};
+
 /// Shared metrics sink for one scoring service. All methods are thread-safe;
 /// recording on the per-request path never blocks. The per-model counters
 /// are the one exception: they take a mutex, so they are recorded once per
 /// batch group (amortized), never per row.
 class ServeMetrics {
  public:
-  void RecordSubmitted() { Add(&counters_.requests_submitted); }
-  void RecordRejected() { Add(&counters_.requests_rejected); }
+  void RecordSubmitted(uint64_t rows = 1) {
+    Add(&counters_.requests_submitted, rows);
+  }
+  void RecordRejected(uint64_t rows = 1) {
+    Add(&counters_.requests_rejected, rows);
+  }
   void RecordModelSwap() { Add(&counters_.model_swaps); }
 
   /// Rows of one batch group routed to a name the provider does not know.
@@ -243,6 +251,11 @@ class ServeMetrics {
   /// fixup; for a text model a parse and a freeze.
   void RecordRegistryLoad(uint64_t load_us);
 
+  /// Every table row, loaded from the atomics alone: no lock and no copy
+  /// of the per-model map, so the TCP poll thread may render it for STATS.
+  MetricsTable Table() const;
+
+  /// Table() plus the per-model rows, copied under model_mu_.
   MetricsSnapshot Snapshot() const;
 
   /// The exit report: "serve metrics", every table row as

@@ -786,6 +786,53 @@ TEST(TcpServerTest, AdmissionExhaustionShedsWithErrOverloadedInOrder) {
   EXPECT_EQ(fixture.metrics().Snapshot().shed, 1u);
 }
 
+TEST(TcpServerTest, OneReadPassOverflowsAdmissionInOrder) {
+  // The one worker is held on a first row, so the queue is empty and two
+  // rows fit. One write then carries six SCORE lines, PING and QUIT: the
+  // server hands the six to the scorer together, which admits two and
+  // sheds four. Every reply keeps its request's place, and the connection
+  // closes only after the last.
+  Gate gate;
+  serve::BatchScorerOptions scorer_options;
+  scorer_options.num_workers = 1;
+  scorer_options.max_queue_rows = 2;
+  TestServer fixture({}, scorer_options, &gate);
+  LineClient client = fixture.Connect();
+  ASSERT_TRUE(client.SendLine("SCORE default 1,0").ok());
+  gate.WaitUntilEntered();
+
+  std::string pass;
+  for (int i = 0; i < 6; ++i) {
+    pass += "SCORE default " + std::to_string(10 + i) + ",0\n";
+  }
+  pass += "PING\nQUIT\n";
+  ASSERT_TRUE(client.SendRaw(pass).ok());
+  // Open the gate only once the shed rows are answered, so no worker can
+  // drain the queue while the pass is being admitted.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fixture.metrics().Snapshot().shed < 4 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+
+  EXPECT_EQ(client.RecvLine().ValueOrDie(), OkScore(2.0));
+  EXPECT_EQ(client.RecvLine().ValueOrDie(), OkScore(20.0));
+  EXPECT_EQ(client.RecvLine().ValueOrDie(), OkScore(22.0));
+  for (int i = 2; i < 6; ++i) {
+    const std::string reply = client.RecvLine().ValueOrDie();
+    EXPECT_EQ(reply.rfind("ERR overloaded ", 0), 0u) << "row " << i << ": "
+                                                    << reply;
+  }
+  EXPECT_EQ(client.RecvLine().ValueOrDie(), "PONG");
+  EXPECT_EQ(client.RecvLine().ValueOrDie(), "OK bye");
+  EXPECT_FALSE(client.RecvLine().ok());  // Closed after the last reply.
+  const NetMetricsSnapshot snapshot = fixture.metrics().Snapshot();
+  EXPECT_EQ(snapshot.shed, 4u);
+  EXPECT_EQ(snapshot.rows_in, 7u);
+}
+
 TEST(TcpServerTest, ConnectionLimitRejectsWithErrOverloaded) {
   TcpServerOptions options;
   options.max_connections = 1;

@@ -55,18 +55,26 @@ std::vector<size_t> ResolveCall(const ProgramModel& pm, size_t fi,
     return it == pm.by_cls_name.end() ? std::vector<size_t>{} : it->second;
   };
 
+  // The type of a name the caller can see: `this`, a local variable, or a
+  // member of the caller's class; "" when unknown.
+  auto type_of = [&pm, &fn](const std::string& name) -> std::string {
+    if (name == "this") return fn.cls;
+    if (name.empty()) return "";
+    auto lt = fn.local_types.find(name);
+    if (lt != fn.local_types.end()) return lt->second;
+    auto mt = pm.member_types.find({fn.cls, name});
+    return mt == pm.member_types.end() ? "" : mt->second;
+  };
+
   if (cs.via_member) {
     std::string cls;
-    if (cs.receiver == "this") {
-      cls = fn.cls;
-    } else if (!cs.receiver.empty()) {
-      auto lt = fn.local_types.find(cs.receiver);
-      if (lt != fn.local_types.end()) {
-        cls = lt->second;
-      } else {
-        auto mt = pm.member_types.find({fn.cls, cs.receiver});
-        if (mt != pm.member_types.end()) cls = mt->second;
-      }
+    if (cs.outer.empty()) {
+      cls = type_of(cs.receiver);
+    } else {
+      // outer.receiver->name(): the receiver is a member of outer's type.
+      const std::string outer_cls = type_of(cs.outer);
+      auto mt = pm.member_types.find({outer_cls, cs.receiver});
+      if (!outer_cls.empty() && mt != pm.member_types.end()) cls = mt->second;
     }
     if (cls.empty()) return {};
     return methods(cls, cs.name);

@@ -426,6 +426,36 @@ std::vector<SelfCase> Cases() {
        "  }\n"
        "}\n",
        {}},
+      // ...and a receiver one member deep: `options_.sink` is typed through
+      // the caller's member `options_` and its struct's member `sink`, so
+      // the sink's lock (line 17) is reachable from the root.
+      {"net/pollchain.cc",
+       "class ChainSink {\n"
+       " public:\n"
+       "  int Snapshot();\n"
+       " private:\n"
+       "  RankedMutex sink_mu_{LockRank::kMid};\n"
+       "};\n"
+       "struct ChainOptions {\n"
+       "  ChainSink* sink = nullptr;\n"
+       "};\n"
+       "class ChainFront {\n"
+       " public:\n"
+       "  void Loop();\n"
+       " private:\n"
+       "  const ChainOptions options_;\n"
+       "};\n"
+       "int ChainSink::Snapshot() {\n"
+       "  MutexLock lock(&sink_mu_);\n"
+       "  return 0;\n"
+       "}\n"
+       "TARGAD_POLL_THREAD void ChainFront::Loop() {\n"
+       "  for (;;) {\n"
+       "    poll(nullptr, 0, 0);\n"
+       "    options_.sink->Snapshot();\n"
+       "  }\n"
+       "}\n",
+       {{"poll-thread-lock", 17}}},
       // IWYU-lite regression: the included header's only symbol is consumed
       // via a macro invocation SPLICED across physical lines. Universal
       // phase-2 splicing makes it one identifier token, so the include is

@@ -328,6 +328,12 @@ void ScanFnBody(const std::vector<Token>& code, FnSym* fn) {
         if (IsPunct(sep, ".") || IsPunct(sep, "->")) {
           cs.via_member = true;
           if (recv.kind == Tok::kIdent) cs.receiver = recv.text;
+          if (recv.kind == Tok::kIdent && p >= 4 &&
+              (IsPunct(code[idx[p - 3]], ".") ||
+               IsPunct(code[idx[p - 3]], "->")) &&
+              code[idx[p - 4]].kind == Tok::kIdent) {
+            cs.outer = code[idx[p - 4]].text;
+          }
         } else if (IsPunct(sep, "::")) {
           cs.via_scope = true;
           if (recv.kind == Tok::kIdent) cs.receiver = recv.text;

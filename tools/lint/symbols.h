@@ -39,6 +39,9 @@ struct LockAcquire {
 struct CallSite {
   std::string name;      // Callee identifier.
   std::string receiver;  // Receiver variable or scope qualifier, "" none.
+  /// The identifier before a member receiver, "" none: `outer` in
+  /// outer.receiver->name(...) or outer->receiver.name(...).
+  std::string outer;
   bool via_member = false;  // Spelled recv.name(...) / recv->name(...).
   bool via_scope = false;   // Spelled Qual::name(...).
   int line = 0;

@@ -27,6 +27,9 @@
 //                [--drain-grace-ms 5000] [--warm N]
 //       Stream rows (stdin or --in) through the micro-batched scoring
 //       service; scores go to stdout or --out, a metrics report to stderr.
+//       --batch caps the rows of one vectorized call. A worker takes
+//       queued rows at once unless another is scoring a batch; only then
+//       do they wait, at most --delay-us microseconds, for a fuller batch.
 //       Text models are frozen to --dtype as they load: float64 (default)
 //       scores bit-identically to `score`, float32 runs the float32
 //       inference plan; .tgz1 artifacts keep their own dtype. --models
